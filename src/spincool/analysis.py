@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .angmom import HalfInt
 from .hyperfine import HyperfineConstants, SpinSpace, hf_matrix
@@ -40,6 +39,7 @@ __all__ = [
     "balance_omega_pd",
     "cool",
     "table1_sweep",
+    "TABLE1_RATIOS",
     "sensitivity_suite",
     "impurity_sweep",
     "scaled_constants_overlaps",
@@ -158,6 +158,8 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
         pair = dressed_pair(p.replace(omega_pd=omega_pd, delta=0.0))
         return pair.energy_up - pair.energy_down
 
+    from scipy.optimize import brentq
+
     lo, hi = bracket
     f_lo, f_hi = imbalance(lo), imbalance(hi)
     if not np.isfinite(f_lo) or not np.isfinite(f_hi) or f_lo * f_hi > 0:
@@ -165,6 +167,50 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
             f"no sign change on [{lo}, {hi}]: f({lo})={f_lo:.4f}, f({hi})={f_hi:.4f}")
     root = brentq(imbalance, lo, hi, xtol=1e-6)
     return float(root)
+
+
+_GROUP_SERIES = {
+    "pop_1P1_total": [BasisState.P1_0_DOWN, BasisState.P1_M1_UP,
+                      BasisState.P1_M1_DOWN, BasisState.P1_P1_DOWN],
+    "pop_1D2_total": list(D2_STATES),
+    "pop_6s": [BasisState.S6_DOWN],
+}
+
+
+def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
+               t_final: float, samples: int,
+               cfg: IntegratorConfig | None) -> list[CoolingResult]:
+    """One cooling run per (alpha, beta), all propagated in one evolve call."""
+    psi0, psi_f, psi_perp = (np.array(v) for v in
+                             zip(*(qubit_vectors(a, b) for a, b in amplitudes)))
+    rho0 = np.array([pure_density(v) for v in psi0])
+    t_grid = np.linspace(0.0, t_final, samples)
+    states = evolve(rho0, hamiltonian(p), collapse_ops(p), t_grid, cfg).states
+
+    # every series has shape (runs, samples)
+    diag = np.diagonal(states, axis1=-2, axis2=-1).real
+    series = {
+        "pop_psi0": population(states, psi0[:, None]),
+        "pop_psif": population(states, psi_f[:, None]),
+        "pop_perp": population(states, psi_perp[:, None]),
+        "pop_reservoir": diag[..., BasisState.RESERVOIR],
+    }
+    for name, group in _GROUP_SERIES.items():
+        series[name] = diag[..., group].sum(axis=-1)
+
+    results = []
+    for k in range(len(amplitudes)):
+        traj = Trajectory(times=t_grid, states=states[k])
+        for name, values in series.items():
+            traj.add_population_series(name, values[k])
+        results.append(CoolingResult(
+            fidelity=float(series["pop_psif"][k, -1]),
+            pop_perp=float(series["pop_perp"][k, -1]),
+            pop_reservoir=float(series["pop_reservoir"][k, -1]),
+            pop_residual_clock=float(series["pop_psi0"][k, -1]),
+            trajectory=traj,
+        ))
+    return results
 
 
 def cool(alpha: complex, beta: complex, p: ModelParams, t_final: float = 20.0,
@@ -175,41 +221,7 @@ def cool(alpha: complex, beta: complex, p: ModelParams, t_final: float = 20.0,
     with the leakage populations (orthogonal qubit state, reservoir,
     residual clock) and a trajectory carrying the standard named series.
     """
-    psi0, psi_f, psi_perp = qubit_vectors(alpha, beta)
-    rho0 = pure_density(psi0)
-    H = hamiltonian(p)
-    cs = collapse_ops(p)
-    t_grid = np.linspace(0.0, t_final, samples)
-    traj = evolve(rho0, H, cs, t_grid, cfg)
-
-    basis_groups = {
-        "pop_1P1_total": [BasisState.P1_0_DOWN, BasisState.P1_M1_UP,
-                          BasisState.P1_M1_DOWN, BasisState.P1_P1_DOWN],
-        "pop_1D2_total": list(D2_STATES),
-        "pop_6s": [BasisState.S6_DOWN],
-    }
-    n = len(traj.states)
-    series = {name: np.empty(n) for name in
-              ("pop_psi0", "pop_psif", "pop_perp", "pop_reservoir",
-               "pop_1P1_total", "pop_1D2_total", "pop_6s")}
-    for k, rho in enumerate(traj.states):
-        series["pop_psi0"][k] = population(rho, psi0)
-        series["pop_psif"][k] = population(rho, psi_f)
-        series["pop_perp"][k] = population(rho, psi_perp)
-        series["pop_reservoir"][k] = rho[BasisState.RESERVOIR, BasisState.RESERVOIR].real
-        for name, states in basis_groups.items():
-            series[name][k] = sum(rho[s, s].real for s in states)
-    for name, values in series.items():
-        traj.add_population_series(name, values)
-
-    rho_end = traj.states[-1]
-    return CoolingResult(
-        fidelity=population(rho_end, psi_f),
-        pop_perp=population(rho_end, psi_perp),
-        pop_reservoir=float(rho_end[BasisState.RESERVOIR, BasisState.RESERVOIR].real),
-        pop_residual_clock=population(rho_end, psi0),
-        trajectory=traj,
-    )
+    return _cool_many([(alpha, beta)], p, t_final, samples, cfg)[0]
 
 
 @dataclass
@@ -246,16 +258,20 @@ def _endpoint_population_total(res: CoolingResult) -> float:
     return named + (clock - obs["pop_psi0"][-1])
 
 
-def table1_sweep(p: ModelParams, ratios=(0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0),
+TABLE1_RATIOS = (0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0)
+
+
+def table1_sweep(p: ModelParams, ratios=TABLE1_RATIOS,
                  t_final: float = 20.0) -> list[SweepRow]:
-    """Cooling fidelity versus the qubit amplitude ratio alpha/beta."""
-    rows = []
-    for r in ratios:
-        res = cool(r, 1.0, p, t_final=t_final)
-        rows.append(SweepRow(name=f"alpha/beta={r:g}", overrides={"alpha_over_beta": r},
-                             t_us=t_final, fidelity=res.fidelity, pop_perp=res.pop_perp,
-                             notes={"pop_total": _endpoint_population_total(res)}))
-    return rows
+    """Cooling fidelity versus the qubit amplitude ratio alpha/beta.
+
+    All ratios share one Liouvillian and are propagated as one stack.
+    """
+    results = _cool_many([(r, 1.0) for r in ratios], p, t_final, 401, None)
+    return [SweepRow(name=f"alpha/beta={r:g}", overrides={"alpha_over_beta": r},
+                     t_us=t_final, fidelity=res.fidelity, pop_perp=res.pop_perp,
+                     notes={"pop_total": _endpoint_population_total(res)})
+            for r, res in zip(ratios, results)]
 
 
 def sensitivity_suite(p: ModelParams) -> list[SweepRow]:

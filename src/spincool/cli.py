@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -189,28 +188,6 @@ def cmd_lasercalc(out_dir: str | None) -> int:
     return 0
 
 
-def _table1_point(args):
-    ratio, params_dict, t_final = args
-    from .srmodel import ModelParams
-    res = analysis.cool(ratio, 1.0, ModelParams(**params_dict), t_final=t_final)
-    return ratio, res.fidelity, res.pop_perp
-
-
-def _impurity_point(args):
-    chi, params_dict, t_final = args
-    from .srmodel import ModelParams, with_polarization_impurity
-    p = with_polarization_impurity(ModelParams(**params_dict), chi, "dressing")
-    res = analysis.cool(1.0, 1.0, p, t_final=t_final)
-    return chi, res.fidelity, res.pop_perp
-
-
-def _pooled(worker, tasks, jobs: int) -> list:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
-
-
 def _write_rows(out_dir: str, stem: str, rows, extra_note_keys=()) -> None:
     atomic_write_text(f"{out_dir}/{stem}.csv", _rows_csv(rows, extra_note_keys))
     payload = [r.to_dict() for r in rows]
@@ -218,7 +195,21 @@ def _write_rows(out_dir: str, stem: str, rows, extra_note_keys=()) -> None:
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str, jobs: int) -> int:
+def _write_points(out_dir: str, stem: str, key: str, rows) -> None:
+    """One sweep as {stem}.csv and {stem}.json, one record per swept value."""
+    cols = (key, "fidelity", "pop_perp", "pop_total")
+    points = [(r.overrides[key], r.fidelity, r.pop_perp, r.notes["pop_total"])
+              for r in rows]
+    lines = [CSV_SCHEMA.replace("trajectory", stem), ",".join(cols)]
+    lines += [",".join(_fmt(v) for v in point) for point in points]
+    atomic_write_text(f"{out_dir}/{stem}.csv", "\n".join(lines) + "\n")
+    records = [dict(zip(cols, point)) for point in points]
+    atomic_write_text(f"{out_dir}/{stem}.json",
+                      json.dumps(records, indent=2, sort_keys=True) + "\n")
+    print("\n".join(lines[1:]))
+
+
+def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
     p = cfg.params
     if which == "fig3":
         result = analysis.cool(1.0, 1.0, p, t_final=cfg.t_final, samples=cfg.samples)
@@ -226,18 +217,8 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str, jobs: int) -> int:
         print(f"fig3: fidelity {result.fidelity:.5f}, perp {result.pop_perp:.2e}, "
               f"reservoir {result.pop_reservoir:.2e}")
     elif which == "table1":
-        ratios = (0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0)
-        tasks = [(r, p.to_dict(), cfg.t_final) for r in ratios]
-        points = sorted(_pooled(_table1_point, tasks, jobs))
-        lines = [CSV_SCHEMA.replace("trajectory", "table1"),
-                 "alpha_over_beta,fidelity,pop_perp"]
-        lines += [f"{_fmt(r)},{_fmt(f)},{_fmt(pp)}" for r, f, pp in points]
-        atomic_write_text(f"{out_dir}/table1.csv", "\n".join(lines) + "\n")
-        records = [{"alpha_over_beta": r, "fidelity": f, "pop_perp": pp}
-                   for r, f, pp in points]
-        atomic_write_text(f"{out_dir}/table1.json",
-                          json.dumps(records, indent=2, sort_keys=True) + "\n")
-        print("\n".join(lines[1:]))
+        _write_points(out_dir, "table1", "alpha_over_beta",
+                      analysis.table1_sweep(p, t_final=cfg.t_final))
     elif which == "sensitivity":
         rows = analysis.sensitivity_suite(p)
         _write_rows(out_dir, "sensitivity", rows,
@@ -246,17 +227,8 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str, jobs: int) -> int:
         print(_rows_csv(rows, ("fidelity_30us", "pop_perp_30us", "imbalance_mhz")),
               end="")
     elif which == "impurity":
-        chis = (0.0, 0.01, 0.1)
-        tasks = [(chi, p.to_dict(), cfg.t_final) for chi in chis]
-        points = sorted(_pooled(_impurity_point, tasks, jobs))
-        lines = [CSV_SCHEMA.replace("trajectory", "impurity"),
-                 "chi,fidelity,pop_perp"]
-        lines += [f"{_fmt(c)},{_fmt(f)},{_fmt(pp)}" for c, f, pp in points]
-        atomic_write_text(f"{out_dir}/impurity.csv", "\n".join(lines) + "\n")
-        records = [{"chi": c, "fidelity": f, "pop_perp": pp} for c, f, pp in points]
-        atomic_write_text(f"{out_dir}/impurity.json",
-                          json.dumps(records, indent=2, sort_keys=True) + "\n")
-        print("\n".join(lines[1:]))
+        _write_points(out_dir, "impurity", "chi",
+                      analysis.impurity_sweep(p, t_final=cfg.t_final))
     elif which == "appendixA":
         return cmd_lasercalc(out_dir)
     elif which == "levels":
@@ -283,8 +255,6 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="override one config key (repeatable)")
     parser.add_argument("--out", default=d if suppress else "out",
                         help="output directory")
-    parser.add_argument("--jobs", type=int, default=d if suppress else None,
-                        help="worker processes for sweep commands")
     parser.add_argument("--svg", action="store_true",
                         default=d if suppress else False,
                         help="also emit SVG plots")
@@ -331,8 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dressed":
             return cmd_dressed(cfg)
         if args.command == "reproduce":
-            jobs = args.jobs if args.jobs is not None else cfg.jobs
-            return cmd_reproduce(args.target, cfg, args.out, jobs)
+            return cmd_reproduce(args.target, cfg, args.out)
         if args.command == "lasercalc":
             return cmd_lasercalc(args.out)
         if args.command == "levels":

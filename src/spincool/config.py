@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 _MODEL_KEYS = tuple(f.name for f in fields(ModelParams) if f.name != "xi")
 
 _RUN_KEYS = ("alpha", "beta", "t_final", "samples", "rel_tol", "abs_tol",
-             "max_step", "method", "jobs")
+             "max_step", "method")
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class RunConfig:
     abs_tol: float = 1e-10
     max_step: float = float("inf")
     method: str = "expm"
-    jobs: int = 1
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
@@ -64,7 +63,7 @@ def _parse_value(key: str, raw: str):
     try:
         if key in ("alpha", "beta"):
             return complex(raw)
-        if key in ("samples", "jobs"):
+        if key == "samples":
             return int(raw)
         if key == "method":
             return raw

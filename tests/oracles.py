@@ -2,8 +2,9 @@
 
 These deliberately share no code with the package: the Clebsch-Gordan
 oracle is the closed-form Racah factorial sum evaluated in exact rational
-arithmetic, and the hyperfine oracle builds I.J and (I.J)^2 as explicit
-operator matrices from spin matrices.
+arithmetic, the hyperfine oracle builds I.J and (I.J)^2 as explicit
+operator matrices from spin matrices, and the master-equation oracle
+exponentiates the full column-major Liouvillian once per sample time.
 """
 
 from __future__ import annotations
@@ -91,3 +92,25 @@ def operator_hf_matrix(A: float, Q: float, I: float, J: float) -> np.ndarray:
 def half_values(j_max: float):
     """0, 1/2, 1, ... j_max."""
     return [t / 2.0 for t in range(0, round(2 * j_max) + 1)]
+
+
+def one_shot_lindblad(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray],
+                      times) -> np.ndarray:
+    """rho(t) = expm(L t) vec(rho0) at each t, with the full n^2-dimensional L.
+
+    L is built from column-major vectorization, vec(A rho B) =
+    (B^T kron A) vec(rho), and each time is reached in one exponential
+    rather than by stepping.
+    """
+    from scipy.linalg import expm
+
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    eye = np.eye(n)
+    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    for c in cs:
+        cd = c.conj().T
+        cdc = cd @ c
+        L = L + np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+    v0 = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
+    return np.array([(expm(L * t) @ v0).reshape(n, n, order="F") for t in times])

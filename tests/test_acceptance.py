@@ -302,11 +302,14 @@ class TestCriterion13PropertySuites:
         ok = all(x.tobytes() == y.tobytes() for x, y in zip(a.states, b.states))
         check("13e reruns are byte-identical", ok)
 
-    def test_tolerance_halving_convergence(self, reference_params, fig3_run):
-        # the default propagator is exact; halving tolerances must not move
-        # the endpoint fidelity beyond 1e-6
-        tight = cool(1.0, 1.0, reference_params, t_final=20.0, samples=401,
-                     cfg=IntegratorConfig(rel_tol=5e-9, abs_tol=5e-11))
-        diff = abs(tight.fidelity - fig3_run.fidelity)
-        check("13f fidelity stable under tolerance halving (<1e-6)",
-              diff < 1e-6, f"diff {diff:.1e}")
+    def test_max_step_subdivision_convergence(self, reference_params, fig3_run):
+        # capping the propagator step subdivides each 0.05 us grid step into
+        # 3, 5 and 17 substeps; the endpoint must not move beyond 1e-9
+        diffs = []
+        for max_step in (0.02, 0.011, 0.003):
+            sub = cool(1.0, 1.0, reference_params, t_final=20.0, samples=401,
+                       cfg=IntegratorConfig(max_step=max_step))
+            diffs.append(max(abs(sub.fidelity - fig3_run.fidelity),
+                             abs(sub.pop_perp - fig3_run.pop_perp)))
+        check("13f endpoint stable under max_step subdivision (<1e-9)",
+              max(diffs) < 1e-9, f"diffs {', '.join(f'{d:.1e}' for d in diffs)}")

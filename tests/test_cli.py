@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spincool
 from spincool.cli import main
 from spincool.config import (ConfigError, config_hash, load_run_config,
                              parse_config_text)
@@ -195,15 +200,41 @@ class TestReproduce:
         assert (tmp_path / "a" / "fig3.csv").read_bytes() == \
             (tmp_path / "b" / "fig3.csv").read_bytes()
 
-    def test_table1_parallel_matches_serial(self, tmp_path):
-        # identical bytes whether computed serially or in a worker pool
-        serial = str(tmp_path / "serial")
-        parallel = str(tmp_path / "par")
-        args = ["--set", "t_final=1.0", "--set", "samples=5"]
-        assert main(["--out", serial, *args, "reproduce", "table1"]) == 0
-        assert main(["--out", parallel, "--jobs", "2", *args, "reproduce", "table1"]) == 0
-        assert (tmp_path / "serial" / "table1.csv").read_bytes() == \
-            (tmp_path / "par" / "table1.csv").read_bytes()
+    @pytest.mark.parametrize("target, key, values", [
+        ("table1", "alpha_over_beta", [0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0]),
+        ("impurity", "chi", [0.0, 0.01, 0.1]),
+    ])
+    def test_sweep_records(self, tmp_path, target, key, values):
+        assert main(["--out", str(tmp_path), "--set", "t_final=1.0",
+                     "reproduce", target]) == 0
+        records = json.loads((tmp_path / f"{target}.json").read_text())
+        assert [r[key] for r in records] == values
+        for r in records:
+            assert set(r) == {key, "fidelity", "pop_perp", "pop_total"}
+            assert 0 <= r["fidelity"] <= 1
+            assert abs(r["pop_total"] - 1) < 1e-8
+        csv_lines = (tmp_path / f"{target}.csv").read_text().splitlines()
+        assert csv_lines[1] == f"{key},fidelity,pop_perp,pop_total"
+        assert len(csv_lines) == 2 + len(values)
+
+    def test_jobs_option_and_key_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "--jobs", "2", "reproduce", "table1"])
+        assert exc.value.code == 2
+        assert main(["--out", str(tmp_path), "--set", "jobs=2", "reproduce",
+                     "table1"]) == 2
+        assert "unknown key 'jobs'" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(spincool.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, spincool.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestSvgPlot:

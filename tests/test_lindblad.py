@@ -5,6 +5,7 @@ import pytest
 
 from spincool.lindblad import (
     DensityMatrixError,
+    IntegrationError,
     IntegratorConfig,
     check_density_matrix,
     evolve,
@@ -12,8 +13,15 @@ from spincool.lindblad import (
     liouvillian_matrix,
     population,
     pure_density,
+    reachable_subspace,
 )
-from spincool.srmodel import ModelParams, collapse_ops, hamiltonian, qubit_vectors
+from spincool.srmodel import (
+    ModelParams,
+    collapse_ops,
+    hamiltonian,
+    qubit_vectors,
+    with_polarization_impurity,
+)
 
 GAMMA = 1.3  # rad/us, arbitrary two-level decay rate
 
@@ -39,6 +47,39 @@ class TestDensityMatrixChecks:
             check_density_matrix(np.diag([1.2, -0.2]))  # negative eigenvalue
         with pytest.raises(DensityMatrixError):
             pure_density(np.zeros(3))
+
+    def test_stack_names_first_failure(self):
+        good = pure_density(np.array([1.0, 1.0j]))
+        stack = np.array([[good, good, good], [good, good, np.diag([0.7, 0.7])]])
+        check_density_matrix(stack[:1])
+        with pytest.raises(DensityMatrixError, match="trace") as exc:
+            check_density_matrix(stack)
+        assert exc.value.index == (1, 2)
+        stack[0, 1, 0, 1] += 1e-6
+        with pytest.raises(DensityMatrixError, match="hermiticity") as exc:
+            check_density_matrix(stack)
+        assert exc.value.index == (0, 1)
+
+
+class TestReachableSubspace:
+    @pytest.mark.parametrize("p", [
+        ModelParams(),
+        ModelParams(delta_pd=-1750.0),
+        with_polarization_impurity(ModelParams(), 0.1, "dressing"),
+    ], ids=["reference", "delta_pd=-1750", "chi=0.1"])
+    def test_size_and_closure(self, p):
+        L = liouvillian_matrix(hamiltonian(p), collapse_ops(p))
+        psi0, _, _ = qubit_vectors(1.0, 1.0)
+        idx = reachable_subspace(L, pure_density(psi0).reshape(-1) != 0)
+        assert len(idx) == 87
+        outside = np.setdiff1d(np.arange(L.shape[0]), idx)
+        assert not np.any(L[np.ix_(outside, idx)])
+
+    def test_disconnected_entries_left_out(self):
+        # a decaying two-level system never builds up coherence from a population
+        L = liouvillian_matrix(np.zeros((2, 2)), [damping_op(GAMMA)])
+        support = np.array([False, False, False, True])
+        assert reachable_subspace(L, support).tolist() == [0, 3]
 
 
 class TestLiouvillianApply:
@@ -130,6 +171,25 @@ class TestEvolve:
         b = evolve(pure_density(psi0), hamiltonian(p), collapse_ops(p), t)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.states, b.states))
 
+    def test_stack_matches_single_runs(self):
+        p = ModelParams()
+        H, cs = hamiltonian(p), collapse_ops(p)
+        rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in (0.2, 1.0, 7.0)])
+        t = np.linspace(0, 4, 9)
+        stacked = evolve(rho0, H, cs, t).states
+        assert stacked.shape == (3, 9, 13, 13)
+        for k in range(3):
+            single = evolve(rho0[k], H, cs, t).states
+            assert np.abs(stacked[k] - single).max() < 1e-12
+
+    def test_non_hermitian_evolution_detected(self):
+        # a non-Hermitian generator keeps the trace and, after
+        # re-symmetrization, positivity; only the raw state shows it
+        H = np.array([[0.0, 1e-3], [0.0, 0.0]])
+        rho0 = np.array([[0.6, 0.1], [0.1, 0.4]])
+        with pytest.raises(IntegrationError, match="hermiticity"):
+            evolve(rho0, H, [], np.linspace(0, 1, 3))
+
     def test_tolerance_halving_converged(self):
         # adaptive path: halving tolerances moves the result by far less
         # than the acceptance slack
@@ -199,3 +259,16 @@ class TestPopulation:
         psi1 = np.array([0.0, 1.0])
         assert population(rho, psi0) == 1.0
         assert population(rho, psi1) == 0.0
+
+    def test_excursion_beyond_tolerance_raises(self):
+        rho = np.diag([1.0 + 5e-8, -5e-8])
+        with pytest.raises(DensityMatrixError):
+            population(rho, np.array([0.0, 1.0]))
+        with pytest.raises(DensityMatrixError):
+            population(rho, np.array([1.0, 0.0]))
+
+    def test_stacked(self):
+        rho = np.array([np.diag([0.25, 0.75]), np.diag([1.0, 0.0])])
+        psi = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert population(rho, psi).tolist() == [0.25, 0.0]
+        assert population(rho, psi[0]).tolist() == [0.25, 1.0]
