@@ -9,6 +9,7 @@ the parameter-sensitivity and cross-isotope estimates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,7 +151,7 @@ def compute_nu(p: ModelParams) -> float:
 def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0)) -> float:
     """Dressing Rabi frequency (MHz) that makes the two dressed levels degenerate.
 
-    Bracketed root finding on the level difference; the result depends on
+    Bisection of the level difference to 1e-6 MHz; the result depends on
     delta_pd (a different detuning balances at a different Rabi frequency).
     """
 
@@ -158,15 +159,28 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
         pair = dressed_pair(p.replace(omega_pd=omega_pd, delta=0.0))
         return pair.energy_up - pair.energy_down
 
-    from scipy.optimize import brentq
-
     lo, hi = bracket
     f_lo, f_hi = imbalance(lo), imbalance(hi)
     if not np.isfinite(f_lo) or not np.isfinite(f_hi) or f_lo * f_hi > 0:
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f({lo})={f_lo:.4f}, f({hi})={f_hi:.4f}")
-    root = brentq(imbalance, lo, hi, xtol=1e-6)
-    return float(root)
+    lo, hi = _bisect(lambda x: imbalance(x) * f_lo <= 0, lo, hi, 1e-6)
+    return 0.5 * (lo + hi)
+
+
+def _bisect(passed: Callable[[float], bool], lo: float, hi: float,
+            tol: float) -> tuple[float, float]:
+    """Narrow [lo, hi] to width <= tol around the point where passed(x) turns true.
+
+    passed(lo) is taken as false and passed(hi) as true; each step keeps that.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if passed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 _GROUP_SERIES = {
@@ -375,14 +389,8 @@ def min_omega_ps(I, A: float, Q: float, threshold: float = 0.99,
     best = _reduced_overlap(I, A, Q, cap_mhz)
     if best < threshold:
         raise SaturationError(threshold, cap_mhz, best)
-    lo, hi = 0.0, cap_mhz
-    while hi - lo > tol_mhz:
-        mid = 0.5 * (lo + hi)
-        if _reduced_overlap(I, A, Q, mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(lambda x: _reduced_overlap(I, A, Q, x) >= threshold,
+                   0.0, cap_mhz, tol_mhz)[1]
 
 
 # (label, I, A/MHz, Q/MHz) for the species with a compatible level scheme

@@ -122,7 +122,11 @@ def config_hash(cfg: RunConfig) -> str:
 
 @dataclass
 class SummaryRecord:
-    """Self-contained result record: echoes its input so runs are repeatable."""
+    """Self-contained result record: echoes its input so runs are repeatable.
+
+    It holds no wall-clock data, so reruns of one configuration write
+    identical bytes.
+    """
 
     config: dict[str, str]
     config_sha: str
@@ -131,7 +135,6 @@ class SummaryRecord:
     dressed_overlaps: tuple[float, float] | None
     nu_mhz: float | None
     imbalance_mhz: float | None
-    wall_clock_s: float
     tool_version: str = TOOL_VERSION
 
     def to_json(self) -> str:

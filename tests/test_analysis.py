@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spincool.analysis import (
+    BALANCE_TOL_MHZ,
     AmbiguousOverlapError,
     BracketError,
     SaturationError,
@@ -102,6 +103,20 @@ class TestBalanceOmegaPd:
     def test_bad_bracket(self, reference_params):
         with pytest.raises(BracketError):
             balance_omega_pd(reference_params, bracket=(140.0, 141.0))
+
+    @pytest.mark.parametrize("delta_pd", [None, -1500.0])
+    def test_matches_brentq(self, reference_params, delta_pd):
+        from scipy.optimize import brentq
+
+        p = reference_params if delta_pd is None else reference_params.replace(delta_pd=delta_pd)
+
+        def imbalance(omega_pd):
+            pair = dressed_pair(p.replace(omega_pd=omega_pd, delta=0.0))
+            return pair.energy_up - pair.energy_down
+
+        root = balance_omega_pd(p)
+        assert abs(root - brentq(imbalance, 50.0, 300.0, xtol=1e-6)) <= 1e-6
+        assert abs(imbalance(root)) < BALANCE_TOL_MHZ
 
 
 class TestCool:

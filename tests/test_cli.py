@@ -83,9 +83,8 @@ class TestSimulate:
         out_b = str(tmp_path / "b")
         assert main(["--out", out_a, *FAST, "simulate"]) == 0
         assert main(["--out", out_b, *FAST, "simulate"]) == 0
-        csv_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
-        csv_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
-        assert csv_a == csv_b
+        for name in ("trajectory.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_svg_emitted(self, tmp_path):
         out = str(tmp_path / "svg")
@@ -226,15 +225,46 @@ class TestReproduce:
         assert "unknown key 'jobs'" in capsys.readouterr().err
 
 
+def _run_python(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout; its stdout."""
+    src = str(Path(spincool.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
-        src = str(Path(spincool.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        code = ("import sys, spincool.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        out = _run_python(f"import sys, spincool.cli; print({SCIPY_LOADED})")
         assert out.strip() == "[]"
+
+    def test_artifact_commands_leave_scipy_unloaded(self, tmp_path):
+        commands = [["simulate"], ["balance"], ["reproduce", "table1"],
+                    ["reproduce", "sensitivity"]]
+        code = ("import sys\n"
+                "from spincool.cli import main\n"
+                f"for cmd in {commands!r}:\n"
+                f"    assert main(['--out', {str(tmp_path)!r}, *cmd]) == 0, cmd\n"
+                f"print({SCIPY_LOADED})\n")
+        out = _run_python(code)
+        assert out.splitlines()[-1] == "[]"
+        assert (tmp_path / "sensitivity.json").exists()
+
+    def test_adaptive_method_loads_scipy_integrate(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from spincool.lindblad import IntegratorConfig, evolve\n"
+                "rho0 = np.diag([0.0, 1.0])\n"
+                "c = np.array([[0.0, 1.0], [0.0, 0.0]])\n"
+                "before = 'scipy.integrate' in sys.modules\n"
+                "traj = evolve(rho0, np.zeros((2, 2)), [c], [0.0, 1.0],\n"
+                "              IntegratorConfig(method='dop853'))\n"
+                "print(before, 'scipy.integrate' in sys.modules,\n"
+                "      abs(traj.states[-1, 1, 1].real - np.exp(-1.0)) < 1e-6)\n")
+        assert _run_python(code).split() == ["False", "True", "True"]
 
 
 class TestSvgPlot:

@@ -1,14 +1,18 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from spincool import lindblad
 from spincool.lindblad import (
+    POSITIVITY_TOL,
     DensityMatrixError,
     IntegrationError,
     IntegratorConfig,
     check_density_matrix,
     evolve,
+    expm,
     liouvillian_apply,
     liouvillian_matrix,
     population,
@@ -59,6 +63,126 @@ class TestDensityMatrixChecks:
         with pytest.raises(DensityMatrixError, match="hermiticity") as exc:
             check_density_matrix(stack)
         assert exc.value.index == (0, 1)
+
+    @staticmethod
+    def _blocked(top: np.ndarray, tail: tuple[float, float]) -> np.ndarray:
+        # 5 levels in three blocks: {0, 1, 2} and the 1x1 blocks {3}, {4}
+        rho = np.zeros((5, 5), dtype=complex)
+        rho[:3, :3] = top
+        rho[3, 3], rho[4, 4] = tail
+        return rho
+
+    def test_negative_eigenvalue_inside_block_names_stack_index(self):
+        psi = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3)
+        good = self._blocked(0.8 * np.outer(psi, psi.conj()), (0.1, 0.1))
+        # positive diagonal, eigenvalues 0.7, -0.1, 0.2: only the coherence
+        # between levels 0 and 1 makes it fail
+        top = np.array([[0.3, 0.4, 0.0], [0.4, 0.3, 0.0], [0.0, 0.0, 0.2]])
+        # the first matrix has no coherences: the blocks come from the whole stack
+        mixed = np.diag([0.3, 0.3, 0.2, 0.1, 0.1]).astype(complex)
+        stack = np.array([mixed, good, self._blocked(top, (0.1, 0.1)), good])
+        assert len(lindblad._blocks(stack)) == 3
+        check_density_matrix(stack[:2])
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue -1.000e-01") as exc:
+            check_density_matrix(stack)
+        assert exc.value.index == (2,)
+
+    def test_negative_eigenvalue_in_one_level_block(self):
+        psi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
+        good = self._blocked(0.8 * np.outer(psi, psi), (0.1, 0.1))
+        bad = self._blocked(0.85 * np.outer(psi, psi), (0.2, -0.05))
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue -5.000e-02") as exc:
+            check_density_matrix(np.array([good, bad]))
+        assert exc.value.index == (1,)
+
+    def test_dense_matrix_is_one_block(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        assert len(lindblad._blocks(rho)) == 1
+        check_density_matrix(rho)
+        w, v = np.linalg.eigh(rho)
+        w[0] = -0.02
+        w[1:] *= 1.02 / w[1:].sum()
+        bad = (v * w) @ v.conj().T
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue -2.000e-02"):
+            check_density_matrix(bad)
+
+    def test_positivity_tolerance_edge(self):
+        # eigenvalues (1 + x, -x) of a rotated 2x2 block with coherences
+        c, s = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        for x, ok in ((0.5 * POSITIVITY_TOL, True), (2 * POSITIVITY_TOL, False)):
+            rho = rot @ np.diag([1 + x, -x]) @ rot.T
+            if ok:
+                check_density_matrix(rho)
+            else:
+                with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
+                    check_density_matrix(rho)
+
+
+def _non_normal(n: int, seed: int) -> np.ndarray:
+    """Complex upper-triangular-dominated matrix with unit 1-norm."""
+    rng = np.random.default_rng(seed)
+    m = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m += 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return m / np.abs(m).sum(axis=0).max()
+
+
+def _pade_plan(A: np.ndarray) -> tuple[int, int]:
+    A2 = A @ A
+    powers = [np.eye(len(A)), A2, A2 @ A2]
+    powers.append(powers[2] @ A2)
+    return lindblad._pade_degree(A, powers)
+
+
+# norms that take the degree-selection through 3, 5, 7, 9 and 13 without and
+# with squaring
+EXPM_SCALES = (0.005, 0.1, 0.8, 3.0, 8.0, 30.0, 100.0)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("scale", EXPM_SCALES)
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_matches_mpmath(self, scale, seed):
+        import mpmath
+
+        A = scale * _non_normal(5, seed)
+        with mpmath.workdps(30):
+            ref = np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=complex)
+        err = np.abs(expm(A) - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
+        assert err <= 1e-13
+
+    def test_scales_cover_every_degree(self):
+        plans = [_pade_plan(scale * _non_normal(5, seed))
+                 for scale in EXPM_SCALES for seed in (3, 5)]
+        assert {m for m, _ in plans} == {3, 5, 7, 9, 13}
+        assert (13, 0) in plans
+        assert any(s > 0 for _, s in plans)
+
+    @pytest.mark.parametrize("dt", [0.0125, 0.05, 0.065, 0.075])
+    def test_matches_scipy_on_reachable_block(self, dt):
+        from scipy.linalg import expm as scipy_expm
+
+        p = ModelParams()
+        L = liouvillian_matrix(hamiltonian(p), collapse_ops(p))
+        psi0, _, _ = qubit_vectors(1.0, 1.0)
+        idx = reachable_subspace(L, pure_density(psi0).reshape(-1) != 0)
+        A = L[np.ix_(idx, idx)] * dt
+        assert _pade_plan(A)[1] > 0
+        ref = scipy_expm(A)
+        assert np.abs(expm(A) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zero_and_scalar(self):
+        for n in (1, 4):
+            assert np.array_equal(expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+        for z in (1e-3 + 2e-3j, -0.7 + 3j, 40.0 - 25.0j):
+            got = expm(np.array([[z]]))
+            assert got.shape == (1, 1)
+            # exp has relative condition number |z| at z
+            tol = 4 * np.finfo(float).eps * max(1.0, abs(z))
+            assert abs(got[0, 0] - cmath.exp(z)) <= tol * abs(cmath.exp(z))
 
 
 class TestReachableSubspace:
