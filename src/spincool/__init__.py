@@ -32,11 +32,9 @@ from .hyperfine import (
     zeeman_diag,
 )
 from .lindblad import (
-    IntegratorConfig,
     Trajectory,
     check_density_matrix,
     evolve,
-    liouvillian_apply,
     population,
     pure_density,
 )

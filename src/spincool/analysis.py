@@ -16,7 +16,7 @@ import numpy as np
 
 from .angmom import HalfInt
 from .hyperfine import HyperfineConstants, SpinSpace, hf_matrix
-from .lindblad import IntegratorConfig, Trajectory, evolve, population, pure_density
+from .lindblad import Trajectory, evolve, population, pure_density
 from .srmodel import (
     TWO_PI,
     BasisState,
@@ -193,13 +193,15 @@ _GROUP_SERIES = {
 
 def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
                t_final: float, samples: int,
-               cfg: IntegratorConfig | None) -> list[CoolingResult]:
+               max_step: float = np.inf) -> list[CoolingResult]:
     """One cooling run per (alpha, beta), all propagated in one evolve call."""
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {samples}")
     psi0, psi_f, psi_perp = (np.array(v) for v in
                              zip(*(qubit_vectors(a, b) for a, b in amplitudes)))
     rho0 = np.array([pure_density(v) for v in psi0])
     t_grid = np.linspace(0.0, t_final, samples)
-    states = evolve(rho0, hamiltonian(p), collapse_ops(p), t_grid, cfg).states
+    states = evolve(rho0, hamiltonian(p), collapse_ops(p), t_grid, max_step).states
 
     # every series has shape (runs, samples)
     diag = np.diagonal(states, axis1=-2, axis2=-1).real
@@ -228,14 +230,14 @@ def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
 
 
 def cool(alpha: complex, beta: complex, p: ModelParams, t_final: float = 20.0,
-         samples: int = 401, cfg: IntegratorConfig | None = None) -> CoolingResult:
+         samples: int = 401, max_step: float = np.inf) -> CoolingResult:
     """Run the cooling master equation from the clock-manifold qubit state.
 
     Reports the overlap with the ground-manifold target at t_final together
     with the leakage populations (orthogonal qubit state, reservoir,
     residual clock) and a trajectory carrying the standard named series.
     """
-    return _cool_many([(alpha, beta)], p, t_final, samples, cfg)[0]
+    return _cool_many([(alpha, beta)], p, t_final, samples, max_step)[0]
 
 
 @dataclass
@@ -281,7 +283,7 @@ def table1_sweep(p: ModelParams, ratios=TABLE1_RATIOS,
 
     All ratios share one Liouvillian and are propagated as one stack.
     """
-    results = _cool_many([(r, 1.0) for r in ratios], p, t_final, 401, None)
+    results = _cool_many([(r, 1.0) for r in ratios], p, t_final, 401)
     return [SweepRow(name=f"alpha/beta={r:g}", overrides={"alpha_over_beta": r},
                      t_us=t_final, fidelity=res.fidelity, pop_perp=res.pop_perp,
                      notes={"pop_total": _endpoint_population_total(res)})

@@ -98,11 +98,6 @@ def _check_jm(j: HalfInt, m: HalfInt, what: str = "") -> None:
         raise ValueError(f"|{what}m|={m} exceeds j={j}")
 
 
-def projections(j: HalfInt) -> list[HalfInt]:
-    """All magnetic quantum numbers -j ... +j in ascending order."""
-    return [HalfInt(t) for t in range(-j.twice, j.twice + 1, 2)]
-
-
 @lru_cache(maxsize=None)
 def _coupled_basis(tj1: int, tj2: int) -> dict:
     """Every coupled state |J, M> of j1 (x) j2 expanded over the product basis.

@@ -79,7 +79,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
     start = time.perf_counter()
     result = analysis.cool(cfg.alpha, cfg.beta, cfg.params,
                            t_final=cfg.t_final, samples=cfg.samples,
-                           cfg=cfg.integrator())
+                           max_step=cfg.max_step)
     overlaps, nu, imbalance = _dressed_summary(cfg)
     record = SummaryRecord(
         config=cfg.to_flat_dict(),

@@ -8,13 +8,14 @@ keys are rejected.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .lindblad import IntegratorConfig
 from .srmodel import ModelParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_run_config",
@@ -29,8 +30,7 @@ class ConfigError(ValueError):
 
 _MODEL_KEYS = tuple(f.name for f in fields(ModelParams) if f.name != "xi")
 
-_RUN_KEYS = ("alpha", "beta", "t_final", "samples", "rel_tol", "abs_tol",
-             "max_step", "method")
+_RUN_KEYS = ("alpha", "beta", "t_final", "samples", "max_step")
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,24 @@ class RunConfig:
     beta: complex = 1.0 + 0.0j
     t_final: float = 20.0
     samples: int = 401
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
     max_step: float = float("inf")
-    method: str = "expm"
 
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                                max_step=self.max_step, method=self.method)
+    def __post_init__(self):
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be finite and > 0, got {self.t_final!r}")
+        if self.samples < 2:
+            raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {self.samples}")
+        # the not-(x > 0) form also rejects NaN
+        if not self.max_step > 0:
+            raise ValueError(f"max_step must be > 0, got {self.max_step!r}")
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha!r}, {self.beta!r}")
+        if self.alpha == 0 and self.beta == 0:
+            raise ValueError("alpha and beta must not both be zero")
 
     def to_flat_dict(self) -> dict[str, str]:
         out = {k: repr(getattr(self.params, k)) for k in _MODEL_KEYS}
-        for k in _RUN_KEYS:
-            out[k] = repr(getattr(self, k)) if k not in ("method",) else getattr(self, k)
+        out.update({k: repr(getattr(self, k)) for k in _RUN_KEYS})
         return out
 
 
@@ -65,8 +70,6 @@ def _parse_value(key: str, raw: str):
             return complex(raw)
         if key == "samples":
             return int(raw)
-        if key == "method":
-            return raw
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

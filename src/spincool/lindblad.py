@@ -8,9 +8,7 @@ repeated application.  The exponential is Pade scaling and squaring in
 numpy (Higham 2005; Al-Mohy & Higham 2009).  A stack of initial states
 sharing one generator is propagated as one block.  This is deterministic,
 step-size independent, and orders of magnitude faster than resolving the
-GHz-scale detuning oscillations with an explicit stepper.  An adaptive
-Runge-Kutta path (scipy.integrate) is kept as an independent cross-check
-and for time-dependent extensions; it is the only use of scipy here.
+GHz-scale detuning oscillations with an explicit stepper.
 
 Sign convention of the master equation:
 
@@ -31,14 +29,12 @@ from .srmodel import CollapseOp
 __all__ = [
     "DensityMatrixError",
     "IntegrationError",
-    "IntegratorConfig",
     "Trajectory",
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "POSITIVITY_TOL",
     "pure_density",
     "check_density_matrix",
-    "liouvillian_apply",
     "liouvillian_matrix",
     "reachable_subspace",
     "evolve",
@@ -138,29 +134,6 @@ def _blocks(rho: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Propagation settings.
-
-    method "expm" (default) uses exact superoperator exponentiation;
-    "dop853" and "rk45" integrate the vectorized equation adaptively with
-    rel_tol/abs_tol/max_step.  max_step (us) also caps the expm substep.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    max_step: float = np.inf
-    method: str = "expm"
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
-        if self.method not in ("expm", "dop853", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-
 @dataclass
 class Trajectory:
     """Sampled observables of one propagation run.
@@ -192,20 +165,6 @@ def _as_matrices(cs: list[CollapseOp] | list[np.ndarray], dim: int) -> list[np.n
     return out
 
 
-def liouvillian_apply(H: np.ndarray, cs: list, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side drho/dt for Hamiltonian H (rad/us) and collapse operators cs."""
-    H = np.asarray(H)
-    rho = np.asarray(rho, dtype=complex)
-    if H.shape != rho.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DensityMatrixError(f"dimension mismatch: H {H.shape}, rho {rho.shape}")
-    out = 1j * (rho @ H - H @ rho)
-    for c in _as_matrices(cs, rho.shape[0]):
-        cd = c.conj().T
-        cdc = cd @ c
-        out += c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
-    return out
-
-
 def liouvillian_matrix(H: np.ndarray, cs: list) -> np.ndarray:
     """Superoperator L with vec(drho/dt) = L vec(rho), row-major vectorization."""
     H = np.asarray(H, dtype=complex)
@@ -227,7 +186,10 @@ _PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
 
 
 def _onenorm(A: np.ndarray) -> float:
-    return float(np.abs(A).sum(axis=0).max())
+    norm = float(np.abs(A).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise FloatingPointError("matrix exponential: a matrix power is not finite")
+    return norm
 
 
 def _pade_coefficients(m: int) -> list[float]:
@@ -284,9 +246,12 @@ def expm(A: np.ndarray) -> np.ndarray:
     Higham (2005) with the degree and scaling choice of Al-Mohy & Higham
     (2009), the method of scipy.linalg.expm: exp(A) = r_m(A / 2^s)^(2^s)
     with r_m = (V - U)^-1 (V + U), U and V the odd and even parts of the
-    degree-m Pade numerator.
+    degree-m Pade numerator.  A non-finite input, or a power of A that
+    overflows, raises FloatingPointError.
     """
     A = np.asarray(A)
+    if not np.isfinite(A).all():
+        raise FloatingPointError("matrix exponential of a non-finite matrix")
     A2 = A @ A
     powers = [np.eye(A.shape[0], dtype=A.dtype), A2, A2 @ A2]
     powers.append(powers[2] @ A2)
@@ -354,58 +319,45 @@ def _propagate_expm(L: np.ndarray, y0: np.ndarray, t_grid: np.ndarray,
     return out
 
 
-def _propagate_scipy(L: np.ndarray, y0: np.ndarray, t_grid: np.ndarray,
-                     cfg: IntegratorConfig) -> np.ndarray:
-    """Adaptive integration of all columns of y0 as one system; shape (k, len(t_grid), m)."""
-    from scipy.integrate import solve_ivp
-
-    m, k = y0.shape
-    method = {"dop853": "DOP853", "rk45": "RK45"}[cfg.method]
-    span = (0.0, float(t_grid[-1]))
-    # a diverging run overflows before the stepper gives up; the failure is
-    # reported below, so the intermediate warnings are just noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(lambda t, y: (L @ y.reshape(m, k)).reshape(-1), span,
-                        y0.reshape(-1), method=method, t_eval=t_grid,
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
-    if not sol.success:
-        raise IntegrationError(f"adaptive integration failed: {sol.message}")
-    return sol.y.reshape(m, k, len(t_grid)).transpose(1, 2, 0)
-
-
 def evolve(rho0: np.ndarray, H: np.ndarray, cs: list, t_grid,
-           cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Propagate rho0 over t_grid (us, strictly increasing, from t=0).
+           max_step: float = np.inf) -> Trajectory:
+    """Propagate rho0 over t_grid (us, finite, strictly increasing, from t=0).
 
     rho0 is one density matrix (n, n) or a stack (..., n, n) sharing the
     generator; the returned states have shape (..., len(t_grid), n, n).
     The Liouvillian is built once and cut to the entries reachable from
-    the initial states, and all of them are propagated as one block.  The
-    raw snapshots are checked against the density-matrix invariants (a
+    the initial states, and all of them are propagated as one block; a grid
+    step longer than max_step (us) is split into equal substeps.  The raw
+    snapshots are checked against the density-matrix invariants (a
     violation beyond 10x tolerance aborts with diagnostics) and stored
-    re-symmetrized, (rho+rho+)/2.  Output is deterministic for a fixed
-    config.
+    re-symmetrized, (rho+rho+)/2.  Output is deterministic for fixed inputs.
     """
-    cfg = cfg or IntegratorConfig()
+    # the not-(x > 0) form also rejects NaN
+    if not max_step > 0:
+        raise ValueError(f"max_step must be positive, got {max_step!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise ValueError("t_grid must be a non-empty 1-d sequence")
-    if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
-        raise ValueError("t_grid must be strictly increasing and non-negative")
+    if not (np.isfinite(t_grid).all() and t_grid[0] >= 0
+            and np.all(np.diff(t_grid) > 0)):
+        raise ValueError("t_grid must be finite, strictly increasing and non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, where=" (initial state)")
 
     n = rho0.shape[-1]
     stack = rho0.shape[:-2]
     vec0 = rho0.reshape(-1, n * n)
-    L = liouvillian_matrix(H, cs)
-    idx = reachable_subspace(L, np.any(vec0 != 0, axis=0))
-    L_sub = L[np.ix_(idx, idx)]
-    y0 = vec0[:, idx].T
-    if cfg.method == "expm":
-        y = _propagate_expm(L_sub, y0, t_grid, cfg.max_step)
-    else:
-        y = _propagate_scipy(L_sub, y0, t_grid, cfg)
+    # a non-finite or overflowing generator is reported as an IntegrationError
+    # here or by the invariant checks below, so numpy's warnings are just noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = liouvillian_matrix(H, cs)
+        idx = reachable_subspace(L, np.any(vec0 != 0, axis=0))
+        L_sub = L[np.ix_(idx, idx)]
+        y0 = vec0[:, idx].T
+        try:
+            y = _propagate_expm(L_sub, y0, t_grid, max_step)
+        except FloatingPointError as exc:
+            raise IntegrationError(f"propagation failed: {exc}") from exc
 
     states = np.zeros((vec0.shape[0], len(t_grid), n * n), dtype=complex)
     states[:, :, idx] = y

@@ -3,8 +3,10 @@
 These deliberately share no code with the package: the Clebsch-Gordan
 oracle is the closed-form Racah factorial sum evaluated in exact rational
 arithmetic, the hyperfine oracle builds I.J and (I.J)^2 as explicit
-operator matrices from spin matrices, and the master-equation oracle
-exponentiates the full column-major Liouvillian once per sample time.
+operator matrices from spin matrices, the right-hand-side oracle applies
+the master equation to rho by matrix products, and the two propagation
+oracles exponentiate the full column-major Liouvillian once per sample
+time or integrate it with adaptive Runge-Kutta (DOP853).
 """
 
 from __future__ import annotations
@@ -94,23 +96,56 @@ def half_values(j_max: float):
     return [t / 2.0 for t in range(0, round(2 * j_max) + 1)]
 
 
-def one_shot_lindblad(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray],
-                      times) -> np.ndarray:
-    """rho(t) = expm(L t) vec(rho0) at each t, with the full n^2-dimensional L.
+def liouvillian_apply(H: np.ndarray, cs: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """drho/dt = i (rho H - H rho) + sum_k c rho c+ - (c+c rho + rho c+c) / 2."""
+    rho = np.asarray(rho, dtype=complex)
+    out = 1j * (rho @ H - H @ rho)
+    for c in cs:
+        cd = c.conj().T
+        cdc = cd @ c
+        out += c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
+    return out
 
-    L is built from column-major vectorization, vec(A rho B) =
-    (B^T kron A) vec(rho), and each time is reached in one exponential
-    rather than by stepping.
+
+def _column_major_liouvillian(H: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:
+    """L with vec(drho/dt) = L vec(rho) for column-major vectorization.
+
+    vec(A rho B) = (B^T kron A) vec(rho), the transpose of the package's
+    row-major convention.
     """
-    from scipy.linalg import expm
-
     H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(H.shape[0])
     L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
     for c in cs:
         cd = c.conj().T
         cdc = cd @ c
         L = L + np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+    return L
+
+
+def one_shot_lindblad(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray],
+                      times) -> np.ndarray:
+    """rho(t) = expm(L t) vec(rho0) at each t, with the full n^2-dimensional L.
+
+    Each time is reached in one exponential rather than by stepping.
+    """
+    from scipy.linalg import expm
+
+    L = _column_major_liouvillian(H, cs)
+    n = len(H)
     v0 = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
     return np.array([(expm(L * t) @ v0).reshape(n, n, order="F") for t in times])
+
+
+def adaptive_lindblad(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray],
+                      times, rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
+    """rho(t) at each t by adaptive DOP853 integration of the full L."""
+    from scipy.integrate import solve_ivp
+
+    L = _column_major_liouvillian(H, cs)
+    n = len(H)
+    v0 = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
+    sol = solve_ivp(lambda t, y: L @ y, (0.0, float(times[-1])), v0, method="DOP853",
+                    t_eval=times, rtol=rtol, atol=atol)
+    assert sol.success, sol.message
+    return np.array([y.reshape(n, n, order="F") for y in sol.y.T])

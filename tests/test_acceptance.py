@@ -37,7 +37,7 @@ from spincool.lasercalc import (
     power_from_intensity,
     rdme_from_linewidth,
 )
-from spincool.lindblad import IntegratorConfig, evolve, pure_density
+from spincool.lindblad import evolve, pure_density
 from spincool.srmodel import collapse_ops, hamiltonian, qubit_vectors
 
 from .oracles import half_values, operator_hf_matrix, racah_cg
@@ -308,7 +308,7 @@ class TestCriterion13PropertySuites:
         diffs = []
         for max_step in (0.02, 0.011, 0.003):
             sub = cool(1.0, 1.0, reference_params, t_final=20.0, samples=401,
-                       cfg=IntegratorConfig(max_step=max_step))
+                       max_step=max_step)
             diffs.append(max(abs(sub.fidelity - fig3_run.fidelity),
                              abs(sub.pop_perp - fig3_run.pop_perp)))
         check("13f endpoint stable under max_step subdivision (<1e-9)",
