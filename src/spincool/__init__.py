@@ -44,7 +44,6 @@ from .srmodel import (
     ModelParams,
     collapse_ops,
     hamiltonian,
-    impurity_loss_estimate,
     qubit_vectors,
     with_polarization_impurity,
 )

@@ -192,8 +192,7 @@ _GROUP_SERIES = {
 
 
 def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
-               t_final: float, samples: int,
-               max_step: float = np.inf) -> list[CoolingResult]:
+               t_final: float, samples: int) -> list[CoolingResult]:
     """One cooling run per (alpha, beta), all propagated in one evolve call."""
     if samples < 2:
         raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {samples}")
@@ -201,7 +200,7 @@ def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
                              zip(*(qubit_vectors(a, b) for a, b in amplitudes)))
     rho0 = np.array([pure_density(v) for v in psi0])
     t_grid = np.linspace(0.0, t_final, samples)
-    states = evolve(rho0, hamiltonian(p), collapse_ops(p), t_grid, max_step).states
+    states = evolve(rho0, hamiltonian(p), collapse_ops(p), t_grid).states
 
     # every series has shape (runs, samples)
     diag = np.diagonal(states, axis1=-2, axis2=-1).real
@@ -230,14 +229,14 @@ def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
 
 
 def cool(alpha: complex, beta: complex, p: ModelParams, t_final: float = 20.0,
-         samples: int = 401, max_step: float = np.inf) -> CoolingResult:
+         samples: int = 401) -> CoolingResult:
     """Run the cooling master equation from the clock-manifold qubit state.
 
     Reports the overlap with the ground-manifold target at t_final together
     with the leakage populations (orthogonal qubit state, reservoir,
     residual clock) and a trajectory carrying the standard named series.
     """
-    return _cool_many([(alpha, beta)], p, t_final, samples, max_step)[0]
+    return _cool_many([(alpha, beta)], p, t_final, samples)[0]
 
 
 @dataclass
@@ -335,7 +334,7 @@ def impurity_sweep(p: ModelParams, chis=(0.0, 0.01, 0.1),
     """Cooling fidelity under dressing-laser polarization impurity."""
     rows = []
     for chi in chis:
-        res = cool(1.0, 1.0, with_polarization_impurity(p, chi, "dressing"),
+        res = cool(1.0, 1.0, with_polarization_impurity(p, chi),
                    t_final=t_final)
         rows.append(SweepRow(name=f"chi={chi:g}", overrides={"chi": chi},
                              t_us=t_final, fidelity=res.fidelity, pop_perp=res.pop_perp,

@@ -56,9 +56,6 @@ class HalfInt:
     def value(self) -> float:
         return self.twice / 2.0
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.value
 

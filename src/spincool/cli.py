@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -30,35 +31,50 @@ from .hyperfine import HyperfineConstants, f_level_energy
 from .lindblad import DensityMatrixError, IntegrationError
 from .svgplot import line_plot
 
-CSV_SCHEMA = "# spincool trajectory csv v1"
-
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv(kind: str, cols, rows) -> str:
+    """CSV text under a `# spincool {kind} csv v1` schema line.
+
+    A str cell is written as is; any other cell is a number, written as the
+    repr of its float so that it reads back bit for bit.
+    """
+    lines = [f"# spincool {kind} csv v1", ",".join(cols)]
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_TRAJECTORY_COLS = ("pop_psi0", "pop_psif", "pop_perp", "pop_reservoir",
+                    "pop_1P1_total", "pop_1D2_total", "pop_6s")
 
 
 def _trajectory_csv(traj) -> str:
-    cols = ["t_us", "pop_psi0", "pop_psif", "pop_perp", "pop_reservoir",
-            "pop_1P1_total", "pop_1D2_total", "pop_6s"]
-    lines = [CSV_SCHEMA, ",".join(cols)]
-    for k, t in enumerate(traj.times):
-        row = [t] + [traj.observables[c][k] for c in cols[1:]]
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    series = [traj.observables[c] for c in _TRAJECTORY_COLS]
+    return _csv("trajectory", ("t_us", *_TRAJECTORY_COLS), zip(traj.times, *series))
 
 
-def _rows_csv(rows, extra_note_keys=()) -> str:
-    cols = ["name", "t_us", "fidelity", "pop_perp", *extra_note_keys]
-    lines = [CSV_SCHEMA.replace("trajectory", "sweep"), ",".join(cols)]
-    for r in rows:
-        vals = [r.name, _fmt(r.t_us), _fmt(r.fidelity), _fmt(r.pop_perp)]
-        for key in extra_note_keys:
-            vals.append(_fmt(r.notes[key]) if key in r.notes else "")
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+def _write_sweep(out_dir: str, stem: str, kind: str, cols, rows, records) -> None:
+    """One sweep as {stem}.csv and {stem}.json; prints the CSV past its schema line."""
+    text = _csv(kind, cols, rows)
+    atomic_write_text(f"{out_dir}/{stem}.csv", text)
+    atomic_write_text(f"{out_dir}/{stem}.json", _json(records))
+    print(text.split("\n", 1)[1], end="")
+
+
+def _write_points(out_dir: str, stem: str, key: str, rows) -> None:
+    """A one-parameter sweep, one record per swept value."""
+    cols = (key, "fidelity", "pop_perp", "pop_total")
+    points = [(r.overrides[key], r.fidelity, r.pop_perp, r.notes["pop_total"])
+              for r in rows]
+    _write_sweep(out_dir, stem, stem, cols, points,
+                 [dict(zip(cols, point)) for point in points])
 
 
 def _dressed_summary(cfg: RunConfig) -> tuple[tuple[float, float] | None,
@@ -78,8 +94,7 @@ def _dressed_summary(cfg: RunConfig) -> tuple[tuple[float, float] | None,
 def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
     start = time.perf_counter()
     result = analysis.cool(cfg.alpha, cfg.beta, cfg.params,
-                           t_final=cfg.t_final, samples=cfg.samples,
-                           max_step=cfg.max_step)
+                           t_final=cfg.t_final, samples=cfg.samples)
     overlaps, nu, imbalance = _dressed_summary(cfg)
     record = SummaryRecord(
         config=cfg.to_flat_dict(),
@@ -95,7 +110,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
         imbalance_mhz=imbalance,
     )
     atomic_write_text(f"{out_dir}/trajectory.csv", _trajectory_csv(result.trajectory))
-    atomic_write_text(f"{out_dir}/summary.json", record.to_json())
+    atomic_write_text(f"{out_dir}/summary.json", _json(dataclasses.asdict(record)))
     if svg:
         t = list(result.trajectory.times)
         obs = result.trajectory.observables
@@ -139,7 +154,7 @@ def cmd_balance(cfg: RunConfig, out_dir: str, bracket: tuple[float, float]) -> i
         "nu_mhz": nu,
         "delta_recommendation_mhz": -nu,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json(payload)
     atomic_write_text(f"{out_dir}/balance.json", text)
     print(text, end="")
     return 0
@@ -153,25 +168,16 @@ def cmd_dressed(cfg: RunConfig) -> int:
         "energy_up_mhz": pair.energy_up,
         "energy_down_mhz": pair.energy_down,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json(payload), end="")
     return 0
 
 
-def _levels_rows() -> list[dict]:
+def cmd_levels(out_dir: str | None) -> int:
     c = HyperfineConstants(-194.0, -75.0)
     I, J = HalfInt(9), HalfInt(4)
-    rows = []
-    for twice_f in (13, 11, 9, 7, 5):
-        rows.append({"twice_F": twice_f,
-                     "energy_mhz": f_level_energy(c, I, J, HalfInt(twice_f))})
-    return rows
-
-
-def cmd_levels(out_dir: str | None) -> int:
-    rows = _levels_rows()
-    lines = [CSV_SCHEMA.replace("trajectory", "levels"), "twice_F,energy_mhz"]
-    lines += [f"{r['twice_F']},{_fmt(r['energy_mhz'])}" for r in rows]
-    text = "\n".join(lines) + "\n"
+    rows = [(str(twice_f), f_level_energy(c, I, J, HalfInt(twice_f)))
+            for twice_f in (13, 11, 9, 7, 5)]
+    text = _csv("levels", ("twice_F", "energy_mhz"), rows)
     if out_dir:
         atomic_write_text(f"{out_dir}/levels.csv", text)
     print(text, end="")
@@ -180,32 +186,11 @@ def cmd_levels(out_dir: str | None) -> int:
 
 def cmd_lasercalc(out_dir: str | None) -> int:
     records = lasercalc.sr_laser_budget()
-    text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    text = _json(records)
     if out_dir:
         atomic_write_text(f"{out_dir}/laser_budget.json", text)
     print(text, end="")
     return 0
-
-
-def _write_rows(out_dir: str, stem: str, rows, extra_note_keys=()) -> None:
-    atomic_write_text(f"{out_dir}/{stem}.csv", _rows_csv(rows, extra_note_keys))
-    payload = [r.to_dict() for r in rows]
-    atomic_write_text(f"{out_dir}/{stem}.json",
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_points(out_dir: str, stem: str, key: str, rows) -> None:
-    """One sweep as {stem}.csv and {stem}.json, one record per swept value."""
-    cols = (key, "fidelity", "pop_perp", "pop_total")
-    points = [(r.overrides[key], r.fidelity, r.pop_perp, r.notes["pop_total"])
-              for r in rows]
-    lines = [CSV_SCHEMA.replace("trajectory", stem), ",".join(cols)]
-    lines += [",".join(_fmt(v) for v in point) for point in points]
-    atomic_write_text(f"{out_dir}/{stem}.csv", "\n".join(lines) + "\n")
-    records = [dict(zip(cols, point)) for point in points]
-    atomic_write_text(f"{out_dir}/{stem}.json",
-                      json.dumps(records, indent=2, sort_keys=True) + "\n")
-    print("\n".join(lines[1:]))
 
 
 def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
@@ -220,11 +205,12 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
                       analysis.table1_sweep(p, t_final=cfg.t_final))
     elif which == "sensitivity":
         rows = analysis.sensitivity_suite(p)
-        _write_rows(out_dir, "sensitivity", rows,
-                    extra_note_keys=("fidelity_30us", "pop_perp_30us",
-                                     "imbalance_mhz"))
-        print(_rows_csv(rows, ("fidelity_30us", "pop_perp_30us", "imbalance_mhz")),
-              end="")
+        notes = ("fidelity_30us", "pop_perp_30us", "imbalance_mhz")
+        cells = [(r.name, r.t_us, r.fidelity, r.pop_perp,
+                  *(r.notes.get(k, "") for k in notes)) for r in rows]
+        _write_sweep(out_dir, "sensitivity", "sweep",
+                     ("name", "t_us", "fidelity", "pop_perp", *notes), cells,
+                     [r.to_dict() for r in rows])
     elif which == "impurity":
         _write_points(out_dir, "impurity", "chi",
                       analysis.impurity_sweep(p, t_final=cfg.t_final))
@@ -234,7 +220,7 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
         return cmd_levels(out_dir)
     elif which == "isotopes":
         table = analysis.isotope_table()
-        text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+        text = _json(table)
         atomic_write_text(f"{out_dir}/isotopes.json", text)
         print(text, end="")
     else:
@@ -305,10 +291,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_lasercalc(args.out)
         if args.command == "levels":
             return cmd_levels(args.out)
-    except (IntegrationError, DensityMatrixError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except analysis.SaturationError as exc:
+    except (IntegrationError, DensityMatrixError, np.linalg.LinAlgError,
+            analysis.AmbiguousOverlapError, analysis.SaturationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     raise AssertionError("unreachable")

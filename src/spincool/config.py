@@ -9,9 +9,7 @@ keys are rejected.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -30,7 +28,7 @@ class ConfigError(ValueError):
 
 _MODEL_KEYS = tuple(f.name for f in fields(ModelParams) if f.name != "xi")
 
-_RUN_KEYS = ("alpha", "beta", "t_final", "samples", "max_step")
+_RUN_KEYS = ("alpha", "beta", "t_final", "samples")
 
 
 @dataclass(frozen=True)
@@ -42,16 +40,12 @@ class RunConfig:
     beta: complex = 1.0 + 0.0j
     t_final: float = 20.0
     samples: int = 401
-    max_step: float = float("inf")
 
     def __post_init__(self):
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError(f"t_final must be finite and > 0, got {self.t_final!r}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {self.samples}")
-        # the not-(x > 0) form also rejects NaN
-        if not self.max_step > 0:
-            raise ValueError(f"max_step must be > 0, got {self.max_step!r}")
         if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
             raise ValueError(f"alpha and beta must be finite, got {self.alpha!r}, {self.beta!r}")
         if self.alpha == 0 and self.beta == 0:
@@ -139,9 +133,6 @@ class SummaryRecord:
     nu_mhz: float | None
     imbalance_mhz: float | None
     tool_version: str = TOOL_VERSION
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

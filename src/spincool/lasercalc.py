@@ -1,7 +1,7 @@
 """Laser-budget conversion chain.
 
-Linewidth <-> reduced dipole matrix element <-> field amplitude <->
-intensity <-> beam power, for estimating the laser requirements of the
+Linewidth -> reduced dipole matrix element -> field amplitude ->
+intensity -> beam power, for estimating the laser requirements of the
 dressing transitions.  The linewidth formula
 
     Gamma = omega0^3 |d|^2 / (mult * pi * eps0 * hbar * c^3)
@@ -24,7 +24,6 @@ __all__ = [
     "BeamSpec",
     "angular_frequency",
     "rdme_from_linewidth",
-    "linewidth_from_rdme",
     "field_for_rabi",
     "intensity_from_field",
     "power_from_intensity",
@@ -74,12 +73,6 @@ def rdme_from_linewidth(gamma: float, omega0: float, mult: int) -> float:
     d_si = math.sqrt(mult * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT ** 3 * gamma
                      / omega0 ** 3)
     return d_si / DIPOLE_EA0
-
-
-def linewidth_from_rdme(d_ea0: float, omega0: float, mult: int) -> float:
-    """Decay rate in 1/s from a reduced dipole matrix element in e*a0."""
-    d_si = d_ea0 * DIPOLE_EA0
-    return omega0 ** 3 * d_si ** 2 / (mult * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT ** 3)
 
 
 def field_for_rabi(omega_rabi_mhz: float, d_ea0: float) -> float:

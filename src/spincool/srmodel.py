@@ -16,7 +16,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Literal
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "hamiltonian",
     "collapse_ops",
     "with_polarization_impurity",
-    "impurity_loss_estimate",
     "qubit_vectors",
 ]
 
@@ -127,25 +125,14 @@ class ModelParams:
         for f in dataclasses.fields(self):
             if f.name == "xi":
                 continue
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+            # assembly multiplies by 2pi, which must stay finite too
+            if not math.isfinite(TWO_PI * getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite (also after 2pi scaling)")
         if self.b_field < 0:
             raise ValueError("b_field must be >= 0")
 
     def replace(self, **overrides) -> "ModelParams":
         return dataclasses.replace(self, **overrides)
-
-    def to_dict(self) -> dict[str, float]:
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "xi"}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        known = {f.name for f in dataclasses.fields(cls)} - {"xi"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown model parameters: {sorted(unknown)}")
-        return cls(**d)
 
     @property
     def hyperfine_1p1(self) -> HyperfineConstants:
@@ -258,31 +245,15 @@ def collapse_ops(p: ModelParams) -> list[CollapseOp]:
     return ops
 
 
-ImpurityChannel = Literal["raman", "dressing"]
+def with_polarization_impurity(p: ModelParams, chi: float) -> ModelParams:
+    """Parameters with a polarization intensity impurity chi on the dressing laser.
 
-
-def with_polarization_impurity(p: ModelParams, chi: float,
-                               channel: ImpurityChannel) -> ModelParams:
-    """Parameters with a polarization intensity impurity chi applied to one laser.
-
-    raman:    the effective clock <-> 1P1 Rabi frequency drops to (1-chi).
-    dressing: every sigma-minus dressing coupling drops to (1-sqrt(chi)),
-              i.e. omega_pd is scaled wholesale.
+    Every sigma-minus dressing coupling drops to (1-sqrt(chi)), i.e.
+    omega_pd is scaled wholesale.
     """
     if not 0 <= chi < 1:
         raise ValueError(f"chi must be in [0, 1), got {chi}")
-    if channel == "raman":
-        return p.replace(omega_eff=(1 - chi) * p.omega_eff)
-    if channel == "dressing":
-        return p.replace(omega_pd=(1 - math.sqrt(chi)) * p.omega_pd)
-    raise ValueError(f"unknown impurity channel {channel!r}")
-
-
-def impurity_loss_estimate(chi: float) -> float:
-    """Worst-case excitation loss sin^2(2.4 pi chi) from Raman polarization impurity."""
-    if chi < 0:
-        raise ValueError("chi must be >= 0")
-    return math.sin(2.4 * math.pi * chi) ** 2
+    return p.replace(omega_pd=(1 - math.sqrt(chi)) * p.omega_pd)
 
 
 def qubit_vectors(alpha: complex, beta: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,7 +262,7 @@ def qubit_vectors(alpha: complex, beta: complex) -> tuple[np.ndarray, np.ndarray
     Amplitudes are normalized internally; psi_perp carries (beta*, -alpha*)
     on the ground manifold so that <psi_f|psi_perp> = 0.
     """
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    norm = math.hypot(abs(alpha), abs(beta))
     if norm == 0:
         raise ValueError("qubit amplitudes must not both be zero")
     a, b = alpha / norm, beta / norm

@@ -302,14 +302,14 @@ class TestCriterion13PropertySuites:
         ok = all(x.tobytes() == y.tobytes() for x, y in zip(a.states, b.states))
         check("13e reruns are byte-identical", ok)
 
-    def test_max_step_subdivision_convergence(self, reference_params, fig3_run):
-        # capping the propagator step subdivides each 0.05 us grid step into
-        # 3, 5 and 17 substeps; the endpoint must not move beyond 1e-9
+    def test_grid_subdivision_convergence(self, reference_params, fig3_run):
+        # 1201, 2001 and 6801 samples split each 0.05 us step of the
+        # 401-sample grid into 3, 5 and 17 steps; the endpoint must not move
+        # beyond 1e-9
         diffs = []
-        for max_step in (0.02, 0.011, 0.003):
-            sub = cool(1.0, 1.0, reference_params, t_final=20.0, samples=401,
-                       max_step=max_step)
+        for samples in (1201, 2001, 6801):
+            sub = cool(1.0, 1.0, reference_params, t_final=20.0, samples=samples)
             diffs.append(max(abs(sub.fidelity - fig3_run.fidelity),
                              abs(sub.pop_perp - fig3_run.pop_perp)))
-        check("13f endpoint stable under max_step subdivision (<1e-9)",
+        check("13f endpoint stable under grid subdivision (<1e-9)",
               max(diffs) < 1e-9, f"diffs {', '.join(f'{d:.1e}' for d in diffs)}")

@@ -110,10 +110,10 @@ class TestSimulate:
         assert times == [0.0, 1.0]
 
     @staticmethod
-    def _assert_fails(tmp_path, capsys, overrides, code, message):
+    def _assert_fails(tmp_path, capsys, overrides, code, message, command="simulate"):
         out = tmp_path / "fail"
         args = [a for kv in overrides for a in ("--set", kv)]
-        assert main(["--out", str(out), *args, "simulate"]) == code
+        assert main(["--out", str(out), *args, command]) == code
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
@@ -125,23 +125,41 @@ class TestSimulate:
                            ["omega_ps=1e13", "t_final=2.0", "samples=3"],
                            3, "numerical failure: state invariants violated")
 
-    # the overflow of 2 pi H in the Hamiltonian build is expected here
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("override", ["omega_ps=1e308", "gamma_p=1e300"])
+    # a warning that leaks out of a reported failure fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("override", ["gamma_p=1e300"])
     def test_non_finite_generator_exit_3(self, tmp_path, capsys, override):
-        # 2 pi H overflows to inf, or a power of L overflows inside expm
+        # a power of L overflows inside expm
         self._assert_fails(tmp_path, capsys, [override], 3,
                            "numerical failure: propagation failed")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["dressed", "balance"])
+    def test_overlap_tie_exit_3(self, tmp_path, capsys, command):
+        # with the dressing lasers off, this field makes |1P1 0,down> and
+        # |1P1 -1,up> degenerate; their hyperfine mixing is then maximal and
+        # two eigenvectors overlap |1P1 -1,up> equally, at 1/sqrt(2)
+        self._assert_fails(tmp_path, capsys, ["omega_ps=0", "omega_pd=0",
+                                              "b_field=7.753104246619223"],
+                           3, "numerical failure: overlap tie", command)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_amplitude_normalized(self, tmp_path):
+        out = tmp_path / "huge"
+        assert main(["--out", str(out), "--set", "beta=1e308", "--set", "t_final=1.0",
+                     "--set", "samples=3", "simulate"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0 <= summary["fidelity"] <= 1
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         self._assert_fails(tmp_path, capsys, ["bogus=1"], 2, "config error")
 
+    # omega_ps=1e308 is finite, but 2 pi times it is not
     @pytest.mark.parametrize("overrides", [
-        ["max_step=-1"], ["max_step=0"], ["max_step=nan"],
         ["t_final=0"], ["t_final=-1"], ["t_final=nan"], ["t_final=inf"],
         ["samples=0"], ["samples=-3"], ["samples=1"],
-        ["alpha=0", "beta=0"], ["alpha=nan"], ["beta=inf"],
-        ["method=dop853"], ["rel_tol=1e-8"], ["abs_tol=1e-10"],
+        ["alpha=0", "beta=0"], ["alpha=nan"], ["beta=inf"], ["omega_ps=1e308"],
+        ["method=dop853"], ["rel_tol=1e-8"], ["abs_tol=1e-10"], ["max_step=0.01"],
     ], ids=lambda kvs: ",".join(kvs))
     def test_bad_value_exit_2(self, tmp_path, capsys, overrides):
         self._assert_fails(tmp_path, capsys, overrides, 2, "config error")

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
+from spincool.constants import DIPOLE_EA0, EPSILON_0, HBAR, SPEED_OF_LIGHT
 from spincool.lasercalc import (
     BeamSpec,
     TransitionSpec,
     angular_frequency,
     field_for_rabi,
     intensity_from_field,
-    linewidth_from_rdme,
     power_from_intensity,
     rdme_from_linewidth,
     sr_laser_budget,
@@ -25,14 +25,17 @@ class TestDipoleConversions:
         assert d == pytest.approx(2.09, rel=0.02)
 
     def test_roundtrip_identity(self):
+        # back through the module docstring's linewidth formula
         omega0 = angular_frequency(1124.232)
         for mult in (1, 9):
             for gamma in (1.86e7, 2.0e8, 123.0):
-                d = rdme_from_linewidth(gamma, omega0, mult)
-                assert linewidth_from_rdme(d, omega0, mult) == pytest.approx(gamma, rel=1e-12)
+                d_si = rdme_from_linewidth(gamma, omega0, mult) * DIPOLE_EA0
+                back = omega0 ** 3 * d_si ** 2 / (
+                    mult * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT ** 3)
+                assert back == pytest.approx(gamma, rel=1e-12)
 
     def test_zero_dipole_zero_linewidth(self):
-        assert linewidth_from_rdme(0.0, angular_frequency(461.0), 9) == 0.0
+        assert rdme_from_linewidth(0.0, angular_frequency(461.0), 9) == 0.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -189,7 +189,7 @@ class TestReachableSubspace:
     @pytest.mark.parametrize("p", [
         ModelParams(),
         ModelParams(delta_pd=-1750.0),
-        with_polarization_impurity(ModelParams(), 0.1, "dressing"),
+        with_polarization_impurity(ModelParams(), 0.1),
     ], ids=["reference", "delta_pd=-1750", "chi=0.1"])
     def test_size_and_closure(self, p):
         L = liouvillian_matrix(hamiltonian(p), collapse_ops(p))
@@ -255,13 +255,11 @@ class TestEvolve:
         purities = [np.trace(r @ r).real for r in traj.states]
         assert max(abs(p - 1.0) for p in purities) < 1e-8
 
-    # the expm case runs with whole grid steps, the substep case splits each
-    # 0.2 us step into three
-    @pytest.mark.parametrize("max_step", [np.inf, 0.07], ids=["expm", "expm_substeps"])
-    def test_two_level_decay_analytic(self, max_step):
+    @pytest.mark.parametrize("t_final", [3.0], ids=["expm"])
+    def test_two_level_decay_analytic(self, t_final):
         rho0 = pure_density(np.array([0.0, 1.0]))
-        t = np.linspace(0, 3.0, 16)
-        traj = evolve(rho0, np.zeros((2, 2)), [damping_op(GAMMA)], t, max_step)
+        t = np.linspace(0, t_final, 16)
+        traj = evolve(rho0, np.zeros((2, 2)), [damping_op(GAMMA)], t)
         excited = np.array([r[1, 1].real for r in traj.states])
         expected = np.exp(-GAMMA * t)
         assert np.abs(excited / expected - 1).max() < 1e-6
@@ -315,16 +313,6 @@ class TestEvolve:
         with pytest.raises(IntegrationError, match="hermiticity"):
             evolve(rho0, H, [], np.linspace(0, 1, 3))
 
-    def test_expm_max_step_subdivision(self):
-        p = ModelParams()
-        psi0, _, _ = qubit_vectors(1.0, 1.0)
-        rho0 = pure_density(psi0)
-        t = np.linspace(0, 2, 3)
-        free = evolve(rho0, hamiltonian(p), collapse_ops(p), t).states[-1]
-        capped = evolve(rho0, hamiltonian(p), collapse_ops(p), t,
-                        max_step=0.13).states[-1]
-        assert np.abs(free - capped).max() < 1e-11
-
     def test_expm_step_size_independence(self):
         p = ModelParams()
         psi0, _, _ = qubit_vectors(1.0, 1.0)
@@ -348,12 +336,6 @@ class TestEvolve:
     def test_bad_initial_state_rejected(self):
         with pytest.raises(DensityMatrixError):
             evolve(np.diag([0.7, 0.7]), np.zeros((2, 2)), [], [1.0])
-
-    def test_config_validation(self):
-        rho0 = pure_density(np.array([1.0, 0.0]))
-        for max_step in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match="max_step"):
-                evolve(rho0, np.zeros((2, 2)), [], [0.0, 1.0], max_step)
 
     @pytest.mark.parametrize("H, gamma", [
         (np.array([[0.0, np.inf], [np.inf, 0.0]]), GAMMA),
