@@ -194,13 +194,12 @@ _GROUP_SERIES = {
 def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
                t_final: float, samples: int) -> list[CoolingResult]:
     """One cooling run per (alpha, beta), all propagated in one evolve call."""
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {samples}")
     psi0, psi_f, psi_perp = (np.array(v) for v in
                              zip(*(qubit_vectors(a, b) for a, b in amplitudes)))
     rho0 = np.array([pure_density(v) for v in psi0])
-    t_grid = np.linspace(0.0, t_final, samples)
-    states = evolve(rho0, hamiltonian(p), collapse_ops(p), t_grid).states
+    run = evolve(rho0, hamiltonian(p), [c.matrix() for c in collapse_ops(p)],
+                 t_final, samples)
+    states = run.states
 
     # every series has shape (runs, samples)
     diag = np.diagonal(states, axis1=-2, axis2=-1).real
@@ -215,7 +214,7 @@ def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
 
     results = []
     for k in range(len(amplitudes)):
-        traj = Trajectory(times=t_grid, states=states[k])
+        traj = Trajectory(times=run.times, states=states[k])
         for name, values in series.items():
             traj.add_population_series(name, values[k])
         results.append(CoolingResult(

@@ -172,23 +172,21 @@ def cmd_dressed(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_levels(out_dir: str | None) -> int:
+def cmd_levels(out_dir: str) -> int:
     c = HyperfineConstants(-194.0, -75.0)
     I, J = HalfInt(9), HalfInt(4)
     rows = [(str(twice_f), f_level_energy(c, I, J, HalfInt(twice_f)))
             for twice_f in (13, 11, 9, 7, 5)]
     text = _csv("levels", ("twice_F", "energy_mhz"), rows)
-    if out_dir:
-        atomic_write_text(f"{out_dir}/levels.csv", text)
+    atomic_write_text(f"{out_dir}/levels.csv", text)
     print(text, end="")
     return 0
 
 
-def cmd_lasercalc(out_dir: str | None) -> int:
+def cmd_lasercalc(out_dir: str) -> int:
     records = lasercalc.sr_laser_budget()
     text = _json(records)
-    if out_dir:
-        atomic_write_text(f"{out_dir}/laser_budget.json", text)
+    atomic_write_text(f"{out_dir}/laser_budget.json", text)
     print(text, end="")
     return 0
 
@@ -239,7 +237,7 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=d if suppress else [],
                         help="override one config key (repeatable)")
     parser.add_argument("--out", default=d if suppress else "out",
-                        help="output directory")
+                        help="output directory (not empty)")
     parser.add_argument("--svg", action="store_true",
                         default=d if suppress else False,
                         help="also emit SVG plots")
@@ -273,6 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.out:
+        # an empty directory would put every output at the filesystem root
+        print("config error: --out must not be empty", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = load_run_config(args.config, args.set)
     except ConfigError as exc:

@@ -14,7 +14,9 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .srmodel import ModelParams
+import numpy as np
+
+from .srmodel import ModelParams, hamiltonian
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_run_config",
            "config_hash", "SummaryRecord", "atomic_write_text"]
@@ -106,9 +108,15 @@ def load_run_config(path: str | None = None,
     run_kwargs = {k: v for k, v in values.items() if k in _RUN_KEYS}
     try:
         params = ModelParams(**model_kwargs)
-        return RunConfig(params=params, **run_kwargs)
+        cfg = RunConfig(params=params, **run_kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    # every value is finite on its own, but a sum of them can still overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(hamiltonian(params)).all()
+    if not finite:
+        raise ConfigError("the model Hamiltonian is not finite")
+    return cfg
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -1,10 +1,10 @@
 """Density-matrix propagation under a Lindblad master equation.
 
-The generator is time independent here, so the default propagation method
-is exact: the master equation is vectorized, the superoperator is cut to
-the entries of vec(rho) reachable from the initial states, that block is
-exponentiated once per distinct grid step, and snapshots are produced by
-repeated application.  The exponential is Pade scaling and squaring in
+The generator is time independent here, so the propagation is exact: the
+master equation is vectorized, the superoperator is cut to the entries of
+vec(rho) reachable from the initial states, that block is exponentiated
+once for the step of the uniform sample grid, and snapshots are produced
+by repeated application.  The exponential is Pade scaling and squaring in
 numpy (Higham 2005; Al-Mohy & Higham 2009).  A stack of initial states
 sharing one generator is propagated as one block.  This is deterministic,
 step-size independent, and orders of magnitude faster than resolving the
@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .srmodel import CollapseOp
 
 __all__ = [
     "DensityMatrixError",
@@ -138,14 +136,14 @@ def _blocks(rho: np.ndarray) -> list[np.ndarray]:
 class Trajectory:
     """Sampled observables of one propagation run.
 
-    times are strictly increasing (us); observables maps a series name to a
-    real array over times; states optionally stores the density matrices,
-    shape (..., len(times), n, n) with the stack axes of the initial state.
+    times are strictly increasing (us); states are the density matrices,
+    shape (..., len(times), n, n) with the stack axes of the initial state;
+    observables maps a series name to a real array over times.
     """
 
     times: np.ndarray
+    states: np.ndarray
     observables: dict[str, np.ndarray] = field(default_factory=dict)
-    states: np.ndarray | None = None
 
     def add_population_series(self, name: str, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
@@ -155,24 +153,17 @@ class Trajectory:
         self.observables[name] = values
 
 
-def _as_matrices(cs: list[CollapseOp] | list[np.ndarray], dim: int) -> list[np.ndarray]:
-    out = []
-    for c in cs:
-        m = c.matrix(dim) if isinstance(c, CollapseOp) else np.asarray(c)
-        if m.shape != (dim, dim):
-            raise DensityMatrixError(f"collapse operator shape {m.shape} != ({dim}, {dim})")
-        out.append(m.astype(complex))
-    return out
+def liouvillian_matrix(H: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:
+    """Superoperator L with vec(drho/dt) = L vec(rho), row-major vectorization.
 
-
-def liouvillian_matrix(H: np.ndarray, cs: list) -> np.ndarray:
-    """Superoperator L with vec(drho/dt) = L vec(rho), row-major vectorization."""
+    cs are the collapse operators as (n, n) matrices.
+    """
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
     eye = np.eye(n)
     # vec(A rho B) = (A kron B^T) vec(rho) for row-major vec
     L = 1j * (np.kron(eye, H.T) - np.kron(H, eye))
-    for c in _as_matrices(cs, n):
+    for c in cs:
         cd = c.conj().T
         cdc = cd @ c
         L += np.kron(c, cd.T) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
@@ -296,39 +287,24 @@ def reachable_subspace(L: np.ndarray, support: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def _propagate_expm(L: np.ndarray, y0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Columns of y0 (m, k) stepped over t_grid; returns shape (k, len(t_grid), m)."""
-    spans = np.diff(t_grid, prepend=0.0)
-    cache: dict[float, np.ndarray] = {}
-    out = np.empty((y0.shape[1], len(t_grid), y0.shape[0]), dtype=complex)
-    y = y0
-    for i, (span, key) in enumerate(zip(spans, np.round(spans, 12).tolist())):
-        if span > 0:
-            if key not in cache:
-                cache[key] = expm(L * span)
-            y = cache[key] @ y
-        out[:, i] = y.T
-    return out
-
-
-def evolve(rho0: np.ndarray, H: np.ndarray, cs: list, t_grid) -> Trajectory:
-    """Propagate rho0 over t_grid (us, finite, strictly increasing, from t=0).
+def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float,
+           samples: int) -> Trajectory:
+    """Propagate rho0 over the grid np.linspace(0, t_final, samples), in us.
 
     rho0 is one density matrix (n, n) or a stack (..., n, n) sharing the
-    generator; the returned states have shape (..., len(t_grid), n, n).
-    The Liouvillian is built once and cut to the entries reachable from
-    the initial states, and all of them are propagated as one block, one
-    exact exponential per grid step.  The raw snapshots are checked against
-    the density-matrix invariants (a violation beyond 10x tolerance aborts
-    with diagnostics) and stored re-symmetrized, (rho+rho+)/2.  Output is
-    deterministic for fixed inputs.
+    generator H with the collapse matrices cs; the returned states have
+    shape (..., samples, n, n).  The Liouvillian is built once and cut to
+    the entries reachable from the initial states, and all of them are
+    propagated as one block with one exact exponential for the grid step.
+    The snapshots are checked against the density-matrix invariants (a
+    violation beyond 10x tolerance aborts with diagnostics) and stored as
+    checked.  Output is deterministic for fixed inputs.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0:
-        raise ValueError("t_grid must be a non-empty 1-d sequence")
-    if not (np.isfinite(t_grid).all() and t_grid[0] >= 0
-            and np.all(np.diff(t_grid) > 0)):
-        raise ValueError("t_grid must be finite, strictly increasing and non-negative")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {samples}")
+    t_grid = np.linspace(0.0, t_final, samples)
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, where=" (initial state)")
 
@@ -340,17 +316,19 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list, t_grid) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         L = liouvillian_matrix(H, cs)
         idx = reachable_subspace(L, np.any(vec0 != 0, axis=0))
-        L_sub = L[np.ix_(idx, idx)]
-        y0 = vec0[:, idx].T
         try:
-            y = _propagate_expm(L_sub, y0, t_grid)
+            P = expm(L[np.ix_(idx, idx)] * t_grid[1])
         except FloatingPointError as exc:
             raise IntegrationError(f"propagation failed: {exc}") from exc
 
-    states = np.zeros((vec0.shape[0], len(t_grid), n * n), dtype=complex)
-    states[:, :, idx] = y
-    del y
-    states = states.reshape(*stack, len(t_grid), n, n)
+    # y holds the reachable entries of every initial state, one per column
+    y = vec0[:, idx].T
+    states = np.zeros((vec0.shape[0], samples, n * n), dtype=complex)
+    states[:, 0, idx] = y.T
+    for i in range(1, samples):
+        y = P @ y
+        states[:, i, idx] = y.T
+    states = states.reshape(*stack, samples, n, n)
     try:
         check_density_matrix(states, herm_tol=10 * HERMITICITY_TOL,
                              trace_tol=10 * TRACE_TOL,
@@ -358,8 +336,6 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list, t_grid) -> Trajectory:
     except DensityMatrixError as exc:
         t = t_grid[exc.index[-1]]
         raise IntegrationError(f"state invariants violated at t={t:g} us: {exc}") from exc
-    states += states.conj().swapaxes(-1, -2)
-    states *= 0.5
     return Trajectory(times=t_grid, states=states)
 
 

@@ -285,20 +285,18 @@ class TestCriterion13PropertySuites:
         gamma = 0.9
         c = np.zeros((2, 2))
         c[0, 1] = math.sqrt(gamma)
-        t = np.linspace(0, 4, 9)
-        traj = evolve(pure_density(np.array([0.0, 1.0])), np.zeros((2, 2)), [c], t)
+        traj = evolve(pure_density(np.array([0.0, 1.0])), np.zeros((2, 2)), [c], 4.0, 9)
         excited = np.array([r[1, 1].real for r in traj.states])
-        rel = np.abs(excited / np.exp(-gamma * t) - 1).max()
+        rel = np.abs(excited / np.exp(-gamma * traj.times) - 1).max()
         check("13d two-level decay matches analytic to 1e-6 relative",
               rel < 1e-6, f"worst rel {rel:.1e}")
 
     def test_determinism_byte_identical(self, reference_params):
         psi0, _, _ = qubit_vectors(1.0, 1.0)
-        t = np.linspace(0, 5, 11)
         H = hamiltonian(reference_params)
-        cs = collapse_ops(reference_params)
-        a = evolve(pure_density(psi0), H, cs, t)
-        b = evolve(pure_density(psi0), H, cs, t)
+        cs = [c.matrix() for c in collapse_ops(reference_params)]
+        a = evolve(pure_density(psi0), H, cs, 5.0, 11)
+        b = evolve(pure_density(psi0), H, cs, 5.0, 11)
         ok = all(x.tobytes() == y.tobytes() for x, y in zip(a.states, b.states))
         check("13e reruns are byte-identical", ok)
 

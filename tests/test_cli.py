@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import spincool
+from spincool import cli
 from spincool.cli import main
 from spincool.config import (ConfigError, config_hash, load_run_config,
                              parse_config_text)
@@ -151,6 +152,14 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert 0 <= summary["fidelity"] <= 1
 
+    # each value is finite, but delta_pd + e_hf on the 1D2 F=11/2 diagonal
+    # is not after 2 pi scaling
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["simulate", "dressed", "balance"])
+    def test_overflowing_hamiltonian_exit_2(self, tmp_path, capsys, command):
+        self._assert_fails(tmp_path, capsys, ["delta_pd=-2e307", "e_hf=-2e307"], 2,
+                           "config error: the model Hamiltonian is not finite", command)
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         self._assert_fails(tmp_path, capsys, ["bogus=1"], 2, "config error")
 
@@ -218,6 +227,21 @@ class TestLevelsAndLasercalc:
         assert len(records) == 3
 
 
+class TestEmptyOut:
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["reproduce", "table1"], ["levels"], ["lasercalc"],
+        ["dressed"], ["balance"], ["levels", "--out", ""],
+    ], ids=" ".join)
+    def test_rejected_before_any_write(self, monkeypatch, capsys, argv):
+        # an empty --out would put the outputs at the filesystem root; the
+        # writer is replaced so that nothing is written even if it is called
+        writes = []
+        monkeypatch.setattr(cli, "atomic_write_text", lambda path, text: writes.append(path))
+        assert main(["--out", "", *FAST, *argv]) == 2
+        assert writes == []
+        assert "--out must not be empty" in capsys.readouterr().err
+
+
 class TestReproduce:
     def test_unknown_target_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -274,6 +298,15 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 
 
 class TestImports:
+    def test_package_import_leaves_numpy_unloaded(self):
+        out = _run_python("import sys, spincool; print('numpy' in sys.modules)")
+        assert out.strip() == "False"
+
+    def test_engine_import_leaves_model_unloaded(self):
+        out = _run_python("import sys, spincool.lindblad; "
+                          "print('spincool.srmodel' in sys.modules)")
+        assert out.strip() == "False"
+
     def test_cli_import_leaves_scipy_unloaded(self):
         out = _run_python(f"import sys, spincool.cli; print({SCIPY_LOADED})")
         assert out.strip() == "[]"

@@ -40,10 +40,9 @@ def test_subspace_engine_matches_full_one_shot_expm(p, ratio, t_final):
     psi0, _, _ = qubit_vectors(ratio, 1.0)
     rho0 = pure_density(psi0)
     H = hamiltonian(p)
-    cs = collapse_ops(p)
-    t = np.linspace(0.0, t_final, 3)
-    got = evolve(rho0, H, cs, t).states
-    want = one_shot_lindblad(rho0, H, [c.matrix() for c in cs], t)
+    cs = [c.matrix() for c in collapse_ops(p)]
+    got = evolve(rho0, H, cs, t_final, 3).states
+    want = one_shot_lindblad(rho0, H, cs, np.linspace(0.0, t_final, 3))
     assert np.abs(got - want).max() <= 1e-12
 
 

@@ -36,6 +36,10 @@ def damping_op(gamma: float) -> np.ndarray:
     return c
 
 
+def collapse_matrices(p: ModelParams) -> list[np.ndarray]:
+    return [c.matrix() for c in collapse_ops(p)]
+
+
 class TestDensityMatrixChecks:
     def test_pure_density(self):
         rho = pure_density(np.array([1.0, 1.0]))
@@ -166,7 +170,7 @@ class TestExpm:
         from scipy.linalg import expm as scipy_expm
 
         p = ModelParams()
-        L = liouvillian_matrix(hamiltonian(p), collapse_ops(p))
+        L = liouvillian_matrix(hamiltonian(p), collapse_matrices(p))
         psi0, _, _ = qubit_vectors(1.0, 1.0)
         idx = reachable_subspace(L, pure_density(psi0).reshape(-1) != 0)
         A = L[np.ix_(idx, idx)] * dt
@@ -192,7 +196,7 @@ class TestReachableSubspace:
         with_polarization_impurity(ModelParams(), 0.1),
     ], ids=["reference", "delta_pd=-1750", "chi=0.1"])
     def test_size_and_closure(self, p):
-        L = liouvillian_matrix(hamiltonian(p), collapse_ops(p))
+        L = liouvillian_matrix(hamiltonian(p), collapse_matrices(p))
         psi0, _, _ = qubit_vectors(1.0, 1.0)
         idx = reachable_subspace(L, pure_density(psi0).reshape(-1) != 0)
         assert len(idx) == 87
@@ -251,36 +255,34 @@ class TestEvolve:
     def test_unitary_purity_conserved(self):
         H = np.array([[0.0, 2.0], [2.0, 1.0]])
         rho0 = pure_density(np.array([1.0, 0.5 + 0.2j]))
-        traj = evolve(rho0, H, [], np.linspace(0, 20, 81))
+        traj = evolve(rho0, H, [], 20.0, 81)
         purities = [np.trace(r @ r).real for r in traj.states]
         assert max(abs(p - 1.0) for p in purities) < 1e-8
 
     @pytest.mark.parametrize("t_final", [3.0], ids=["expm"])
     def test_two_level_decay_analytic(self, t_final):
         rho0 = pure_density(np.array([0.0, 1.0]))
-        t = np.linspace(0, t_final, 16)
-        traj = evolve(rho0, np.zeros((2, 2)), [damping_op(GAMMA)], t)
+        traj = evolve(rho0, np.zeros((2, 2)), [damping_op(GAMMA)], t_final, 16)
+        assert np.array_equal(traj.times, np.linspace(0, t_final, 16))
         excited = np.array([r[1, 1].real for r in traj.states])
-        expected = np.exp(-GAMMA * t)
+        expected = np.exp(-GAMMA * traj.times)
         assert np.abs(excited / expected - 1).max() < 1e-6
 
     def test_methods_agree_on_full_model(self):
         # independent cross-check of the exact propagator against adaptive RK
         p = ModelParams()
         H = hamiltonian(p)
-        cs = [c.matrix(len(H)) for c in collapse_ops(p)]
+        cs = collapse_matrices(p)
         psi0, _, _ = qubit_vectors(1.0, 1.0)
         rho0 = pure_density(psi0)
-        t = np.linspace(0, 0.5, 6)
-        ref = evolve(rho0, H, cs, t).states
-        alt = adaptive_lindblad(rho0, H, cs, t)
+        ref = evolve(rho0, H, cs, 0.5, 6).states
+        alt = adaptive_lindblad(rho0, H, cs, np.linspace(0, 0.5, 6))
         assert np.abs(ref - alt).max() < 1e-6
 
     def test_invariants_along_trajectory(self):
         p = ModelParams()
         psi0, _, _ = qubit_vectors(1.0, 2.0)
-        traj = evolve(pure_density(psi0), hamiltonian(p), collapse_ops(p),
-                      np.linspace(0, 20, 41))
+        traj = evolve(pure_density(psi0), hamiltonian(p), collapse_matrices(p), 20.0, 41)
         for rho in traj.states:
             assert abs(np.trace(rho).real - 1) < 1e-8
             assert np.abs(rho - rho.conj().T).max() < 1e-9
@@ -289,53 +291,56 @@ class TestEvolve:
     def test_deterministic_reruns(self):
         p = ModelParams()
         psi0, _, _ = qubit_vectors(1.0, 1.0)
-        t = np.linspace(0, 5, 11)
-        a = evolve(pure_density(psi0), hamiltonian(p), collapse_ops(p), t)
-        b = evolve(pure_density(psi0), hamiltonian(p), collapse_ops(p), t)
+        a = evolve(pure_density(psi0), hamiltonian(p), collapse_matrices(p), 5.0, 11)
+        b = evolve(pure_density(psi0), hamiltonian(p), collapse_matrices(p), 5.0, 11)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.states, b.states))
 
     def test_stack_matches_single_runs(self):
         p = ModelParams()
-        H, cs = hamiltonian(p), collapse_ops(p)
+        H, cs = hamiltonian(p), collapse_matrices(p)
         rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in (0.2, 1.0, 7.0)])
-        t = np.linspace(0, 4, 9)
-        stacked = evolve(rho0, H, cs, t).states
+        stacked = evolve(rho0, H, cs, 4.0, 9).states
         assert stacked.shape == (3, 9, 13, 13)
         for k in range(3):
-            single = evolve(rho0[k], H, cs, t).states
+            single = evolve(rho0[k], H, cs, 4.0, 9).states
             assert np.abs(stacked[k] - single).max() < 1e-12
 
     def test_non_hermitian_evolution_detected(self):
-        # a non-Hermitian generator keeps the trace and, after
-        # re-symmetrization, positivity; only the raw state shows it
+        # a non-Hermitian generator keeps the trace, and the Hermitian part
+        # of each state stays positive: only the hermiticity check sees it
         H = np.array([[0.0, 1e-3], [0.0, 0.0]])
         rho0 = np.array([[0.6, 0.1], [0.1, 0.4]])
         with pytest.raises(IntegrationError, match="hermiticity"):
-            evolve(rho0, H, [], np.linspace(0, 1, 3))
+            evolve(rho0, H, [], 1.0, 3)
 
     def test_expm_step_size_independence(self):
         p = ModelParams()
         psi0, _, _ = qubit_vectors(1.0, 1.0)
         rho0 = pure_density(psi0)
-        coarse = evolve(rho0, hamiltonian(p), collapse_ops(p),
-                        np.linspace(0, 4, 5)).states[-1]
-        fine = evolve(rho0, hamiltonian(p), collapse_ops(p),
-                      np.linspace(0, 4, 41)).states[-1]
+        coarse = evolve(rho0, hamiltonian(p), collapse_matrices(p), 4.0, 5).states[-1]
+        fine = evolve(rho0, hamiltonian(p), collapse_matrices(p), 4.0, 41).states[-1]
         assert np.abs(coarse - fine).max() < 1e-11
 
     def test_bad_grid_rejected(self):
         rho0 = pure_density(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            evolve(rho0, np.zeros((2, 2)), [], [0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            evolve(rho0, np.zeros((2, 2)), [], [])
-        for bad in ([0.0, np.nan], [0.0, 1.0, np.inf], [np.nan], [-1.0, 0.0]):
-            with pytest.raises(ValueError, match="t_grid"):
-                evolve(rho0, np.zeros((2, 2)), [], bad)
+        for t_final in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_final"):
+                evolve(rho0, np.zeros((2, 2)), [], t_final, 3)
+        for samples in (1, 0):
+            with pytest.raises(ValueError, match="samples"):
+                evolve(rho0, np.zeros((2, 2)), [], 1.0, samples)
+
+    def test_one_exponential_per_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lindblad, "expm", lambda A: calls.append(A) or expm(A))
+        p = ModelParams()
+        rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in (0.5, 2.0)])
+        evolve(rho0, hamiltonian(p), collapse_matrices(p), 20.0, 401)
+        assert len(calls) == 1
 
     def test_bad_initial_state_rejected(self):
         with pytest.raises(DensityMatrixError):
-            evolve(np.diag([0.7, 0.7]), np.zeros((2, 2)), [], [1.0])
+            evolve(np.diag([0.7, 0.7]), np.zeros((2, 2)), [], 1.0, 2)
 
     @pytest.mark.parametrize("H, gamma", [
         (np.array([[0.0, np.inf], [np.inf, 0.0]]), GAMMA),
@@ -344,7 +349,7 @@ class TestEvolve:
     def test_non_finite_generator_is_integration_error(self, H, gamma):
         rho0 = pure_density(np.array([0.0, 1.0]))
         with pytest.raises(IntegrationError, match="propagation failed"):
-            evolve(rho0, H, [damping_op(gamma)], [0.0, 1.0])
+            evolve(rho0, H, [damping_op(gamma)], 1.0, 2)
 
 
 class TestPopulation:
