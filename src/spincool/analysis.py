@@ -199,22 +199,18 @@ def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
     rho0 = np.array([pure_density(v) for v in psi0])
     run = evolve(rho0, hamiltonian(p), [c.matrix() for c in collapse_ops(p)],
                  t_final, samples)
-    states = run.states
 
     # every series has shape (runs, samples)
-    diag = np.diagonal(states, axis1=-2, axis2=-1).real
-    series = {
-        "pop_psi0": population(states, psi0[:, None]),
-        "pop_psif": population(states, psi_f[:, None]),
-        "pop_perp": population(states, psi_perp[:, None]),
-        "pop_reservoir": diag[..., BasisState.RESERVOIR],
-    }
+    series = dict(zip(("pop_psi0", "pop_psif", "pop_perp"),
+                      population(run, np.stack([psi0, psi_f, psi_perp]))))
+    diag = run.diagonal
+    series["pop_reservoir"] = diag[..., BasisState.RESERVOIR]
     for name, group in _GROUP_SERIES.items():
         series[name] = diag[..., group].sum(axis=-1)
 
     results = []
     for k in range(len(amplitudes)):
-        traj = Trajectory(times=run.times, states=states[k])
+        traj = Trajectory(times=run.times, coords=run.coords[k], basis=run.basis)
         for name, values in series.items():
             traj.add_population_series(name, values[k])
         results.append(CoolingResult(
@@ -266,9 +262,8 @@ def _endpoint_population_total(res: CoolingResult) -> float:
     named = sum(obs[k][-1] for k in ("pop_psi0", "pop_psif", "pop_perp",
                                     "pop_reservoir", "pop_1P1_total",
                                     "pop_1D2_total", "pop_6s"))
-    rho = res.trajectory.states[-1]
-    clock = (rho[BasisState.CLOCK_UP, BasisState.CLOCK_UP].real
-             + rho[BasisState.CLOCK_DOWN, BasisState.CLOCK_DOWN].real)
+    diag = res.trajectory.diagonal[-1]
+    clock = diag[BasisState.CLOCK_UP] + diag[BasisState.CLOCK_DOWN]
     return named + (clock - obs["pop_psi0"][-1])
 
 

@@ -18,8 +18,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
+
+# at most 169-wide matrices gain nothing from more BLAS threads but CPU time;
+# the pool is sized when numpy loads, so default it to one before, unless set
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -111,9 +111,10 @@ def load_run_config(path: str | None = None,
         cfg = RunConfig(params=params, **run_kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    # every value is finite on its own, but a sum of them can still overflow
+    # every value is finite on its own, but a sum of them can still overflow,
+    # also in the delta = 0 Hamiltonian of the dressed-pair analysis
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(hamiltonian(params)).all()
+        finite = all(np.isfinite(hamiltonian(q)).all() for q in (params, params.replace(delta=0.0)))
     if not finite:
         raise ConfigError("the model Hamiltonian is not finite")
     return cfg

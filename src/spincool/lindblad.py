@@ -1,14 +1,13 @@
 """Density-matrix propagation under a Lindblad master equation.
 
-The generator is time independent here, so the propagation is exact: the
-master equation is vectorized, the superoperator is cut to the entries of
-vec(rho) reachable from the initial states, that block is exponentiated
-once for the step of the uniform sample grid, and snapshots are produced
-by repeated application.  The exponential is Pade scaling and squaring in
-numpy (Higham 2005; Al-Mohy & Higham 2009).  A stack of initial states
-sharing one generator is propagated as one block.  This is deterministic,
-step-size independent, and orders of magnitude faster than resolving the
-GHz-scale detuning oscillations with an explicit stepper.
+The generator is time independent, so the propagation is exact and
+step-size independent: the superoperator is cut to the entries of vec(rho)
+reachable from the initial states and written in real coordinates
+(RealBasis), where it must be real, as it is when it preserves hermiticity;
+it is exponentiated once for the grid step (Pade scaling and squaring in
+numpy; Higham 2005, Al-Mohy & Higham 2009) and applied to a stack of states.
+Every sample is checked for unit trace and, block by block, positivity;
+full density matrices are built only on request.
 
 Sign convention of the master equation:
 
@@ -25,18 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DensityMatrixError",
-    "IntegrationError",
-    "Trajectory",
-    "HERMITICITY_TOL",
-    "TRACE_TOL",
-    "POSITIVITY_TOL",
-    "pure_density",
-    "check_density_matrix",
-    "liouvillian_matrix",
-    "reachable_subspace",
-    "evolve",
-    "population",
+    "DensityMatrixError", "IntegrationError", "RealBasis", "Trajectory",
+    "HERMITICITY_TOL", "TRACE_TOL", "POSITIVITY_TOL",
+    "pure_density", "check_density_matrix", "liouvillian_matrix",
+    "reachable_subspace", "evolve", "population",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -79,10 +70,28 @@ def _raise_first(bad: np.ndarray, values: np.ndarray, message: str, where: str) 
     raise DensityMatrixError(message.format(values[index]) + at + where, index=index)
 
 
-def check_density_matrix(rho: np.ndarray, *, herm_tol: float = HERMITICITY_TOL,
-                         trace_tol: float = TRACE_TOL,
-                         positivity_tol: float = POSITIVITY_TOL,
-                         where: str = "") -> None:
+def _check_trace_and_positivity(trace: np.ndarray, blocks, trace_tol: float,
+                                positivity_tol: float, where: str) -> None:
+    """Raise for the first matrix of a stack off unit trace or with an eigenvalue below -tol.
+
+    blocks are Hermitian stacks (..., nb, nb) whose spectra make up each matrix's; only
+    a block without a Cholesky factor of b + tol*I pays for eigvalsh.
+    """
+    dev = np.abs(trace - 1.0)
+    # ~(x <= tol) also flags NaN
+    _raise_first(~(dev <= trace_tol), dev, f"trace deviation {{:.3e}} > {trace_tol:.0e}", where)
+    min_eig = None
+    for b in blocks:
+        try:
+            np.linalg.cholesky(b + positivity_tol * np.eye(b.shape[-1]))
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(b)[..., 0]
+            min_eig = low if min_eig is None else np.minimum(min_eig, low)
+    if min_eig is not None:
+        _raise_first(min_eig < -positivity_tol, min_eig, "negative eigenvalue {:.3e}", where)
+
+
+def check_density_matrix(rho: np.ndarray, where: str = "") -> None:
     """Raise DensityMatrixError unless rho is Hermitian, unit trace, positive.
 
     rho is one matrix (n, n) or a stack (..., n, n); every matrix of a stack
@@ -92,58 +101,85 @@ def check_density_matrix(rho: np.ndarray, *, herm_tol: float = HERMITICITY_TOL,
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise DensityMatrixError(f"not square: shape {rho.shape}")
     rho_h = rho.conj().swapaxes(-1, -2)
-    # ~(x <= tol) also flags NaN
     herm = np.abs(rho - rho_h).max(axis=(-2, -1))
-    _raise_first(~(herm <= herm_tol), herm,
-                 f"hermiticity violation {{:.3e}} > {herm_tol:.0e}", where)
-    tr = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    _raise_first(~(tr <= trace_tol), tr, f"trace deviation {{:.3e}} > {trace_tol:.0e}", where)
-    # the eigenvalues of a block-diagonal matrix are those of its blocks; a
-    # block passes when b + tol*I has a Cholesky factor (all eigenvalues >
-    # -tol), and only a failing block pays for eigvalsh to locate the failure
-    min_eig = None
-    for idx in _blocks(rho):
-        b = rho[..., idx[:, None], idx]
-        b = (b + b.conj().swapaxes(-1, -2)) / 2
-        try:
-            np.linalg.cholesky(b + positivity_tol * np.eye(len(idx)))
-        except np.linalg.LinAlgError:
-            low = np.linalg.eigvalsh(b)[..., 0]
-            min_eig = low if min_eig is None else np.minimum(min_eig, low)
-    if min_eig is not None:
-        _raise_first(min_eig < -positivity_tol, min_eig, "negative eigenvalue {:.3e}", where)
+    _raise_first(~(herm <= HERMITICITY_TOL), herm,
+                 f"hermiticity violation {{:.3e}} > {HERMITICITY_TOL:.0e}", where)
+    _check_trace_and_positivity(np.trace(rho, axis1=-2, axis2=-1), [(rho + rho_h) / 2],
+                                TRACE_TOL, POSITIVITY_TOL, where)
 
 
-def _blocks(rho: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a stack's joint nonzero pattern.
+class RealBasis:
+    """Real coordinates of the Hermitian matrices on the entries L reaches from `support`.
 
-    Every matrix of the stack is block diagonal over these sets (after a
-    common permutation); a dense matrix is one block.
+    The entries idx (row-major positions r*n + c of vec(rho)) are grown together
+    with their transposes.  u_k is rho_rr, Re rho_rc (r < c) or Im rho_cr (r > c)
+    for idx[k] = r*n + c: rho_rc = u_k + i u_t and rho_cr = u_k - i u_t with t the
+    transposed position.  u = T v and v = T_inv u for v = vec(rho)[idx].
     """
-    n = rho.shape[-1]
-    pattern = (rho != 0).reshape(-1, n, n).any(axis=0)
-    pattern |= pattern.T
-    unseen = np.ones(n, dtype=bool)
-    blocks = []
-    while unseen.any():
-        block = reachable_subspace(pattern, np.arange(n) == np.argmax(unseen))
-        unseen[block] = False
-        blocks.append(block)
-    return blocks
+
+    def __init__(self, L: np.ndarray, support: np.ndarray):
+        self.n = n = math.isqrt(len(support))
+        transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
+        self.idx = idx = reachable_subspace((L != 0) | (L[np.ix_(transpose, transpose)] != 0),
+                                            support | support[transpose])
+        self.r, self.c = r, c = np.divmod(idx, n)
+        m, k, t = len(idx), np.arange(len(idx)), np.searchsorted(idx, c * n + r)
+        upper, lower, pair = r < c, r > c, r != c
+        self.T_inv = np.zeros((m, m), dtype=complex)
+        self.T_inv[k, k] = np.where(lower, -1j, 1.0)
+        self.T_inv[k, t] += np.where(upper, 1j, 1.0) * pair
+        self.T = self.T_inv.conj().T * np.where(pair, 0.5, 1.0)[:, None]
+        self.diag, self.levels = np.flatnonzero(~pair), r[~pair]
+        # v_k = u[re_k] + i sign_k u[im_k]; a matrix position outside idx reads v[m] = 0
+        self._re, self._im = np.where(lower, t, k), np.where(upper, t, k)
+        self._sign = upper - 1.0 * lower
+        self._pos = np.full(n * n, m)
+        self._pos[idx] = k
+        # rho is block diagonal over connected levels; label each by the lowest it reaches
+        label = np.arange(n)
+        for _ in range(n):
+            np.minimum.at(label, r, label[c])
+        groups = [np.flatnonzero(label == low) for low in np.unique(label[r])]
+        self.blocks = [g[:, None] * n + g for g in groups]
+
+    def entries(self, u: np.ndarray, *positions: np.ndarray) -> list[np.ndarray]:
+        """rho[..., r, c] at each array of matrix positions r*n + c, from u (..., m)."""
+        v = np.zeros(u.shape[:-1] + (len(self.idx) + 1,), dtype=complex)
+        v.real[..., :-1] = u[..., self._re]
+        v.imag[..., :-1] = self._sign * u[..., self._im]
+        return [v[..., self._pos[f]] for f in positions]
+
+    def check(self, u: np.ndarray, trace_tol: float, positivity_tol: float) -> None:
+        """Raise DensityMatrixError for the first state of u (..., m) off trace or positivity."""
+        _check_trace_and_positivity(u[..., self.diag].sum(axis=-1),
+                                    self.entries(u, *self.blocks), trace_tol, positivity_tol, "")
 
 
 @dataclass
 class Trajectory:
-    """Sampled observables of one propagation run.
+    """Sampled states and observables of one propagation run.
 
-    times are strictly increasing (us); states are the density matrices,
-    shape (..., len(times), n, n) with the stack axes of the initial state;
-    observables maps a series name to a real array over times.
+    times (us) increase strictly; coords, shape (..., len(times), m), are the states
+    in `basis` with the initial state's stack axes; observables maps names to series.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    coords: np.ndarray
+    basis: RealBasis
     observables: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def states(self) -> np.ndarray:
+        """The density matrices, shape (..., len(times), n, n), built on each access."""
+        n = self.basis.n
+        return self.basis.entries(self.coords, np.arange(n * n).reshape(n, n))[0]
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The level populations, shape (..., len(times), n)."""
+        out = np.zeros(self.coords.shape[:-1] + (self.basis.n,))
+        out[..., self.basis.levels] = self.coords[..., self.basis.diag]
+        return out
 
     def add_population_series(self, name: str, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
@@ -161,12 +197,11 @@ def liouvillian_matrix(H: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
     eye = np.eye(n)
+    C = np.asarray(cs, dtype=complex).reshape(-1, n, n)
+    S = np.einsum("kji,kjl->il", C.conj(), C)  # sum of c+ c
     # vec(A rho B) = (A kron B^T) vec(rho) for row-major vec
-    L = 1j * (np.kron(eye, H.T) - np.kron(H, eye))
-    for c in cs:
-        cd = c.conj().T
-        cdc = cd @ c
-        L += np.kron(c, cd.T) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    L = np.kron(-1j * H - 0.5 * S, eye) + np.kron(eye, (1j * H - 0.5 * S).T)
+    L += np.tensordot(C, C.conj(), axes=(0, 0)).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return L
 
 
@@ -289,16 +324,10 @@ def reachable_subspace(L: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float,
            samples: int) -> Trajectory:
-    """Propagate rho0 over the grid np.linspace(0, t_final, samples), in us.
+    """Propagate rho0, one density matrix or a stack, over linspace(0, t_final, samples) us.
 
-    rho0 is one density matrix (n, n) or a stack (..., n, n) sharing the
-    generator H with the collapse matrices cs; the returned states have
-    shape (..., samples, n, n).  The Liouvillian is built once and cut to
-    the entries reachable from the initial states, and all of them are
-    propagated as one block with one exact exponential for the grid step.
-    The snapshots are checked against the density-matrix invariants (a
-    violation beyond 10x tolerance aborts with diagnostics) and stored as
-    checked.  Output is deterministic for fixed inputs.
+    A generator with |Im| > HERMITICITY_TOL / t_final in real form is an IntegrationError;
+    so is a sample off unit trace or positivity by 10x tolerance, named by its time.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
@@ -308,48 +337,46 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, where=" (initial state)")
 
-    n = rho0.shape[-1]
-    stack = rho0.shape[:-2]
-    vec0 = rho0.reshape(-1, n * n)
-    # a non-finite or overflowing generator is reported as an IntegrationError
-    # here or by the invariant checks below, so numpy's warnings are just noise
+    vec0 = rho0.reshape(-1, rho0.shape[-1] ** 2)
+    # a non-finite or overflowing generator is an IntegrationError below; mute numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         L = liouvillian_matrix(H, cs)
-        idx = reachable_subspace(L, np.any(vec0 != 0, axis=0))
+        basis = RealBasis(L, np.any(vec0 != 0, axis=0))
+        # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones
+        Lr = basis.T @ L[np.ix_(basis.idx, basis.idx)] @ basis.T_inv
         try:
-            P = expm(L[np.ix_(idx, idx)] * t_grid[1])
+            P = expm(Lr.real * t_grid[1])
         except FloatingPointError as exc:
             raise IntegrationError(f"propagation failed: {exc}") from exc
+        drift = np.abs(Lr.imag).max() * t_final
+    if not drift <= HERMITICITY_TOL:
+        raise IntegrationError(f"generator breaks hermiticity: |Im L| t_final = "
+                               f"{drift:.3e} > {HERMITICITY_TOL:.0e}")
 
-    # y holds the reachable entries of every initial state, one per column
-    y = vec0[:, idx].T
-    states = np.zeros((vec0.shape[0], samples, n * n), dtype=complex)
-    states[:, 0, idx] = y.T
+    # U[i] holds the coordinates of every state at t_grid[i], one per column
+    U = np.empty((samples, len(basis.idx), vec0.shape[0]))
+    U[0] = (basis.T @ vec0[:, basis.idx].T).real
     for i in range(1, samples):
-        y = P @ y
-        states[:, i, idx] = y.T
-    states = states.reshape(*stack, samples, n, n)
+        np.matmul(P, U[i - 1], out=U[i])
     try:
-        check_density_matrix(states, herm_tol=10 * HERMITICITY_TOL,
-                             trace_tol=10 * TRACE_TOL,
-                             positivity_tol=10 * POSITIVITY_TOL)
+        basis.check(U.transpose(0, 2, 1), 10 * TRACE_TOL, 10 * POSITIVITY_TOL)
     except DensityMatrixError as exc:
-        t = t_grid[exc.index[-1]]
+        t = t_grid[exc.index[0]]
         raise IntegrationError(f"state invariants violated at t={t:g} us: {exc}") from exc
-    return Trajectory(times=t_grid, states=states)
+    coords = U.transpose(2, 0, 1).reshape(*rho0.shape[:-2], samples, len(basis.idx))
+    return Trajectory(times=t_grid, coords=coords, basis=basis)
 
 
-def population(rho: np.ndarray, psi: np.ndarray) -> float | np.ndarray:
-    """<psi|rho|psi> as a real population; broadcasts over stacks (..., n, n) and (..., n).
+def population(traj: Trajectory, psi: np.ndarray) -> np.ndarray:
+    """<psi|rho|psi> at every sample of traj, shape (..., len(times)); psi is (..., n).
 
-    Values within POSITIVITY_TOL of [0, 1] are clipped into it for
-    reporting; a larger excursion raises DensityMatrixError.
+    Values within POSITIVITY_TOL of [0, 1] are clipped; larger excursions raise DensityMatrixError.
     """
-    psi = np.asarray(psi, dtype=complex)
-    val = np.einsum("...i,...ij,...j->...", psi.conj(), np.asarray(rho), psi).real
+    psi, basis = np.asarray(psi, dtype=complex), traj.basis
+    w = ((psi[..., basis.r].conj() * psi[..., basis.c]) @ basis.T_inv).real
+    val = (traj.coords @ w[..., None])[..., 0]
     if not np.all((val >= -POSITIVITY_TOL) & (val <= 1.0 + POSITIVITY_TOL)):
         raise DensityMatrixError(
             f"population outside [0, 1] by more than {POSITIVITY_TOL:.0e}: "
             f"range [{np.min(val):.3e}, {np.max(val):.3e}]")
-    val = np.clip(val, 0.0, 1.0)
-    return float(val) if val.ndim == 0 else val
+    return np.clip(val, 0.0, 1.0)

@@ -3,6 +3,7 @@ import pytest
 
 from spincool.analysis import (
     BALANCE_TOL_MHZ,
+    TABLE1_RATIOS,
     AmbiguousOverlapError,
     BracketError,
     SaturationError,
@@ -14,7 +15,10 @@ from spincool.analysis import (
     min_omega_ps,
     scaled_constants_overlaps,
 )
-from spincool.srmodel import TWO_PI, BasisState, hamiltonian
+from spincool.lindblad import pure_density
+from spincool.srmodel import TWO_PI, BasisState, collapse_ops, hamiltonian, qubit_vectors
+
+from .oracles import one_shot_lindblad
 
 
 class TestDressedPair:
@@ -170,6 +174,17 @@ class TestSweeps:
     def test_rows_close_population_balance(self, sensitivity_rows, impurity_rows):
         for row in (*sensitivity_rows, *impurity_rows):
             assert row.notes["pop_total"] == pytest.approx(1.0, abs=1e-6), row.name
+
+    def test_table1_matches_one_shot_oracle_at_full_length(self, table1_rows, reference_params):
+        # 400 grid steps against one 169-dimensional exponential per ratio
+        p = reference_params
+        H, cs = hamiltonian(p), [c.matrix() for c in collapse_ops(p)]
+        assert [row.overrides["alpha_over_beta"] for row in table1_rows] == list(TABLE1_RATIOS)
+        for row in table1_rows:
+            psi0, psi_f, psi_perp = qubit_vectors(row.overrides["alpha_over_beta"], 1.0)
+            rho = one_shot_lindblad(pure_density(psi0), H, cs, [row.t_us])[0]
+            assert abs(row.fidelity - np.vdot(psi_f, rho @ psi_f).real) <= 1e-12
+            assert abs(row.pop_perp - np.vdot(psi_perp, rho @ psi_perp).real) <= 1e-12
 
 
 class TestScaledConstants:

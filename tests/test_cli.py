@@ -153,12 +153,16 @@ class TestSimulate:
         assert 0 <= summary["fidelity"] <= 1
 
     # each value is finite, but delta_pd + e_hf on the 1D2 F=11/2 diagonal
-    # is not after 2 pi scaling
+    # is not after 2 pi scaling; in the second case delta keeps the configured
+    # diagonal finite, and only the delta = 0 Hamiltonian that compute_nu and
+    # balance_omega_pd build overflows
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["simulate", "dressed", "balance"])
     def test_overflowing_hamiltonian_exit_2(self, tmp_path, capsys, command):
-        self._assert_fails(tmp_path, capsys, ["delta_pd=-2e307", "e_hf=-2e307"], 2,
-                           "config error: the model Hamiltonian is not finite", command)
+        for overrides in (["delta_pd=-2e307", "e_hf=-2e307"],
+                          ["delta_pd=-2.8e307", "e_hf=-1e306", "delta=2e307"]):
+            self._assert_fails(tmp_path, capsys, overrides, 2,
+                               "config error: the model Hamiltonian is not finite", command)
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         self._assert_fails(tmp_path, capsys, ["bogus=1"], 2, "config error")
@@ -286,10 +290,10 @@ class TestReproduce:
         assert "unknown key 'jobs'" in capsys.readouterr().err
 
 
-def _run_python(code: str) -> str:
+def _run_python(code: str, environ: dict[str, str] | None = None) -> str:
     """Run code in a fresh interpreter that imports this checkout; its stdout."""
     src = str(Path(spincool.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**(os.environ if environ is None else environ), "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout
 
@@ -344,6 +348,28 @@ class TestImports:
         assert codes == {" ".join(cmd): 0 for cmd in commands}
         assert (tmp_path / "transfer.svg").exists()
         assert (tmp_path / "isotopes.json").exists()
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreads:
+    @staticmethod
+    def _threads(module: str, **user: str) -> str:
+        """The three thread variables after importing module, starting from user's values."""
+        environ = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        code = f"import os, {module}; print([os.environ.get(v) for v in {THREAD_VARS!r}])"
+        return _run_python(code, {**environ, **user}).strip()
+
+    def test_cli_defaults_one_thread(self):
+        assert self._threads("spincool.cli") == "['1', '1', '1']"
+
+    def test_user_value_kept(self):
+        out = self._threads("spincool.cli", OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="2")
+        assert out == "['2', '1', '2']"
+
+    def test_library_import_leaves_threads_unset(self):
+        assert self._threads("spincool.lindblad") == "[None, None, None]"
 
 
 class TestSvgPlot:

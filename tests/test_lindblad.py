@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from spincool import lindblad
 from spincool.lindblad import (
     POSITIVITY_TOL,
     DensityMatrixError,
     IntegrationError,
+    RealBasis,
+    Trajectory,
     check_density_matrix,
     evolve,
     expm,
@@ -26,6 +29,7 @@ from spincool.srmodel import (
 )
 
 from .oracles import adaptive_lindblad, liouvillian_apply
+from .test_engine_properties import PROPERTY, physical_params
 
 GAMMA = 1.3  # rad/us, arbitrary two-level decay rate
 
@@ -82,10 +86,8 @@ class TestDensityMatrixChecks:
         # positive diagonal, eigenvalues 0.7, -0.1, 0.2: only the coherence
         # between levels 0 and 1 makes it fail
         top = np.array([[0.3, 0.4, 0.0], [0.4, 0.3, 0.0], [0.0, 0.0, 0.2]])
-        # the first matrix has no coherences: the blocks come from the whole stack
         mixed = np.diag([0.3, 0.3, 0.2, 0.1, 0.1]).astype(complex)
         stack = np.array([mixed, good, self._blocked(top, (0.1, 0.1)), good])
-        assert len(lindblad._blocks(stack)) == 3
         check_density_matrix(stack[:2])
         with pytest.raises(DensityMatrixError, match="negative eigenvalue -1.000e-01") as exc:
             check_density_matrix(stack)
@@ -104,7 +106,6 @@ class TestDensityMatrixChecks:
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        assert len(lindblad._blocks(rho)) == 1
         check_density_matrix(rho)
         w, v = np.linalg.eigh(rho)
         w[0] = -0.02
@@ -126,11 +127,16 @@ class TestDensityMatrixChecks:
                     check_density_matrix(rho)
 
 
-def _non_normal(n: int, seed: int) -> np.ndarray:
-    """Complex upper-triangular-dominated matrix with unit 1-norm."""
+def _non_normal(n: int, seed: int, real: bool = False) -> np.ndarray:
+    """Upper-triangular-dominated matrix with unit 1-norm, complex unless real."""
     rng = np.random.default_rng(seed)
-    m = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    m += 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+    def draw() -> np.ndarray:
+        x = rng.normal(size=(n, n))
+        return x if real else x + 1j * rng.normal(size=(n, n))
+
+    m = np.triu(draw())
+    m += 0.1 * draw()
     return m / np.abs(m).sum(axis=0).max()
 
 
@@ -157,6 +163,17 @@ class TestExpm:
             ref = np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=complex)
         err = np.abs(expm(A) - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
         assert err <= 1e-13
+
+    @pytest.mark.parametrize("scale", EXPM_SCALES)
+    def test_real_input_stays_real(self, scale):
+        import mpmath
+
+        A = scale * _non_normal(5, 7, real=True)
+        with mpmath.workdps(30):
+            ref = np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
+        got = expm(A)
+        assert got.dtype == np.float64
+        assert np.abs(got - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max() <= 1e-13
 
     def test_scales_cover_every_degree(self):
         plans = [_pade_plan(scale * _non_normal(5, seed))
@@ -352,33 +369,154 @@ class TestEvolve:
             evolve(rho0, H, [damping_op(gamma)], 1.0, 2)
 
 
+def static(rho: np.ndarray):
+    """Two samples of rho under the zero generator, whose propagator is exactly I."""
+    return evolve(rho, np.zeros(np.shape(rho)[-2:]), [], 1.0, 2)
+
+
 class TestPopulation:
     def test_pure_state(self):
         psi = np.array([1.0, 1.0j]) / math.sqrt(2)
-        assert population(pure_density(psi), psi) == pytest.approx(1.0)
+        assert population(static(pure_density(psi)), psi)[0] == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         rho = np.eye(13) / 13
         psi = np.zeros(13)
         psi[4] = 1.0
-        assert population(rho, psi) == pytest.approx(1 / 13)
+        assert population(static(rho), psi)[0] == pytest.approx(1 / 13)
 
     def test_clipping(self):
-        rho = np.diag([1.0 + 5e-9, -5e-9])
+        traj = static(np.diag([1.0 + 5e-9, -5e-9]))
         psi0 = np.array([1.0, 0.0])
         psi1 = np.array([0.0, 1.0])
-        assert population(rho, psi0) == 1.0
-        assert population(rho, psi1) == 0.0
+        assert population(traj, psi0)[0] == 1.0
+        assert population(traj, psi1)[0] == 0.0
 
     def test_excursion_beyond_tolerance_raises(self):
-        rho = np.diag([1.0 + 5e-8, -5e-8])
+        # a state within the positivity tolerance, read with vectors that
+        # scale its excursions beyond it
+        traj = static(np.diag([1.0 + 5e-9, -5e-9]))
         with pytest.raises(DensityMatrixError):
-            population(rho, np.array([0.0, 1.0]))
+            population(traj, np.array([0.0, 3.0]))
         with pytest.raises(DensityMatrixError):
-            population(rho, np.array([1.0, 0.0]))
+            population(traj, np.array([1.0 + 3e-8, 0.0]))
 
     def test_stacked(self):
-        rho = np.array([np.diag([0.25, 0.75]), np.diag([1.0, 0.0])])
+        traj = static(np.array([np.diag([0.25, 0.75]), np.diag([1.0, 0.0])]))
         psi = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert population(rho, psi).tolist() == [0.25, 0.0]
-        assert population(rho, psi[0]).tolist() == [0.25, 1.0]
+        assert population(traj, psi)[:, 0].tolist() == [0.25, 0.0]
+        assert population(traj, psi[0])[:, 0].tolist() == [0.25, 1.0]
+
+    def test_matches_full_states(self):
+        p = ModelParams()
+        psis = np.array([qubit_vectors(r, 1.0)[0] for r in (0.3, 4.0)])
+        traj = evolve(np.array([pure_density(v) for v in psis]), hamiltonian(p),
+                      collapse_matrices(p), 3.0, 7)
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=(3, 2, 13)) + 1j * rng.normal(size=(3, 2, 13))
+        psi /= 2 * np.linalg.norm(psi, axis=-1, keepdims=True)
+        want = np.einsum("jki,ktil,jkl->jkt", psi.conj(), traj.states, psi).real
+        assert np.abs(population(traj, psi) - want).max() <= 1e-15
+
+
+def reference_basis(p: ModelParams) -> tuple[np.ndarray, RealBasis]:
+    """The Liouvillian at p and the real basis of the clock-qubit subspace."""
+    L = liouvillian_matrix(hamiltonian(p), collapse_matrices(p))
+    return L, RealBasis(L, pure_density(qubit_vectors(1.0, 1.0)[0]).reshape(-1) != 0)
+
+
+def _supported(basis: RealBasis, rho: np.ndarray) -> np.ndarray:
+    """rho with every entry outside the index set zeroed."""
+    out = np.zeros(rho.size, dtype=complex)
+    out[basis.idx] = rho.reshape(-1)[basis.idx]
+    return out.reshape(rho.shape)
+
+
+class TestRealBasis:
+    def test_round_trip(self):
+        _, basis = reference_basis(ModelParams())
+        assert sorted(len(f) for f in basis.blocks) == [1, 1, 2, 9]
+        everything = np.arange(169).reshape(13, 13)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            a = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
+            rho = _supported(basis, a + a.conj().T)
+            u = basis.T @ rho.reshape(-1)[basis.idx]
+            assert np.all(u.imag == 0)
+            assert np.array_equal(basis.entries(u.real, everything)[0], rho)
+            assert np.array_equal(basis.T_inv @ u, rho.reshape(-1)[basis.idx])
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(),
+        ModelParams(delta_pd=-1750.0),
+        with_polarization_impurity(ModelParams(), 0.1),
+    ], ids=["reference", "delta_pd=-1750", "chi=0.1"])
+    def test_generator_is_exactly_real(self, p):
+        L, basis = reference_basis(p)
+        Lr = basis.T @ L[np.ix_(basis.idx, basis.idx)] @ basis.T_inv
+        assert np.all(Lr.imag == 0)
+        assert np.abs(Lr).max() > 1e3
+
+    @PROPERTY
+    @given(p=physical_params)
+    def test_generator_is_exactly_real_over_parameters(self, p):
+        L, basis = reference_basis(p)
+        assert np.all((basis.T @ L[np.ix_(basis.idx, basis.idx)] @ basis.T_inv).imag == 0)
+
+    @staticmethod
+    def _stack(basis: RealBasis, bad: np.ndarray) -> np.ndarray:
+        """Coordinates (3, 2, m) of a mixed state, with `bad` at stack index (2, 1)."""
+        good = np.diag(np.full(13, 1 / 13))
+        u = np.array([[(basis.T @ good.reshape(-1)[basis.idx]).real] * 2] * 3)
+        u[2, 1] = (basis.T @ bad.reshape(-1)[basis.idx]).real
+        return u
+
+    def test_negative_eigenvalue_inside_nine_level_block(self):
+        _, basis = reference_basis(ModelParams())
+        block = next(f for f in basis.blocks if len(f) == 9)
+        a, b = block[0, 0] // 13, block[-1, -1] // 13
+        bad = np.diag(np.full(13, 1 / 13)).astype(complex)
+        # eigenvalues 1/13 -+ |x| on levels a, b: x = 1/13 + 0.1 leaves one at -0.1
+        bad[a, b] = (1 / 13 + 0.1) * (0.6 + 0.8j)
+        bad[b, a] = np.conj(bad[a, b])
+        u = self._stack(basis, bad)
+        basis.check(u[:2], 1e-8, 1e-7)
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue -1.000e-01") as exc:
+            basis.check(u, 1e-8, 1e-7)
+        assert exc.value.index == (2, 1)
+
+    def test_negative_eigenvalue_in_one_level_block(self):
+        _, basis = reference_basis(ModelParams())
+        lone = [f[0, 0] // 13 for f in basis.blocks if len(f) == 1]
+        bad = np.diag(np.full(13, 1 / 13))
+        bad[lone[0], lone[0]] -= 1 / 13 + 0.05
+        bad[lone[1], lone[1]] += 1 / 13 + 0.05
+        u = self._stack(basis, bad)
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue -5.000e-02") as exc:
+            basis.check(u, 1e-8, 1e-7)
+        assert exc.value.index == (2, 1)
+
+    def test_trace_deviation_names_stack_index(self):
+        _, basis = reference_basis(ModelParams())
+        u = self._stack(basis, np.diag(np.full(13, 1.001 / 13)))
+        with pytest.raises(DensityMatrixError, match="trace deviation 1.000e-03") as exc:
+            basis.check(u, 1e-8, 1e-7)
+        assert exc.value.index == (2, 1)
+
+
+def test_sweeps_and_cli_never_build_full_states(monkeypatch, tmp_path):
+    from spincool.analysis import cool, table1_sweep
+    from spincool.cli import main
+
+    builds = []
+    full = Trajectory.states
+    monkeypatch.setattr(Trajectory, "states",
+                        property(lambda traj: builds.append(traj) or full.fget(traj)))
+    p = ModelParams()
+    table1_sweep(p, ratios=(0.5, 2.0), t_final=2.0)
+    res = cool(1.0, 1.0, p, t_final=2.0, samples=11)
+    for cmd in (["simulate"], ["reproduce", "table1"]):
+        assert main(["--out", str(tmp_path), "--set", "t_final=2.0", *cmd]) == 0
+    assert builds == []
+    assert res.trajectory.states.shape == (11, 13, 13)
+    assert len(builds) == 1
