@@ -520,3 +520,40 @@ def test_sweeps_and_cli_never_build_full_states(monkeypatch, tmp_path):
     assert builds == []
     assert res.trajectory.states.shape == (11, 13, 13)
     assert len(builds) == 1
+
+
+class TestStreamedCheck:
+    """evolve steps and checks its samples in runs of about _CHECK_STATES states."""
+
+    RATIOS = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+
+    def _stack(self, p: ModelParams):
+        rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in self.RATIOS])
+        return rho0, hamiltonian(p), collapse_matrices(p)
+
+    def test_failure_names_the_absolute_sample_and_stops_stepping(self, monkeypatch):
+        # a 10 THz drive fails the trace check first at sample 59, in the second
+        # run of 42 samples: t and the stack index must count from the grid's start
+        calls = []
+        check = RealBasis.check
+        monkeypatch.setattr(RealBasis, "check",
+                            lambda self, u, *tols: calls.append(u.shape[0]) or check(self, u, *tols))
+        rows = max(1, lindblad._CHECK_STATES // len(self.RATIOS))
+        with pytest.raises(IntegrationError) as info:
+            evolve(*self._stack(ModelParams(omega_ps=1e13)), 2.0, 4001)
+        assert str(info.value) == ("state invariants violated at t=0.0295 us: trace deviation "
+                                   "1.005e-08 > 1e-08 at stack index (59, 0)")
+        assert len(calls) == 59 // rows + 1
+        assert calls == [rows] * len(calls)
+
+    def test_peak_memory_is_bounded_by_the_coordinates(self):
+        import tracemalloc
+
+        args = self._stack(ModelParams())
+        tracemalloc.start()
+        try:
+            traj = evolve(*args, 20.0, 4001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= traj.coords.nbytes + 4 * 2**20
