@@ -153,13 +153,16 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
 
     Bisection of the level difference to 1e-6 MHz; the result depends on
     delta_pd (a different detuning balances at a different Rabi frequency).
+    A bracket that is not finite with lo < hi is a BracketError.
     """
+    lo, hi = bracket
+    if not (np.isfinite(bracket).all() and lo < hi):
+        raise BracketError(f"bracket [{lo}, {hi}] is not finite with lo < hi")
 
     def imbalance(omega_pd: float) -> float:
         pair = dressed_pair(p.replace(omega_pd=omega_pd, delta=0.0))
         return pair.energy_up - pair.energy_down
 
-    lo, hi = bracket
     f_lo, f_hi = imbalance(lo), imbalance(hi)
     if not np.isfinite(f_lo) or not np.isfinite(f_hi) or f_lo * f_hi > 0:
         raise BracketError(
@@ -259,9 +262,7 @@ def _endpoint_population_total(res: CoolingResult) -> float:
     named series omit.
     """
     obs = res.trajectory.observables
-    named = sum(obs[k][-1] for k in ("pop_psi0", "pop_psif", "pop_perp",
-                                    "pop_reservoir", "pop_1P1_total",
-                                    "pop_1D2_total", "pop_6s"))
+    named = sum(values[-1] for values in obs.values())
     diag = res.trajectory.diagonal[-1]
     clock = diag[BasisState.CLOCK_UP] + diag[BasisState.CLOCK_DOWN]
     return named + (clock - obs["pop_psi0"][-1])
@@ -323,11 +324,13 @@ def sensitivity_suite(p: ModelParams) -> list[SweepRow]:
     return rows
 
 
-def impurity_sweep(p: ModelParams, chis=(0.0, 0.01, 0.1),
-                   t_final: float = 20.0) -> list[SweepRow]:
+_IMPURITY_CHIS = (0.0, 0.01, 0.1)
+
+
+def impurity_sweep(p: ModelParams, t_final: float = 20.0) -> list[SweepRow]:
     """Cooling fidelity under dressing-laser polarization impurity."""
     rows = []
-    for chi in chis:
+    for chi in _IMPURITY_CHIS:
         res = cool(1.0, 1.0, with_polarization_impurity(p, chi),
                    t_final=t_final)
         rows.append(SweepRow(name=f"chi={chi:g}", overrides={"chi": chi},
@@ -348,31 +351,33 @@ def scaled_constants_overlaps(scale: float, p: ModelParams | None = None
     return pair.overlap_up, pair.overlap_down
 
 
-def _reduced_overlap(I: HalfInt, A: float, Q: float, omega_ps: float) -> float:
-    """Overlap of the |mJ=-1, mI=1-I> dressed eigenstate in the reduced model.
+def _reduced_overlap(I: HalfInt, A: float, Q: float) -> Callable[[float], float]:
+    """Overlap of the |mJ=-1, mI=1-I> dressed eigenstate in the reduced model, per omega_ps.
 
     The reduced model is the full J=1 hyperfine manifold plus one auxiliary
     level resonantly coupled to |mJ=0, mI=-I> at omega_ps/2, which is the
     minimal description of the spin-mixing suppression for species where
-    only the lowest-1P1 hyperfine constants are known.
+    only the lowest-1P1 hyperfine constants are known.  The hyperfine block
+    is built once; each call of the returned function sets the coupling.
     """
     space = SpinSpace(I, HalfInt(2))
-    h = hf_matrix(HyperfineConstants(A, Q), space)
     basis = space.basis()
     idx_up = basis.index((HalfInt(-2), HalfInt(-I.twice + 2)))
     idx_target = basis.index((HalfInt(0), HalfInt(-I.twice)))
     n = len(basis)
     H = np.zeros((n + 1, n + 1))
-    H[:n, :n] = h
-    H[n, idx_target] = H[idx_target, n] = omega_ps / 2
-    energies, vectors = np.linalg.eigh(H)
-    k = int(np.argmax(np.abs(vectors[idx_up, :])))
-    return float(abs(vectors[idx_up, k]))
+    H[:n, :n] = hf_matrix(HyperfineConstants(A, Q), space)
+
+    def overlap(omega_ps: float) -> float:
+        H[n, idx_target] = H[idx_target, n] = omega_ps / 2
+        return float(np.abs(np.linalg.eigh(H)[1][idx_up]).max())
+
+    return overlap
 
 
 def min_omega_ps(I, A: float, Q: float, threshold: float = 0.99,
-                 cap_mhz: float = 20000.0, tol_mhz: float = 0.5) -> float:
-    """Smallest omega_ps (MHz) keeping the spin-mixing overlap above threshold.
+                 cap_mhz: float = 20000.0) -> float:
+    """Smallest omega_ps (MHz), to 0.5 MHz, keeping the spin-mixing overlap above threshold.
 
     Bisects the reduced-model overlap, which grows monotonically with the
     dressing strength.  Raises SaturationError when even cap_mhz is not
@@ -380,12 +385,11 @@ def min_omega_ps(I, A: float, Q: float, threshold: float = 0.99,
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
-    I = HalfInt.coerce(I)
-    best = _reduced_overlap(I, A, Q, cap_mhz)
+    overlap = _reduced_overlap(HalfInt.coerce(I), A, Q)
+    best = overlap(cap_mhz)
     if best < threshold:
         raise SaturationError(threshold, cap_mhz, best)
-    return _bisect(lambda x: _reduced_overlap(I, A, Q, x) >= threshold,
-                   0.0, cap_mhz, tol_mhz)[1]
+    return _bisect(lambda x: overlap(x) >= threshold, 0.0, cap_mhz, 0.5)[1]
 
 
 # (label, I, A/MHz, Q/MHz) for the species with a compatible level scheme
@@ -398,8 +402,8 @@ ISOTOPE_CASES: tuple[tuple[str, HalfInt, float, float], ...] = (
 )
 
 
-def isotope_table(threshold: float = 0.99) -> list[dict]:
-    """Minimal spin-mixing-suppression Rabi frequency for each candidate species."""
+def isotope_table() -> list[dict]:
+    """Minimal spin-mixing-suppression Rabi frequency (overlap 0.99) for each candidate species."""
     out = []
     for name, I, A, Q in ISOTOPE_CASES:
         out.append({
@@ -407,6 +411,6 @@ def isotope_table(threshold: float = 0.99) -> list[dict]:
             "twice_I": I.twice,
             "A_mhz": A,
             "Q_mhz": Q,
-            "min_omega_ps_mhz": min_omega_ps(I, A, Q, threshold=threshold),
+            "min_omega_ps_mhz": min_omega_ps(I, A, Q),
         })
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 
-@total_ordering
 @dataclass(frozen=True)
 class HalfInt:
     """An exact integer or half-integer quantum number, stored as twice its value."""
@@ -56,26 +55,17 @@ class HalfInt:
     def value(self) -> float:
         return self.twice / 2.0
 
-    def __float__(self) -> float:
-        return self.value
-
     def __add__(self, other) -> "HalfInt":
         return HalfInt(self.twice + HalfInt.coerce(other).twice)
 
     def __sub__(self, other) -> "HalfInt":
         return HalfInt(self.twice - HalfInt.coerce(other).twice)
 
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
     def __eq__(self, other) -> bool:
         try:
             return self.twice == HalfInt.coerce(other).twice
         except (TypeError, ValueError):
             return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return self.twice < HalfInt.coerce(other).twice
 
     def __hash__(self) -> int:
         return hash(("HalfInt", self.twice))
@@ -216,16 +206,16 @@ class XiFactors:
     xi3: float  # F=11/2, mF=-11/2  <-  mJ=-1, spin up
 
 
-def dressing_amplitude(F, mF, mJ, mI, *, I=HalfInt(9), J=HalfInt(4)) -> float:
-    """Un-normalized sigma-minus dipole amplitude <F mF | d_{-} | mJ mI>.
+def dressing_amplitude(F, mF, mJ, mI) -> float:
+    """Un-normalized sigma-minus dipole amplitude <F mF | d_{-} | mJ mI> in 87Sr.
 
     Photon removes one unit of z-projection from the J=1 electron state; the
-    electron lands in the J'=J manifold which is then coupled to the nuclear
-    spin I to form F.
+    electron lands in the J'=2 manifold which is then coupled to the nuclear
+    spin I=9/2 to form F.
     """
     F, mF = HalfInt.coerce(F), HalfInt.coerce(mF)
     mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
-    I, J = HalfInt.coerce(I), HalfInt.coerce(J)
+    I, J = HalfInt(9), HalfInt(4)
     mJp = mJ - HalfInt(2)  # mJ - 1
     if abs(mJp.twice) > J.twice:
         return 0.0
@@ -234,7 +224,6 @@ def dressing_amplitude(F, mF, mJ, mI, *, I=HalfInt(9), J=HalfInt(4)) -> float:
 
 def xi_factors() -> XiFactors:
     """Angular factors for the 87Sr dressing laser (I=9/2, J=1 -> J'=2, sigma-minus)."""
-    I = HalfInt(9)
     up = HalfInt(-7)    # mI = -7/2
     down = HalfInt(-9)  # mI = -9/2
     ref = dressing_amplitude(HalfInt(13), HalfInt(-13), HalfInt(-2), down)

@@ -57,13 +57,9 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-_TRAJECTORY_COLS = ("pop_psi0", "pop_psif", "pop_perp", "pop_reservoir",
-                    "pop_1P1_total", "pop_1D2_total", "pop_6s")
-
-
 def _trajectory_csv(traj) -> str:
-    series = [traj.observables[c] for c in _TRAJECTORY_COLS]
-    return _csv("trajectory", ("t_us", *_TRAJECTORY_COLS), zip(traj.times, *series))
+    obs = traj.observables
+    return _csv("trajectory", ("t_us", *obs), zip(traj.times, *obs.values()))
 
 
 def _write_sweep(out_dir: str, stem: str, kind: str, cols, rows, records) -> None:
@@ -280,6 +276,13 @@ def main(argv: list[str] | None = None) -> int:
     if not args.out:
         # an empty directory would put every output at the filesystem root
         print("config error: --out must not be empty", file=sys.stderr)
+        return EXIT_CONFIG
+    # the writes create --out below its nearest existing path, which must be a directory
+    existing = args.out
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        print(f"config error: --out {args.out}: {existing} is not a directory", file=sys.stderr)
         return EXIT_CONFIG
     try:
         cfg = load_run_config(args.config, args.set)

@@ -28,7 +28,7 @@ class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
 
 
-_MODEL_KEYS = tuple(f.name for f in fields(ModelParams) if f.name != "xi")
+_MODEL_KEYS = tuple(f.name for f in fields(ModelParams))
 
 _RUN_KEYS = ("alpha", "beta", "t_final", "samples")
 
@@ -97,7 +97,7 @@ def load_run_config(path: str | None = None,
         try:
             with open(path, encoding="utf-8") as fh:
                 values.update(parse_config_text(fh.read(), source=path))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides or []:
         if "=" not in item:

@@ -54,10 +54,6 @@ class SpinSpace:
         if self.I.twice < 0 or self.J.twice < 0:
             raise ValueError("I and J must be non-negative")
 
-    @property
-    def dim(self) -> int:
-        return (self.I.twice + 1) * (self.J.twice + 1)
-
     def basis(self) -> list[tuple[HalfInt, HalfInt]]:
         """(mJ, mI) pairs in lexicographic order: mJ ascending, mI ascending within."""
         return [

@@ -207,10 +207,13 @@ def liouvillian_matrix(H: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:
     return L
 
 
-# theta_m (Higham 2005): the largest norm at which the degree-m diagonal Pade
-# approximant still has a backward error bound below unit roundoff
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+# theta_13 (Higham 2005): the largest norm at which the degree-13 diagonal
+# Pade approximant still has a backward error bound below unit roundoff
+_THETA_13 = 4.25
+
+# b_0..b_13 of the degree-13 diagonal Pade approximant to exp, b_13 = 1
+_PADE_13 = [math.factorial(26 - j) / (math.factorial(j) * math.factorial(13 - j))
+            for j in range(14)]
 
 
 def _onenorm(A: np.ndarray) -> float:
@@ -220,18 +223,13 @@ def _onenorm(A: np.ndarray) -> float:
     return norm
 
 
-def _pade_coefficients(m: int) -> list[float]:
-    """Coefficients b_0..b_m of the degree-m diagonal Pade approximant to exp, b_m = 1."""
-    f = math.factorial
-    return [f(2 * m - j) / (f(j) * f(m - j)) for j in range(m + 1)]
+def _ell(A: np.ndarray) -> int:
+    """Squarings to add so the degree-13 backward error bound falls below unit roundoff.
 
-
-def _ell(A: np.ndarray, m: int) -> int:
-    """Squarings to add so the degree-m backward error bound falls below unit roundoff.
-
-    Al-Mohy & Higham (2009), eq. (5.1); ||(|A|)^(2m+1)||_1 is exact, as the
-    column sums of a nonnegative matrix power.
+    Al-Mohy & Higham (2009), eq. (5.1) with m = 13; ||(|A|)^27||_1 is exact, as
+    the column sums of a nonnegative matrix power.
     """
+    m = 13
     abs_a = np.abs(A)
     v = np.ones(A.shape[0])
     for _ in range(2 * m + 1):
@@ -244,64 +242,47 @@ def _ell(A: np.ndarray, m: int) -> int:
     return max(0, math.ceil(math.log2(alpha / 2.0 ** -53) / (2 * m)))
 
 
-def _pade_degree(A: np.ndarray, powers: list[np.ndarray]) -> tuple[int, int]:
-    """Pade degree m and squarings s for A (Al-Mohy & Higham 2009, Algorithm 6.1).
+def _squarings(A: np.ndarray, A4: np.ndarray, A6: np.ndarray) -> int:
+    """Squarings s for the degree-13 approximant of A (Al-Mohy & Higham 2009, Algorithm 6.1).
 
-    powers holds I, A^2, A^4, A^6 and gains A^8 once degrees 7 and 9 are
-    tried; d_p = ||A^p||^(1/p) uses exact 1-norms of the even powers.
+    d_p = ||A^p||^(1/p) uses exact 1-norms of the even powers A^6, A^8, A^10.
     """
-    d4 = _onenorm(powers[2]) ** (1 / 4)
-    d6 = _onenorm(powers[3]) ** (1 / 6)
-    eta = max(d4, d6)
-    for m in (3, 5):
-        if eta <= _PADE_THETA[m] and _ell(A, m) == 0:
-            return m, 0
-    powers.append(powers[2] @ powers[2])
-    d8 = _onenorm(powers[4]) ** (1 / 8)
-    eta = max(d6, d8)
-    for m in (7, 9):
-        if eta <= _PADE_THETA[m] and _ell(A, m) == 0:
-            return m, 0
-    d10 = _onenorm(powers[2] @ powers[3]) ** (1 / 10)
-    eta = min(eta, max(d8, d10))
-    s = max(0, math.ceil(math.log2(eta / _PADE_THETA[13]))) if eta > 0 else 0
-    return 13, s + _ell(A * 2.0 ** -s, 13)
+    d6 = _onenorm(A6) ** (1 / 6)
+    d8 = _onenorm(A4 @ A4) ** (1 / 8)
+    d10 = _onenorm(A4 @ A6) ** (1 / 10)
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(0, math.ceil(math.log2(eta / _THETA_13))) if eta > 0 else 0
+    return s + _ell(A * 2.0 ** -s)
 
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential by Pade scaling and squaring.
 
-    Higham (2005) with the degree and scaling choice of Al-Mohy & Higham
-    (2009), the method of scipy.linalg.expm: exp(A) = r_m(A / 2^s)^(2^s)
-    with r_m = (V - U)^-1 (V + U), U and V the odd and even parts of the
-    degree-m Pade numerator.  A non-finite input, or a power of A that
-    overflows, raises FloatingPointError.
+    Higham (2005) with the scaling choice of Al-Mohy & Higham (2009), the
+    degree-13 branch of scipy.linalg.expm: exp(A) = r_13(A / 2^s)^(2^s) with
+    r_13 = (V - U)^-1 (V + U), U and V the odd and even parts of the degree-13
+    Pade numerator.  A non-finite input, or a power of A that overflows,
+    raises FloatingPointError.
     """
     A = np.asarray(A)
     if not np.isfinite(A).all():
         raise FloatingPointError("matrix exponential of a non-finite matrix")
+    I = np.eye(A.shape[0], dtype=A.dtype)
     A2 = A @ A
-    powers = [np.eye(A.shape[0], dtype=A.dtype), A2, A2 @ A2]
-    powers.append(powers[2] @ A2)
-    m, s = _pade_degree(A, powers)
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    s = _squarings(A, A4, A6)
     if s:
-        A = A * 2.0 ** -s
-        powers = [P * 2.0 ** (-2 * k * s) for k, P in enumerate(powers)]
-    b = _pade_coefficients(m)
-    if m == 13:
-        I, A2, A4, A6 = powers[:4]
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-    else:
-        terms = range((m + 1) // 2)
-        U = A @ sum(b[2 * k + 1] * powers[k] for k in terms)
-        V = sum(b[2 * k] * powers[k] for k in terms)
-    # r_m = I + 2 (V - U)^-1 U: only the correction to I carries rounding
+        A, A2, A4, A6 = (P * 2.0 ** (-k * s) for k, P in ((1, A), (2, A2), (4, A4), (6, A6)))
+    b = _PADE_13
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    # r_13 = I + 2 (V - U)^-1 U: only the correction to I carries rounding
     # error, so the trace a Liouvillian propagator keeps is not biased by the
     # solve (that bias would grow 2^s-fold in the squarings)
-    X = np.linalg.solve(V - U, 2 * U) + powers[0]
+    X = np.linalg.solve(V - U, 2 * U) + I
     for _ in range(s):
         X = X @ X
     return X

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .angmom import HalfInt, XiFactors, xi_factors
+from .angmom import HalfInt, xi_factors
 from .constants import SR87_NUCLEAR_MOMENT, SR87_TWICE_I
 from .hyperfine import HyperfineConstants, SpinSpace, ZeemanParams, hf_element, zeeman_diag
 
@@ -41,6 +41,8 @@ DIM = 13
 I_SR = HalfInt(SR87_TWICE_I)   # 9/2
 MI_UP = HalfInt(-7)            # mI = -7/2
 MI_DOWN = HalfInt(-9)          # mI = -9/2
+
+XI = xi_factors()  # relative strengths of the four weaker dressing couplings
 
 
 class BasisState(IntEnum):
@@ -116,15 +118,12 @@ class ModelParams:
     a_1p1: float = -3.4           # 1P1 hyperfine A
     q_1p1: float = 39.0           # 1P1 hyperfine Q
     e_hf: float = 1300.0          # 1D2 F-splitting entering the detuning ladder
-    xi: XiFactors = field(default_factory=xi_factors)
 
     def __post_init__(self):
         for name in ("gamma_p", "gamma_s", "gamma_d"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for f in dataclasses.fields(self):
-            if f.name == "xi":
-                continue
             # assembly multiplies by 2pi, which must stay finite too
             if not math.isfinite(TWO_PI * getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite (also after 2pi scaling)")
@@ -197,10 +196,10 @@ def hamiltonian(p: ModelParams) -> np.ndarray:
         H[j, i] += omega / 2
 
     couple(B.D2_F13_STRETCH, B.P1_M1_DOWN, p.omega_pd)
-    couple(B.D2_F13_M11, B.P1_0_DOWN, p.xi.xi0 * p.omega_pd)
-    couple(B.D2_F13_M11, B.P1_M1_UP, p.xi.xi1 * p.omega_pd)
-    couple(B.D2_F11_M11, B.P1_0_DOWN, p.xi.xi2 * p.omega_pd)
-    couple(B.D2_F11_M11, B.P1_M1_UP, p.xi.xi3 * p.omega_pd)
+    couple(B.D2_F13_M11, B.P1_0_DOWN, XI.xi0 * p.omega_pd)
+    couple(B.D2_F13_M11, B.P1_M1_UP, XI.xi1 * p.omega_pd)
+    couple(B.D2_F11_M11, B.P1_0_DOWN, XI.xi2 * p.omega_pd)
+    couple(B.D2_F11_M11, B.P1_M1_UP, XI.xi3 * p.omega_pd)
     couple(B.S6_DOWN, B.P1_0_DOWN, p.omega_ps)
     couple(B.P1_M1_UP, B.CLOCK_UP, p.omega_eff)
     couple(B.P1_M1_DOWN, B.CLOCK_DOWN, p.omega_eff)

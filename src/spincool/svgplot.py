@@ -29,18 +29,18 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def line_plot(series: list[tuple[str, list[float], list[float]]], *,
               xlabel: str = "", ylabel: str = "", title: str = "",
-              log_y: bool = False, width: int = 640, height: int = 420,
-              y_floor: float = 1e-12) -> str:
-    """Render named (x, y) series as an SVG string.
+              log_y: bool = False) -> str:
+    """Render named (x, y) series as a 640x420 SVG string.
 
-    With log_y, values at or below y_floor are clamped to the floor before
+    With log_y, values at or below 1e-12 are clamped to that floor before
     taking log10.
     """
+    width, height = 640, 420
     ml, mr, mt, mb = 62, 16, 28, 46
     pw, ph = width - ml - mr, height - mt - mb
 
     def ty(v: float) -> float:
-        return math.log10(max(v, y_floor)) if log_y else v
+        return math.log10(max(v, 1e-12)) if log_y else v
 
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [ty(y) for _, _, ys in series for y in ys]

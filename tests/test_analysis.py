@@ -223,6 +223,6 @@ class TestMinOmegaPs:
     def test_monotone_in_strength(self):
         from spincool.analysis import _reduced_overlap
         from spincool.angmom import HalfInt
-        values = [_reduced_overlap(HalfInt(1), -213.0, 0.0, om)
-                  for om in (500.0, 1000.0, 2000.0, 4000.0)]
+        overlap = _reduced_overlap(HalfInt(1), -213.0, 0.0)
+        values = [overlap(om) for om in (500.0, 1000.0, 2000.0, 4000.0)]
         assert values == sorted(values)

@@ -46,6 +46,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_run_config("/nonexistent/config.txt")
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("delta = 1.0  # \u00e9\n".encode("latin-1"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "dressed"]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_overrides_apply(self):
         cfg = load_run_config(None, ["omega_eff=2.0", "beta=0.5"])
         assert cfg.params.omega_eff == 2.0
@@ -207,6 +213,14 @@ class TestBalance:
         assert rc == 2
         assert "no sign change" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bracket", [("nan", "300"), ("50", "inf"), ("300", "50")],
+                             ids=" ".join)
+    def test_malformed_bracket_exit_2(self, tmp_path, capsys, bracket):
+        rc = main(["--out", str(tmp_path), "balance", "--bracket", *bracket])
+        assert rc == 2
+        assert "not finite with lo < hi" in capsys.readouterr().err
+        assert not (tmp_path / "balance.json").exists()
+
 
 class TestDressed:
     def test_prints_overlaps(self, capsys):
@@ -244,6 +258,19 @@ class TestEmptyOut:
         assert main(["--out", "", *FAST, *argv]) == 2
         assert writes == []
         assert "--out must not be empty" in capsys.readouterr().err
+
+
+class TestOutNotDirectory:
+    @pytest.mark.parametrize("below", ["", "sub", "sub/dir"])
+    def test_rejected_before_any_write(self, tmp_path, monkeypatch, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        writes = []
+        monkeypatch.setattr(cli, "atomic_write_text", lambda path, text: writes.append(path))
+        assert main(["--out", str(taken / below), *FAST, "simulate"]) == 2
+        assert writes == []
+        assert taken.read_text() == "keep\n"
+        assert f"{taken} is not a directory" in capsys.readouterr().err
 
 
 class TestReproduce:

@@ -6,6 +6,7 @@ import pytest
 from spincool.config import RunConfig, load_run_config
 from spincool.srmodel import (
     TWO_PI,
+    XI,
     BasisState,
     CollapseOp,
     ModelParams,
@@ -164,9 +165,13 @@ class TestPolarizationImpurity:
         base = ModelParams()
         p = with_polarization_impurity(base, 0.01)
         assert p.omega_pd == pytest.approx(0.9 * base.omega_pd)
-        for name in ("xi0", "xi1", "xi2", "xi3"):
-            product = getattr(p.xi, name) * p.omega_pd
-            assert product == pytest.approx(0.9 * getattr(base.xi, name) * base.omega_pd)
+        H, H0 = hamiltonian(p), hamiltonian(base)
+        for (i, j), xi in (((B.D2_F13_M11, B.P1_0_DOWN), XI.xi0),
+                           ((B.D2_F13_M11, B.P1_M1_UP), XI.xi1),
+                           ((B.D2_F11_M11, B.P1_0_DOWN), XI.xi2),
+                           ((B.D2_F11_M11, B.P1_M1_UP), XI.xi3)):
+            assert H[i, j] == pytest.approx(TWO_PI * xi * p.omega_pd / 2)
+            assert H[i, j] == pytest.approx(0.9 * H0[i, j])
 
     def test_dressing_chi_ten_percent(self):
         p = with_polarization_impurity(ModelParams(), 0.1)
