@@ -10,13 +10,13 @@ the parameter-sensitivity and cross-isotope estimates.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .angmom import HalfInt
 from .hyperfine import HyperfineConstants, SpinSpace, hf_matrix
-from .lindblad import Trajectory, evolve, population, pure_density
+from .lindblad import DensityMatrixError, Trajectory, evolve, population, pure_density
 from .srmodel import (
     TWO_PI,
     BasisState,
@@ -37,6 +37,7 @@ __all__ = [
     "SaturationError",
     "dressed_pair",
     "compute_nu",
+    "nu_or_imbalance",
     "balance_omega_pd",
     "cool",
     "table1_sweep",
@@ -95,13 +96,14 @@ class DressedPair:
 
 @dataclass
 class CoolingResult:
-    """Endpoint figures of one cooling run plus the sampled trajectory."""
+    """Endpoint figures of one cooling run, its named population series and trajectory."""
 
     fidelity: float
     pop_perp: float
     pop_reservoir: float
     pop_residual_clock: float
     trajectory: Trajectory
+    series: dict[str, np.ndarray]
 
 
 def dressed_pair(p: ModelParams) -> DressedPair:
@@ -148,6 +150,14 @@ def compute_nu(p: ModelParams) -> float:
     return 0.5 * (pair.energy_up + pair.energy_down)
 
 
+def nu_or_imbalance(p: ModelParams) -> tuple[float | None, float | None]:
+    """(nu, None) when the dressed pair is balanced, else (None, |imbalance|), in MHz."""
+    try:
+        return compute_nu(p), None
+    except UnbalancedError as exc:
+        return None, abs(exc.imbalance_mhz)
+
+
 def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0)) -> float:
     """Dressing Rabi frequency (MHz) that makes the two dressed levels degenerate.
 
@@ -192,6 +202,7 @@ _GROUP_SERIES = {
     "pop_1D2_total": list(D2_STATES),
     "pop_6s": [BasisState.S6_DOWN],
 }
+_SERIES_TOL = 1e-8
 
 
 def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
@@ -210,20 +221,21 @@ def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
     series["pop_reservoir"] = diag[..., BasisState.RESERVOIR]
     for name, group in _GROUP_SERIES.items():
         series[name] = diag[..., group].sum(axis=-1)
+    for name, values in series.items():
+        low, high = values.min(), values.max()
+        # not (x <= tol) also flags NaN
+        if not (-low <= _SERIES_TOL and high - 1 <= _SERIES_TOL):
+            raise DensityMatrixError(f"series {name!r} outside [0, 1]: "
+                                     f"range [{low:.3e}, {high:.3e}]")
 
-    results = []
-    for k in range(len(amplitudes)):
-        traj = Trajectory(times=run.times, coords=run.coords[k], basis=run.basis)
-        for name, values in series.items():
-            traj.add_population_series(name, values[k])
-        results.append(CoolingResult(
-            fidelity=float(series["pop_psif"][k, -1]),
-            pop_perp=float(series["pop_perp"][k, -1]),
-            pop_reservoir=float(series["pop_reservoir"][k, -1]),
-            pop_residual_clock=float(series["pop_psi0"][k, -1]),
-            trajectory=traj,
-        ))
-    return results
+    return [CoolingResult(
+        fidelity=float(series["pop_psif"][k, -1]),
+        pop_perp=float(series["pop_perp"][k, -1]),
+        pop_reservoir=float(series["pop_reservoir"][k, -1]),
+        pop_residual_clock=float(series["pop_psi0"][k, -1]),
+        trajectory=Trajectory(times=run.times, coords=run.coords[k], basis=run.basis),
+        series={name: values[k] for name, values in series.items()},
+    ) for k in range(len(amplitudes))]
 
 
 def cool(alpha: complex, beta: complex, p: ModelParams, t_final: float = 20.0,
@@ -232,7 +244,7 @@ def cool(alpha: complex, beta: complex, p: ModelParams, t_final: float = 20.0,
 
     Reports the overlap with the ground-manifold target at t_final together
     with the leakage populations (orthogonal qubit state, reservoir,
-    residual clock) and a trajectory carrying the standard named series.
+    residual clock), the named population series and the trajectory.
     """
     return _cool_many([(alpha, beta)], p, t_final, samples)[0]
 
@@ -246,26 +258,24 @@ class SweepRow:
     t_us: float
     fidelity: float
     pop_perp: float
-    notes: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "overrides": self.overrides, "t_us": self.t_us,
-                "fidelity": self.fidelity, "pop_perp": self.pop_perp,
-                "notes": self.notes}
+    notes: dict[str, float]
 
 
-def _endpoint_population_total(res: CoolingResult) -> float:
-    """Sum of the named endpoint series plus the orthogonal clock residual.
+def _row(name: str, overrides: dict[str, float], res: CoolingResult, i: int = -1,
+         **notes: float) -> SweepRow:
+    """The sweep row of res read at sample i, with notes and the population total.
 
-    Equals the state trace (1) when the series cover the full space; the
-    clock complement of the initial superposition is the only state the
-    named series omit.
+    pop_total sums the named series and the orthogonal clock residual: it equals
+    the state trace (1) when the series cover the full space, the clock
+    complement of the initial superposition being the only state they omit.
     """
-    obs = res.trajectory.observables
-    named = sum(values[-1] for values in obs.values())
-    diag = res.trajectory.diagonal[-1]
+    series = res.series
+    named = sum(values[i] for values in series.values())
+    diag = res.trajectory.diagonal[i]
     clock = diag[BasisState.CLOCK_UP] + diag[BasisState.CLOCK_DOWN]
-    return named + (clock - obs["pop_psi0"][-1])
+    return SweepRow(name=name, overrides=overrides, t_us=float(res.trajectory.times[i]),
+                    fidelity=float(series["pop_psif"][i]), pop_perp=float(series["pop_perp"][i]),
+                    notes={**notes, "pop_total": named + (clock - series["pop_psi0"][i])})
 
 
 TABLE1_RATIOS = (0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0)
@@ -278,9 +288,7 @@ def table1_sweep(p: ModelParams, ratios=TABLE1_RATIOS,
     All ratios share one Liouvillian and are propagated as one stack.
     """
     results = _cool_many([(r, 1.0) for r in ratios], p, t_final, 401)
-    return [SweepRow(name=f"alpha/beta={r:g}", overrides={"alpha_over_beta": r},
-                     t_us=t_final, fidelity=res.fidelity, pop_perp=res.pop_perp,
-                     notes={"pop_total": _endpoint_population_total(res)})
+    return [_row(f"alpha/beta={r:g}", {"alpha_over_beta": r}, res)
             for r, res in zip(ratios, results)]
 
 
@@ -290,38 +298,29 @@ def sensitivity_suite(p: ModelParams) -> list[SweepRow]:
     Covers: the unperturbed reference; a doubled clock-drive Rabi frequency
     (faster cooling, read at 5 us); delta = 0 (off-resonant clock drive,
     read at 20 and 26 us); a weaker or detuned omega_ps laser; and the two
-    dressing-laser excursions that unbalance the dressed pair.
+    dressing-laser excursions that unbalance the dressed pair.  One run per
+    generator: delta = 0 (26 us) and omega_pd = 140 (30 us) run on the 0.05-us
+    grid of the 20-us runs and are read at sample 400 (20 us) and at their end.
     """
-    rows: list[SweepRow] = []
+    def row(name: str, overrides: dict[str, float], t_final: float = 20.0,
+            **notes: float) -> SweepRow:
+        return _row(name, overrides, cool(1.0, 1.0, p.replace(**overrides), t_final),
+                    **notes)
 
-    def run(name: str, overrides: dict, t_us: float, notes: dict | None = None):
-        res = cool(1.0, 1.0, p.replace(**overrides), t_final=t_us)
-        row = SweepRow(name=name, overrides=dict(overrides), t_us=t_us,
-                       fidelity=res.fidelity, pop_perp=res.pop_perp,
-                       notes=dict(notes or {}))
-        row.notes["pop_total"] = _endpoint_population_total(res)
-        rows.append(row)
-        return res
-
-    run("reference", {}, 20.0)
-    run("omega_eff=2", {"omega_eff": 2.0}, 5.0)
-    run("delta=0", {"delta": 0.0}, 20.0)
-    run("delta=0 (late)", {"delta": 0.0}, 26.0)
-    run("omega_ps=250", {"omega_ps": 250.0}, 20.0)
-    run("ps_detuning=10", {"delta_ps_extra": 10.0}, 20.0)
-    run("omega_pd=140", {"omega_pd": 140.0}, 20.0)
-    plateau = cool(1.0, 1.0, p.replace(omega_pd=140.0), t_final=30.0)
-    rows[-1].notes["fidelity_30us"] = plateau.fidelity
-    rows[-1].notes["pop_perp_30us"] = plateau.pop_perp
-
-    try:
-        compute_nu(p.replace(delta_pd=-1750.0))
-        imbalance = 0.0
-    except UnbalancedError as exc:
-        imbalance = abs(exc.imbalance_mhz)
-    run("delta_pd=-1750", {"delta_pd": -1750.0}, 20.0,
-        notes={"imbalance_mhz": imbalance})
-    return rows
+    delta0 = cool(1.0, 1.0, p.replace(delta=0.0), 26.0, 521)
+    plateau = cool(1.0, 1.0, p.replace(omega_pd=140.0), 30.0, 601)
+    imbalance = nu_or_imbalance(p.replace(delta_pd=-1750.0))[1]
+    return [
+        row("reference", {}),
+        row("omega_eff=2", {"omega_eff": 2.0}, 5.0),
+        _row("delta=0", {"delta": 0.0}, delta0, 400),
+        _row("delta=0 (late)", {"delta": 0.0}, delta0),
+        row("omega_ps=250", {"omega_ps": 250.0}),
+        row("ps_detuning=10", {"delta_ps_extra": 10.0}),
+        _row("omega_pd=140", {"omega_pd": 140.0}, plateau, 400,
+             fidelity_30us=plateau.fidelity, pop_perp_30us=plateau.pop_perp),
+        row("delta_pd=-1750", {"delta_pd": -1750.0}, imbalance_mhz=imbalance or 0.0),
+    ]
 
 
 _IMPURITY_CHIS = (0.0, 0.01, 0.1)
@@ -329,14 +328,9 @@ _IMPURITY_CHIS = (0.0, 0.01, 0.1)
 
 def impurity_sweep(p: ModelParams, t_final: float = 20.0) -> list[SweepRow]:
     """Cooling fidelity under dressing-laser polarization impurity."""
-    rows = []
-    for chi in _IMPURITY_CHIS:
-        res = cool(1.0, 1.0, with_polarization_impurity(p, chi),
-                   t_final=t_final)
-        rows.append(SweepRow(name=f"chi={chi:g}", overrides={"chi": chi},
-                             t_us=t_final, fidelity=res.fidelity, pop_perp=res.pop_perp,
-                             notes={"pop_total": _endpoint_population_total(res)}))
-    return rows
+    return [_row(f"chi={chi:g}", {"chi": chi},
+                 cool(1.0, 1.0, with_polarization_impurity(p, chi), t_final=t_final))
+            for chi in _IMPURITY_CHIS]
 
 
 def scaled_constants_overlaps(scale: float, p: ModelParams | None = None

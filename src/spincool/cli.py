@@ -57,9 +57,9 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _trajectory_csv(traj) -> str:
-    obs = traj.observables
-    return _csv("trajectory", ("t_us", *obs), zip(traj.times, *obs.values()))
+def _trajectory_csv(result: analysis.CoolingResult) -> str:
+    times, series = result.trajectory.times, result.series
+    return _csv("trajectory", ("t_us", *series), zip(times, *series.values()))
 
 
 def _write_sweep(out_dir: str, stem: str, kind: str, cols, rows, records) -> None:
@@ -83,14 +83,9 @@ def _dressed_summary(cfg: RunConfig) -> tuple[tuple[float, float] | None,
                                               float | None, float | None]:
     try:
         pair = analysis.dressed_pair(cfg.params)
-        overlaps = (pair.overlap_up, pair.overlap_down)
     except analysis.AmbiguousOverlapError:
         return None, None, None
-    try:
-        nu = analysis.compute_nu(cfg.params)
-        return overlaps, nu, None
-    except analysis.UnbalancedError as exc:
-        return overlaps, None, abs(exc.imbalance_mhz)
+    return (pair.overlap_up, pair.overlap_down), *analysis.nu_or_imbalance(cfg.params)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
@@ -111,11 +106,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
         nu_mhz=nu,
         imbalance_mhz=imbalance,
     )
-    atomic_write_text(f"{out_dir}/trajectory.csv", _trajectory_csv(result.trajectory))
+    atomic_write_text(f"{out_dir}/trajectory.csv", _trajectory_csv(result))
     atomic_write_text(f"{out_dir}/summary.json", _json(dataclasses.asdict(record)))
     if svg:
-        t = list(result.trajectory.times)
-        obs = result.trajectory.observables
+        t, obs = list(result.trajectory.times), result.series
         leak = [("perp", t, list(obs["pop_perp"])),
                 ("reservoir", t, list(obs["pop_reservoir"])),
                 ("1P1", t, list(obs["pop_1P1_total"])),
@@ -137,12 +131,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
 def cmd_balance(cfg: RunConfig, out_dir: str, bracket: tuple[float, float]) -> int:
     p = cfg.params
     try:
-        nu_input = None
-        imbalance_input = None
-        try:
-            nu_input = analysis.compute_nu(p)
-        except analysis.UnbalancedError as exc:
-            imbalance_input = abs(exc.imbalance_mhz)
+        nu_input, imbalance_input = analysis.nu_or_imbalance(p)
         balanced = analysis.balance_omega_pd(p, bracket=bracket)
         nu = analysis.compute_nu(p.replace(omega_pd=balanced))
     except analysis.BracketError as exc:
@@ -197,7 +186,7 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
     p = cfg.params
     if which == "fig3":
         result = analysis.cool(1.0, 1.0, p, t_final=cfg.t_final, samples=cfg.samples)
-        atomic_write_text(f"{out_dir}/fig3.csv", _trajectory_csv(result.trajectory))
+        atomic_write_text(f"{out_dir}/fig3.csv", _trajectory_csv(result))
         print(f"fig3: fidelity {result.fidelity:.5f}, perp {result.pop_perp:.2e}, "
               f"reservoir {result.pop_reservoir:.2e}")
     elif which == "table1":
@@ -210,7 +199,7 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
                   *(r.notes.get(k, "") for k in notes)) for r in rows]
         _write_sweep(out_dir, "sensitivity", "sweep",
                      ("name", "t_us", "fidelity", "pop_perp", *notes), cells,
-                     [r.to_dict() for r in rows])
+                     [dataclasses.asdict(r) for r in rows])
     elif which == "impurity":
         _write_points(out_dir, "impurity", "chi",
                       analysis.impurity_sweep(p, t_final=cfg.t_final))

@@ -20,7 +20,7 @@ with H in rad/us and collapse amplitudes in sqrt(rad/us).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,16 +159,15 @@ class RealBasis:
 
 @dataclass
 class Trajectory:
-    """Sampled states and observables of one propagation run.
+    """Sampled states of one propagation run.
 
     times (us) increase strictly; coords, shape (..., len(times), m), are the states
-    in `basis` with the initial state's stack axes; observables maps names to series.
+    in `basis` with the initial state's stack axes.
     """
 
     times: np.ndarray
     coords: np.ndarray
     basis: RealBasis
-    observables: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def states(self) -> np.ndarray:
@@ -182,13 +181,6 @@ class Trajectory:
         out = np.zeros(self.coords.shape[:-1] + (self.basis.n,))
         out[..., self.basis.levels] = self.coords[..., self.basis.diag]
         return out
-
-    def add_population_series(self, name: str, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.min() < -1e-8 or values.max() > 1 + 1e-8:
-            raise ValueError(f"series {name!r} outside [0, 1]: "
-                             f"range [{values.min():.3e}, {values.max():.3e}]")
-        self.observables[name] = values
 
 
 def liouvillian_matrix(H: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:

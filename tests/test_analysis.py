@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spincool import analysis
 from spincool.analysis import (
     BALANCE_TOL_MHZ,
     TABLE1_RATIOS,
@@ -13,7 +14,9 @@ from spincool.analysis import (
     cool,
     dressed_pair,
     min_omega_ps,
+    nu_or_imbalance,
     scaled_constants_overlaps,
+    sensitivity_suite,
 )
 from spincool.lindblad import pure_density
 from spincool.srmodel import TWO_PI, BasisState, collapse_ops, hamiltonian, qubit_vectors
@@ -81,6 +84,11 @@ class TestComputeNu:
             compute_nu(reference_params.replace(delta_pd=-1750.0))
         assert abs(err.value.imbalance_mhz) == pytest.approx(0.42, abs=0.02)
 
+    def test_nu_or_imbalance(self, reference_params):
+        assert nu_or_imbalance(reference_params) == (compute_nu(reference_params), None)
+        nu, imbalance = nu_or_imbalance(reference_params.replace(delta_pd=-1750.0))
+        assert nu is None and imbalance == pytest.approx(0.42, abs=0.02)
+
 
 class TestBalanceOmegaPd:
     def test_reference_root(self, reference_params):
@@ -135,7 +143,7 @@ class TestCool:
         assert a.fidelity == pytest.approx(b.fidelity, abs=1e-12)
 
     def test_populations_sum_to_one(self, fig3_run):
-        obs = fig3_run.trajectory.observables
+        obs = fig3_run.series
         k = -1
         total = (obs["pop_psif"][k] + obs["pop_perp"][k] + obs["pop_psi0"][k]
                  + obs["pop_reservoir"][k] + obs["pop_1P1_total"][k]
@@ -144,12 +152,12 @@ class TestCool:
 
     def test_fidelity_monotone_after_ten_us(self, fig3_run):
         t = fig3_run.trajectory.times
-        f = fig3_run.trajectory.observables["pop_psif"]
+        f = fig3_run.series["pop_psif"]
         tail = f[t >= 10.0]
         assert np.all(np.diff(tail) > -1e-9)
 
     def test_trajectory_schema(self, fig3_run):
-        obs = fig3_run.trajectory.observables
+        obs = fig3_run.series
         expected = {"pop_psi0", "pop_psif", "pop_perp", "pop_reservoir",
                     "pop_1P1_total", "pop_1D2_total", "pop_6s"}
         assert expected <= set(obs)
@@ -175,16 +183,35 @@ class TestSweeps:
         for row in (*sensitivity_rows, *impurity_rows):
             assert row.notes["pop_total"] == pytest.approx(1.0, abs=1e-6), row.name
 
-    def test_table1_matches_one_shot_oracle_at_full_length(self, table1_rows, reference_params):
-        # 400 grid steps against one 169-dimensional exponential per ratio
+    def test_sensitivity_one_run_per_generator(self, reference_params, monkeypatch):
+        # delta = 0 and omega_pd = 140 are each read twice from one run
+        calls = []
+        evolve = analysis.evolve
+        monkeypatch.setattr(analysis, "evolve", lambda *args: calls.append(1) or evolve(*args))
+        sensitivity_suite(reference_params)
+        assert len(calls) == 7
+
+    def test_table1_matches_one_shot_oracle_at_full_length(self, table1_rows, sensitivity_rows,
+                                                           reference_params):
+        # 100 to 600 grid steps against one 169-dimensional exponential per read
         p = reference_params
-        H, cs = hamiltonian(p), [c.matrix() for c in collapse_ops(p)]
         assert [row.overrides["alpha_over_beta"] for row in table1_rows] == list(TABLE1_RATIOS)
-        for row in table1_rows:
-            psi0, psi_f, psi_perp = qubit_vectors(row.overrides["alpha_over_beta"], 1.0)
-            rho = one_shot_lindblad(pure_density(psi0), H, cs, [row.t_us])[0]
-            assert abs(row.fidelity - np.vdot(psi_f, rho @ psi_f).real) <= 1e-12
-            assert abs(row.pop_perp - np.vdot(psi_perp, rho @ psi_perp).real) <= 1e-12
+        # (params, alpha/beta, t_us, fidelity, pop_perp) of every table1 and sensitivity read
+        reads = [(p, row.overrides["alpha_over_beta"], row.t_us, row.fidelity, row.pop_perp)
+                 for row in table1_rows]
+        for row in sensitivity_rows:
+            q = p.replace(**row.overrides)
+            reads.append((q, 1.0, row.t_us, row.fidelity, row.pop_perp))
+            if "fidelity_30us" in row.notes:
+                reads.append((q, 1.0, 30.0, row.notes["fidelity_30us"],
+                              row.notes["pop_perp_30us"]))
+        assert len(reads) == len(table1_rows) + len(sensitivity_rows) + 1
+        for q, ratio, t_us, fidelity, pop_perp in reads:
+            H, cs = hamiltonian(q), [c.matrix() for c in collapse_ops(q)]
+            psi0, psi_f, psi_perp = qubit_vectors(ratio, 1.0)
+            rho = one_shot_lindblad(pure_density(psi0), H, cs, [t_us])[0]
+            assert abs(fidelity - np.vdot(psi_f, rho @ psi_f).real) <= 1e-12, (q, t_us)
+            assert abs(pop_perp - np.vdot(psi_perp, rho @ psi_perp).real) <= 1e-12, (q, t_us)
 
 
 class TestScaledConstants:

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import spincool
-from spincool import cli
+from spincool import analysis, cli, lindblad
 from spincool.cli import main
 from spincool.config import (ConfigError, config_hash, load_run_config,
                              parse_config_text)
+from spincool.srmodel import BasisState
 
 FAST = ["--set", "t_final=2.0", "--set", "samples=9"]
 
@@ -131,6 +132,19 @@ class TestSimulate:
         self._assert_fails(tmp_path, capsys,
                            ["omega_ps=1e13", "t_final=2.0", "samples=3"],
                            3, "numerical failure: state invariants violated")
+
+    def test_series_outside_unit_interval_exit_3(self, tmp_path, capsys, monkeypatch):
+        # evolve passes samples down to -10x the positivity tolerance, but the
+        # named series allow only 1e-8 below 0
+        def evolve(*args):
+            run = lindblad.evolve(*args)
+            k = list(run.basis.levels).index(BasisState.RESERVOIR)
+            run.coords[..., -1, run.basis.diag[k]] = -5e-8
+            return run
+
+        monkeypatch.setattr(analysis, "evolve", evolve)
+        self._assert_fails(tmp_path, capsys, ["t_final=2.0", "samples=9"], 3,
+                           "numerical failure: series 'pop_reservoir' outside [0, 1]")
 
     # a warning that leaks out of a reported failure fails the test
     @pytest.mark.filterwarnings("error")
