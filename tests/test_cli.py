@@ -135,16 +135,25 @@ class TestSimulate:
 
     def test_series_outside_unit_interval_exit_3(self, tmp_path, capsys, monkeypatch):
         # evolve passes samples down to -10x the positivity tolerance, but the
-        # named series allow only 1e-8 below 0
-        def evolve(*args):
-            run = lindblad.evolve(*args)
+        # named series allow only 1e-8 outside [0, 1], both a level population
+        # and a projection <psi|rho|psi>
+        def reservoir_below_0(run):
             k = list(run.basis.levels).index(BasisState.RESERVOIR)
             run.coords[..., -1, run.basis.diag[k]] = -5e-8
-            return run
 
-        monkeypatch.setattr(analysis, "evolve", evolve)
-        self._assert_fails(tmp_path, capsys, ["t_final=2.0", "samples=9"], 3,
-                           "numerical failure: series 'pop_reservoir' outside [0, 1]")
+        def psi0_above_1(run):
+            # pop_psi0 starts at 1 and is the first series checked
+            run.coords[..., 0, :] *= 1 + 5e-8
+
+        for perturb, name in ((reservoir_below_0, "pop_reservoir"), (psi0_above_1, "pop_psi0")):
+            def evolve(*args, perturb=perturb):
+                run = lindblad.evolve(*args)
+                perturb(run)
+                return run
+
+            monkeypatch.setattr(analysis, "evolve", evolve)
+            self._assert_fails(tmp_path, capsys, ["t_final=2.0", "samples=9"], 3,
+                               f"numerical failure: series {name!r} outside [0, 1]")
 
     # a warning that leaks out of a reported failure fails the test
     @pytest.mark.filterwarnings("error")

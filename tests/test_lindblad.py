@@ -140,11 +140,6 @@ def _non_normal(n: int, seed: int, real: bool = False) -> np.ndarray:
     return m / np.abs(m).sum(axis=0).max()
 
 
-def _squarings(A: np.ndarray) -> int:
-    A2 = A @ A
-    return lindblad._squarings(A, A2 @ A2, A2 @ A2 @ A2)
-
-
 # norms that take expm through the degree-13 approximant without and with squaring
 EXPM_SCALES = (0.005, 0.1, 0.8, 3.0, 8.0, 30.0, 100.0)
 
@@ -173,11 +168,13 @@ class TestExpm:
         assert np.abs(got - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max() <= 1e-13
 
     def test_scales_cover_unscaled_and_scaled(self):
-        plans = {_squarings(scale * _non_normal(5, seed)) > 0
+        plans = {lindblad._squarings(scale * _non_normal(5, seed)) > 0
                  for scale in EXPM_SCALES for seed in (3, 5)}
         assert plans == {False, True}
 
-    @pytest.mark.parametrize("dt", [0.0125, 0.05, 0.065, 0.075])
+    # 0.185, the step of `--set t_final=0.37 --set samples=3 simulate`, takes 10
+    # squarings, the most of any command that CI reruns
+    @pytest.mark.parametrize("dt", [0.0125, 0.05, 0.065, 0.075, 0.185])
     def test_matches_scipy_on_reachable_block(self, dt):
         from scipy.linalg import expm as scipy_expm
 
@@ -186,7 +183,7 @@ class TestExpm:
         psi0, _, _ = qubit_vectors(1.0, 1.0)
         idx = reachable_subspace(L, pure_density(psi0).reshape(-1) != 0)
         A = L[np.ix_(idx, idx)] * dt
-        assert _squarings(A) > 0
+        assert lindblad._squarings(A) > 0
         ref = scipy_expm(A)
         assert np.abs(expm(A) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -199,6 +196,12 @@ class TestExpm:
             # exp has relative condition number |z| at z
             tol = 4 * np.finfo(float).eps * max(1.0, abs(z))
             assert abs(got[0, 0] - cmath.exp(z)) <= tol * abs(cmath.exp(z))
+
+    # exp(800) overflows only in the squarings, 1e60 already in A^6
+    @pytest.mark.parametrize("a", [800.0, 1e60])
+    def test_overflow_raises(self, a):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            expm(np.array([[a]]))
 
 
 class TestReachableSubspace:
@@ -380,21 +383,9 @@ class TestPopulation:
         psi[4] = 1.0
         assert population(static(rho), psi)[0] == pytest.approx(1 / 13)
 
-    def test_clipping(self):
+    def test_values_returned_unclipped(self):
         traj = static(np.diag([1.0 + 5e-9, -5e-9]))
-        psi0 = np.array([1.0, 0.0])
-        psi1 = np.array([0.0, 1.0])
-        assert population(traj, psi0)[0] == 1.0
-        assert population(traj, psi1)[0] == 0.0
-
-    def test_excursion_beyond_tolerance_raises(self):
-        # a state within the positivity tolerance, read with vectors that
-        # scale its excursions beyond it
-        traj = static(np.diag([1.0 + 5e-9, -5e-9]))
-        with pytest.raises(DensityMatrixError):
-            population(traj, np.array([0.0, 3.0]))
-        with pytest.raises(DensityMatrixError):
-            population(traj, np.array([1.0 + 3e-8, 0.0]))
+        assert population(traj, np.eye(2))[:, 0].tolist() == [1.0 + 5e-9, -5e-9]
 
     def test_stacked(self):
         traj = static(np.array([np.diag([0.25, 0.75]), np.diag([1.0, 0.0])]))
