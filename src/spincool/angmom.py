@@ -12,10 +12,9 @@ coefficients.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 __all__ = [
     "HalfInt",
@@ -42,7 +41,7 @@ class HalfInt:
         """Accept a HalfInt, an int, or a float that is exactly n/2."""
         if isinstance(x, HalfInt):
             return x
-        if isinstance(x, (int, np.integer)):
+        if isinstance(x, numbers.Integral):
             return cls(2 * int(x))
         if isinstance(x, float):
             twice = 2 * x
@@ -89,11 +88,13 @@ def _check_jm(j: HalfInt, m: HalfInt, what: str = "") -> None:
 def _coupled_basis(tj1: int, tj2: int) -> dict:
     """Every coupled state |J, M> of j1 (x) j2 expanded over the product basis.
 
-    Built by seeding each highest-weight state |J, J> (null space of the
-    higher-J states within the M=J subspace, sign fixed by the
-    Condon-Shortley convention: positive coefficient on the largest m1) and
-    then applying the total lowering operator.  Returns a dict keyed by
-    (tJ, tM) whose values map (tm1, tm2) -> coefficient.
+    Built by seeding each highest-weight state |J, J> from J+ |J, J> = 0 and
+    then applying the total lowering operator.  Over the product states
+    (m1, J - m1) in ascending m1, J+ |J, J> = 0 is the two-term recursion
+    c(m1 + 1) = -c(m1) sqrt(j1(j1+1) - m1(m1+1)) / sqrt(j2(j2+1) - m2'(m2'+1))
+    with m2' = J - m1 - 1 the next state's m2; the sign follows the
+    Condon-Shortley convention: positive coefficient on the largest m1.
+    Returns a dict keyed by (tJ, tM) whose values map (tm1, tm2) -> coefficient.
     """
     j1 = tj1 / 2.0
     j2 = tj2 / 2.0
@@ -110,17 +111,13 @@ def _coupled_basis(tj1: int, tj2: int) -> dict:
     for tJ in range(tj1 + tj2, abs(tj1 - tj2) - 2, -2):
         tM = tJ
         basis = product_states(tM)
-        if tJ == tj1 + tj2:
-            vec = {(tj1, tj2): 1.0}
-        else:
-            rows = [[table[(tJp, tM)].get(s, 0.0) for s in basis]
-                    for tJp in range(tj1 + tj2, tJ, -2)]
-            _, _, vh = np.linalg.svd(np.asarray(rows))
-            coeffs = vh[-1]
-            top = max(range(len(basis)), key=lambda i: basis[i][0])
-            if coeffs[top] < 0:
-                coeffs = -coeffs
-            vec = {basis[i]: float(coeffs[i]) for i in range(len(basis))}
+        coeffs = [1.0]
+        for tm1, tm2 in basis[1:]:
+            m1, m2 = tm1 / 2.0 - 1, tm2 / 2.0
+            coeffs.append(-coeffs[-1] * math.sqrt(j1 * (j1 + 1) - m1 * (m1 + 1))
+                          / math.sqrt(j2 * (j2 + 1) - m2 * (m2 + 1)))
+        norm = math.copysign(math.hypot(*coeffs), coeffs[-1])
+        vec = {s: c / norm for s, c in zip(basis, coeffs)}
         table[(tJ, tM)] = vec
         J = tJ / 2.0
         while tM > -tJ:

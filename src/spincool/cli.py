@@ -11,6 +11,13 @@ Subcommands:
     levels      print the 5s15d 1D2 F-level energies
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+
+Importing this module loads only the stdlib and the pure-Python model
+modules (config, srmodel, hyperfine, angmom, constants, lasercalc,
+svgplot).  numpy, analysis and lindblad load in the commands that compute
+(simulate, balance, dressed, reproduce fig3/table1/sensitivity/impurity/
+isotopes), so levels, lasercalc, reproduce appendixA/levels, --help and
+every configuration error run without numpy.
 """
 
 from __future__ import annotations
@@ -21,21 +28,22 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
+
+from . import lasercalc
+from .angmom import HalfInt
+from .config import (ConfigError, RunConfig, SummaryRecord, atomic_write_text,
+                     config_hash, load_run_config)
+from .hyperfine import HyperfineConstants, f_level_energy
+from .svgplot import line_plot
+
+if TYPE_CHECKING:
+    from . import analysis
 
 # at most 169-wide matrices gain nothing from more BLAS threads but CPU time;
 # the pool is sized when numpy loads, so default it to one before, unless set
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-
-import numpy as np
-
-from . import analysis, lasercalc
-from .angmom import HalfInt
-from .config import (ConfigError, RunConfig, SummaryRecord, atomic_write_text,
-                     config_hash, load_run_config)
-from .hyperfine import HyperfineConstants, f_level_energy
-from .lindblad import DensityMatrixError, IntegrationError
-from .svgplot import line_plot
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -81,6 +89,8 @@ def _write_points(out_dir: str, stem: str, key: str, rows) -> None:
 
 def _dressed_summary(cfg: RunConfig) -> tuple[tuple[float, float] | None,
                                               float | None, float | None]:
+    from . import analysis
+
     try:
         pair = analysis.dressed_pair(cfg.params)
     except analysis.AmbiguousOverlapError:
@@ -89,6 +99,8 @@ def _dressed_summary(cfg: RunConfig) -> tuple[tuple[float, float] | None,
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
+    from . import analysis
+
     start = time.perf_counter()
     result = analysis.cool(cfg.alpha, cfg.beta, cfg.params,
                            t_final=cfg.t_final, samples=cfg.samples)
@@ -129,6 +141,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
 
 
 def cmd_balance(cfg: RunConfig, out_dir: str, bracket: tuple[float, float]) -> int:
+    from . import analysis
+
     p = cfg.params
     try:
         nu_input, imbalance_input = analysis.nu_or_imbalance(p)
@@ -152,6 +166,8 @@ def cmd_balance(cfg: RunConfig, out_dir: str, bracket: tuple[float, float]) -> i
 
 
 def cmd_dressed(cfg: RunConfig) -> int:
+    from . import analysis
+
     pair = analysis.dressed_pair(cfg.params)
     payload = {
         "overlap_up": pair.overlap_up,
@@ -183,6 +199,9 @@ def cmd_lasercalc(out_dir: str) -> int:
 
 
 def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
+    """The targets that compute; main runs appendixA and levels as lasercalc and levels."""
+    from . import analysis
+
     p = cfg.params
     if which == "fig3":
         result = analysis.cool(1.0, 1.0, p, t_final=cfg.t_final, samples=cfg.samples)
@@ -203,10 +222,6 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
     elif which == "impurity":
         _write_points(out_dir, "impurity", "chi",
                       analysis.impurity_sweep(p, t_final=cfg.t_final))
-    elif which == "appendixA":
-        return cmd_lasercalc(out_dir)
-    elif which == "levels":
-        return cmd_levels(out_dir)
     elif which == "isotopes":
         table = analysis.isotope_table()
         text = _json(table)
@@ -275,6 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # scalar arithmetic only: these run without numpy
+    name = args.target if args.command == "reproduce" else args.command
+    if name == "levels":
+        return cmd_levels(args.out)
+    if name in ("lasercalc", "appendixA"):
+        return cmd_lasercalc(args.out)
+    import numpy as np
+    from .analysis import AmbiguousOverlapError, SaturationError
+    from .lindblad import DensityMatrixError, IntegrationError
     try:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out, args.svg)
@@ -282,17 +306,11 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_balance(cfg, args.out, tuple(args.bracket))
         if args.command == "dressed":
             return cmd_dressed(cfg)
-        if args.command == "reproduce":
-            return cmd_reproduce(args.target, cfg, args.out)
-        if args.command == "lasercalc":
-            return cmd_lasercalc(args.out)
-        if args.command == "levels":
-            return cmd_levels(args.out)
+        return cmd_reproduce(args.target, cfg, args.out)
     except (IntegrationError, DensityMatrixError, np.linalg.LinAlgError,
-            analysis.AmbiguousOverlapError, analysis.SaturationError) as exc:
+            AmbiguousOverlapError, SaturationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from .srmodel import ModelParams, hamiltonian
+from .srmodel import TWO_PI, ModelParams, hamiltonian_mhz
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_run_config",
            "config_hash", "SummaryRecord", "atomic_write_text"]
@@ -112,10 +110,10 @@ def load_run_config(path: str | None = None,
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     # every value is finite on its own, but a sum of them can still overflow,
-    # also in the delta = 0 Hamiltonian of the dressed-pair analysis
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = all(np.isfinite(hamiltonian(q)).all() for q in (params, params.replace(delta=0.0)))
-    if not finite:
+    # also in the delta = 0 Hamiltonian of the dressed-pair analysis; these are
+    # the entries that srmodel.hamiltonian scales by 2 pi
+    if not all(math.isfinite(TWO_PI * x) for q in (params, params.replace(delta=0.0))
+               for row in hamiltonian_mhz(q) for x in row):
         raise ConfigError("the model Hamiltonian is not finite")
     return cfg
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .angmom import HalfInt, ladder_a, ladder_b
 from .constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HyperfineConstants",
@@ -147,6 +149,8 @@ def hf_matrix(c: HyperfineConstants, s: SpinSpace) -> np.ndarray:
 
     Hermitian (real symmetric) and block diagonal in mJ + mI.
     """
+    import numpy as np
+
     basis = s.basis()
     n = len(basis)
     out = np.zeros((n, n))

@@ -8,8 +8,9 @@ it is exponentiated once for the grid step (Pade scaling and squaring in
 numpy, Higham 2005, with the squarings chosen from ||A||_1) and applied to a
 stack of states.
 The samples are stepped and checked in runs of about 256 states, each run
-for unit trace and, block by block, positivity, and stepping stops at the
-first failing run; full density matrices are built only on request.
+for finite coordinates, unit trace and, block by block, positivity, and
+stepping stops at the first failing run; full density matrices are built
+only on request.
 
 Sign convention of the master equation:
 
@@ -78,16 +79,21 @@ def _check_trace_and_positivity(trace: np.ndarray, blocks, trace_tol: float,
     """Raise for the first matrix of a stack off unit trace or with an eigenvalue below -tol.
 
     blocks are Hermitian stacks (..., nb, nb) whose spectra make up each matrix's; only
-    a block without a Cholesky factor of b + tol*I pays for eigvalsh.
+    a block without a Cholesky factor of b + tol*I pays for eigvalsh.  They are scratch:
+    the shift by tol*I is made in place, which saves a block-sized copy.
     """
     dev = np.abs(trace - 1.0)
     # ~(x <= tol) also flags NaN
     _raise_first(~(dev <= trace_tol), dev, f"trace deviation {{:.3e}} > {trace_tol:.0e}", where)
     min_eig = None
     for b in blocks:
+        i = np.arange(b.shape[-1])
+        diag = b[..., i, i]
+        b[..., i, i] += positivity_tol
         try:
-            np.linalg.cholesky(b + positivity_tol * np.eye(b.shape[-1]))
+            np.linalg.cholesky(b)
         except np.linalg.LinAlgError:
+            b[..., i, i] = diag
             low = np.linalg.eigvalsh(b)[..., 0]
             min_eig = low if min_eig is None else np.minimum(min_eig, low)
     if min_eig is not None:
@@ -142,7 +148,8 @@ class RealBasis:
         label = np.arange(n)
         for _ in range(n):
             np.minimum.at(label, r, label[c])
-        groups = [np.flatnonzero(label == low) for low in np.unique(label[r])]
+        # sorted(set(...)), not np.unique, which loads numpy.ma
+        groups = [np.flatnonzero(label == low) for low in sorted(set(label[r].tolist()))]
         self.blocks = [g[:, None] * n + g for g in groups]
 
     def entries(self, u: np.ndarray, *positions: np.ndarray) -> list[np.ndarray]:
@@ -153,7 +160,13 @@ class RealBasis:
         return [v[..., self._pos[f]] for f in positions]
 
     def check(self, u: np.ndarray, trace_tol: float, positivity_tol: float) -> None:
-        """Raise DensityMatrixError for the first state of u (..., m) off trace or positivity."""
+        """Raise DensityMatrixError for the first state of u (..., m) off trace or positivity.
+
+        A state with a non-finite coordinate fails first: a non-finite coherence leaves the
+        trace alone, and Cholesky need not raise on it.
+        """
+        if not np.isfinite(u).all():  # one pass; the per-state search is 10x slower
+            _raise_first(~np.isfinite(u).all(axis=-1), u, "non-finite state", "")
         _check_trace_and_positivity(u[..., self.diag].sum(axis=-1),
                                     self.entries(u, *self.blocks), trace_tol, positivity_tol, "")
 
@@ -283,11 +296,12 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     """Propagate rho0, one density matrix or a stack, over linspace(0, t_final, samples) us.
 
     A generator with |Im| > HERMITICITY_TOL / t_final in real form is an IntegrationError;
-    so is a sample off unit trace or positivity by 10x tolerance, named by its time and
-    stack index.  Samples are stepped and checked in runs of about _CHECK_STATES states
-    and stepping stops at the first failing run: the check's precedence (trace before
-    positivity, then stack order) holds within a run, so a positivity failure in an
-    earlier run is reported before a trace failure in a later one.
+    so is a sample that is not finite, or off unit trace or positivity by 10x tolerance,
+    named by its time and stack index.  Samples are stepped and checked in runs of about
+    _CHECK_STATES states and stepping stops at the first failing run: the check's
+    precedence (finiteness, then trace, then positivity, then stack order) holds within
+    a run, so a positivity failure in an earlier run is reported before a trace failure
+    in a later one.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
@@ -309,6 +323,9 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
         except FloatingPointError as exc:
             raise IntegrationError(f"propagation failed: {exc}") from exc
         drift = np.abs(Lr.imag).max() * t_final
+    # the stepping needs neither: a lower peak lets malloc keep the freed pages for the
+    # next call instead of returning them and faulting them in again
+    del L, Lr
     if not drift <= HERMITICITY_TOL:
         raise IntegrationError(f"generator breaks hermiticity: |Im L| t_final = "
                                f"{drift:.3e} > {HERMITICITY_TOL:.0e}")

@@ -16,18 +16,21 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .angmom import HalfInt, xi_factors
 from .constants import SR87_NUCLEAR_MOMENT, SR87_TWICE_I
 from .hyperfine import HyperfineConstants, SpinSpace, ZeemanParams, hf_element, zeeman_diag
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BasisState",
     "ModelParams",
     "CollapseOp",
     "TWO_PI",
+    "hamiltonian_mhz",
     "hamiltonian",
     "collapse_ops",
     "with_polarization_impurity",
@@ -160,6 +163,8 @@ class CollapseOp:
         return cls(terms=((amplitude, to_state, from_state),))
 
     def matrix(self, dim: int = DIM) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((dim, dim))
         for amp, to_state, from_state in self.terms:
             out[to_state, from_state] += amp
@@ -172,28 +177,29 @@ def _p1_diagonal_mhz(p: ModelParams, state: BasisState) -> float:
     return hf_element(p.hyperfine_1p1, space, mJ, mI, mJ, mI) + zeeman_diag(p.zeeman, mJ, mI)
 
 
-def hamiltonian(p: ModelParams) -> np.ndarray:
-    """13x13 rotating-frame Hamiltonian in rad/us (real symmetric).
+def hamiltonian_mhz(p: ModelParams) -> list[list[float]]:
+    """13x13 rotating-frame Hamiltonian in MHz (value/2pi), as nested lists.
 
     Laser couplings enter as Omega/2 off-diagonals; detunings sit on the
     diagonals of the optically driven states (clock and ground rows stay
     zero).  The four 1P1 states additionally carry their hyperfine plus
     Zeeman diagonal, and the single spin-mixing hyperfine coupling
-    |1P1 0, down> <-> |1P1 -1, up> is kept explicitly.
+    |1P1 0, down> <-> |1P1 -1, up> is kept explicitly.  Plain floats, so
+    that the configuration check needs no numpy.
     """
     B = BasisState
-    H = np.zeros((DIM, DIM))
+    H = [[0.0] * DIM for _ in range(DIM)]
 
-    H[B.D2_F13_STRETCH, B.D2_F13_STRETCH] = p.delta_pd + p.delta
-    H[B.D2_F13_M11, B.D2_F13_M11] = p.delta_pd + p.delta
-    H[B.D2_F11_M11, B.D2_F11_M11] = p.delta_pd + p.e_hf + p.delta
-    H[B.S6_DOWN, B.S6_DOWN] = p.delta + p.delta_ps_extra
+    H[B.D2_F13_STRETCH][B.D2_F13_STRETCH] = p.delta_pd + p.delta
+    H[B.D2_F13_M11][B.D2_F13_M11] = p.delta_pd + p.delta
+    H[B.D2_F11_M11][B.D2_F11_M11] = p.delta_pd + p.e_hf + p.delta
+    H[B.S6_DOWN][B.S6_DOWN] = p.delta + p.delta_ps_extra
     for s in (B.P1_0_DOWN, B.P1_M1_UP, B.P1_M1_DOWN):
-        H[s, s] = p.delta
+        H[s][s] = p.delta
 
     def couple(i: BasisState, j: BasisState, omega: float) -> None:
-        H[i, j] += omega / 2
-        H[j, i] += omega / 2
+        H[i][j] += omega / 2
+        H[j][i] += omega / 2
 
     couple(B.D2_F13_STRETCH, B.P1_M1_DOWN, p.omega_pd)
     couple(B.D2_F13_M11, B.P1_0_DOWN, XI.xi0 * p.omega_pd)
@@ -205,14 +211,21 @@ def hamiltonian(p: ModelParams) -> np.ndarray:
     couple(B.P1_M1_DOWN, B.CLOCK_DOWN, p.omega_eff)
 
     for s in P1_STATES:
-        H[s, s] += _p1_diagonal_mhz(p, s)
+        H[s][s] += _p1_diagonal_mhz(p, s)
 
     space = SpinSpace(I_SR, HalfInt(2))
     mix = hf_element(p.hyperfine_1p1, space, HalfInt(0), MI_DOWN, HalfInt(-2), MI_UP)
-    H[B.P1_0_DOWN, B.P1_M1_UP] += mix
-    H[B.P1_M1_UP, B.P1_0_DOWN] += mix
+    H[B.P1_0_DOWN][B.P1_M1_UP] += mix
+    H[B.P1_M1_UP][B.P1_0_DOWN] += mix
 
-    return TWO_PI * H
+    return H
+
+
+def hamiltonian(p: ModelParams) -> np.ndarray:
+    """13x13 rotating-frame Hamiltonian in rad/us (real symmetric): 2pi hamiltonian_mhz(p)."""
+    import numpy as np
+
+    return TWO_PI * np.array(hamiltonian_mhz(p))
 
 
 def collapse_ops(p: ModelParams) -> list[CollapseOp]:
@@ -261,6 +274,8 @@ def qubit_vectors(alpha: complex, beta: complex) -> tuple[np.ndarray, np.ndarray
     Amplitudes are normalized internally; psi_perp carries (beta*, -alpha*)
     on the ground manifold so that <psi_f|psi_perp> = 0.
     """
+    import numpy as np
+
     norm = math.hypot(abs(alpha), abs(beta))
     if norm == 0:
         raise ValueError("qubit amplitudes must not both be zero")

@@ -184,12 +184,15 @@ class TestSimulate:
     # each value is finite, but delta_pd + e_hf on the 1D2 F=11/2 diagonal
     # is not after 2 pi scaling; in the second case delta keeps the configured
     # diagonal finite, and only the delta = 0 Hamiltonian that compute_nu and
-    # balance_omega_pd build overflows
+    # balance_omega_pd build overflows; in the third, 2 pi a_1p1 is finite but
+    # the 1P1 hyperfine diagonal is not
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", ["simulate", "dressed", "balance"])
+    @pytest.mark.parametrize("command", ["simulate", "dressed", "balance", "levels",
+                                         "lasercalc"])
     def test_overflowing_hamiltonian_exit_2(self, tmp_path, capsys, command):
         for overrides in (["delta_pd=-2e307", "e_hf=-2e307"],
-                          ["delta_pd=-2.8e307", "e_hf=-1e306", "delta=2e307"]):
+                          ["delta_pd=-2.8e307", "e_hf=-1e306", "delta=2e307"],
+                          ["a_1p1=1e307"]):
             self._assert_fails(tmp_path, capsys, overrides, 2,
                                "config error: the model Hamiltonian is not finite", command)
 
@@ -364,6 +367,30 @@ class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         out = _run_python(f"import sys, spincool.cli; print({SCIPY_LOADED})")
         assert out.strip() == "[]"
+
+    def test_light_commands_leave_numpy_unloaded(self, tmp_path):
+        # scalar commands and config errors, the overflow check included, never load numpy
+        commands = [["levels"], ["lasercalc"], ["reproduce", "appendixA"],
+                    ["reproduce", "levels"], ["--set", "bogus=1", "simulate"],
+                    ["--set", "delta_pd=-2e307", "--set", "e_hf=-2e307", "levels"]]
+        code = ("import sys\n"
+                "import spincool.cli\n"
+                "print('numpy' in sys.modules)\n"
+                f"codes = [spincool.cli.main(['--out', {str(tmp_path)!r}, *cmd]) "
+                f"for cmd in {commands!r}]\n"
+                "print(codes, 'numpy' in sys.modules)\n")
+        out = _run_python(code).splitlines()
+        assert out[0] == "False"
+        assert out[-1] == "[0, 0, 0, 0, 2, 2] False"
+        assert (tmp_path / "laser_budget.json").exists()
+
+    def test_engine_run_leaves_numpy_ma_unloaded(self):
+        code = ("import sys\n"
+                "from spincool.analysis import cool\n"
+                "from spincool.srmodel import ModelParams\n"
+                "cool(1.0, 1.0, ModelParams(), t_final=2.0, samples=9)\n"
+                "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n")
+        assert _run_python(code).strip() == "True False"
 
     def test_artifact_commands_leave_scipy_unloaded(self, tmp_path):
         commands = [["simulate"], ["balance"], ["reproduce", "table1"],

@@ -489,6 +489,19 @@ class TestRealBasis:
             basis.check(u, 1e-8, 1e-7)
         assert exc.value.index == (2, 1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("size", [9, 2])
+    def test_non_finite_coherence_names_stack_index(self, size, value):
+        # the trace sums only the diagonal, and Cholesky need not raise on a
+        # non-finite entry: the coherence coordinate alone must fail the check
+        _, basis = reference_basis(ModelParams())
+        block = next(f for f in basis.blocks if len(f) == size)
+        u = self._stack(basis, np.diag(np.full(13, 1 / 13)))
+        u[2, 1, np.searchsorted(basis.idx, block[0, -1])] = value
+        with pytest.raises(DensityMatrixError, match="non-finite state") as exc:
+            basis.check(u, 1e-8, 1e-7)
+        assert exc.value.index == (2, 1)
+
 
 def test_sweeps_and_cli_never_build_full_states(monkeypatch, tmp_path):
     from spincool.analysis import cool, table1_sweep
