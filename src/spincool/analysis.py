@@ -21,6 +21,7 @@ from .srmodel import (
     TWO_PI,
     BasisState,
     D2_STATES,
+    P1_STATES,
     ModelParams,
     collapse_ops,
     hamiltonian,
@@ -197,8 +198,7 @@ def _bisect(passed: Callable[[float], bool], lo: float, hi: float,
 
 
 _GROUP_SERIES = {
-    "pop_1P1_total": [BasisState.P1_0_DOWN, BasisState.P1_M1_UP,
-                      BasisState.P1_M1_DOWN, BasisState.P1_P1_DOWN],
+    "pop_1P1_total": list(P1_STATES),
     "pop_1D2_total": list(D2_STATES),
     "pop_6s": [BasisState.S6_DOWN],
 }
@@ -333,14 +333,12 @@ def impurity_sweep(p: ModelParams, t_final: float = 20.0) -> list[SweepRow]:
             for chi in _IMPURITY_CHIS]
 
 
-def scaled_constants_overlaps(scale: float, p: ModelParams | None = None
-                              ) -> tuple[float, float]:
+def scaled_constants_overlaps(scale: float, p: ModelParams) -> tuple[float, float]:
     """Dressed overlaps when the 1P1 hyperfine constants are scaled by `scale`.
 
     Gauges how the reference laser set copes with a stronger hyperfine
     interaction (heavier species with the same level scheme).
     """
-    p = p or ModelParams()
     pair = dressed_pair(p.replace(a_1p1=scale * p.a_1p1, q_1p1=scale * p.q_1p1))
     return pair.overlap_up, pair.overlap_down
 

@@ -30,10 +30,9 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import lasercalc
+from . import __version__, lasercalc
 from .angmom import HalfInt
-from .config import (ConfigError, RunConfig, SummaryRecord, atomic_write_text,
-                     config_hash, load_run_config)
+from .config import ConfigError, RunConfig, atomic_write_text, config_hash, load_run_config
 from .hyperfine import HyperfineConstants, f_level_energy
 from .svgplot import line_plot
 
@@ -105,21 +104,23 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
     result = analysis.cool(cfg.alpha, cfg.beta, cfg.params,
                            t_final=cfg.t_final, samples=cfg.samples)
     overlaps, nu, imbalance = _dressed_summary(cfg)
-    record = SummaryRecord(
-        config=cfg.to_flat_dict(),
-        config_sha=config_hash(cfg),
-        fidelity=result.fidelity,
-        final_populations={
+    # echoes its input so runs are repeatable; no wall-clock data, so reruns are identical
+    payload = {
+        "config": cfg.to_flat_dict(),
+        "config_sha": config_hash(cfg),
+        "fidelity": result.fidelity,
+        "final_populations": {
             "perp": result.pop_perp,
             "reservoir": result.pop_reservoir,
             "residual_clock": result.pop_residual_clock,
         },
-        dressed_overlaps=overlaps,
-        nu_mhz=nu,
-        imbalance_mhz=imbalance,
-    )
+        "dressed_overlaps": overlaps,
+        "nu_mhz": nu,
+        "imbalance_mhz": imbalance,
+        "tool_version": f"spincool {__version__}",
+    }
     atomic_write_text(f"{out_dir}/trajectory.csv", _trajectory_csv(result))
-    atomic_write_text(f"{out_dir}/summary.json", _json(dataclasses.asdict(record)))
+    atomic_write_text(f"{out_dir}/summary.json", _json(payload))
     if svg:
         t, obs = list(result.trajectory.times), result.series
         leak = [("perp", t, list(obs["pop_perp"])),

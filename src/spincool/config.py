@@ -1,4 +1,4 @@
-"""Run configuration: flat key=value files, overrides, and summary records.
+"""Run configuration: flat key=value files, overrides, and atomic writes.
 
 The config grammar is one `key = value` pair per line; blank lines and
 `#` comments are ignored.  Values are in the model's user-facing units
@@ -17,9 +17,7 @@ from dataclasses import dataclass, field, fields
 from .srmodel import TWO_PI, ModelParams, hamiltonian_mhz
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_run_config",
-           "config_hash", "SummaryRecord", "atomic_write_text"]
-
-TOOL_VERSION = "spincool 0.1.0"
+           "config_hash", "atomic_write_text"]
 
 
 class ConfigError(ValueError):
@@ -122,24 +120,6 @@ def config_hash(cfg: RunConfig) -> str:
     """Stable hash of the fully resolved configuration."""
     canon = "\n".join(f"{k}={v}" for k, v in sorted(cfg.to_flat_dict().items()))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-@dataclass
-class SummaryRecord:
-    """Self-contained result record: echoes its input so runs are repeatable.
-
-    It holds no wall-clock data, so reruns of one configuration write
-    identical bytes.
-    """
-
-    config: dict[str, str]
-    config_sha: str
-    fidelity: float
-    final_populations: dict[str, float]
-    dressed_overlaps: tuple[float, float] | None
-    nu_mhz: float | None
-    imbalance_mhz: float | None
-    tool_version: str = TOOL_VERSION
 
 
 def atomic_write_text(path: str, text: str) -> None:

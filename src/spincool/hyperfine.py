@@ -91,11 +91,6 @@ class ZeemanParams:
             raise ValueError("gJ must be finite")
 
 
-def _theta(x: float) -> float:
-    """Unit step with theta(x) = 0 for x <= 0."""
-    return 1.0 if x > 0 else 0.0
-
-
 def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
     """<mJ', mI' | A I.J + quadrupole | mJ, mI> in MHz.
 
@@ -112,7 +107,7 @@ def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
     iv, jv = s.I.value, s.J.value
     mjv, miv = mJ.value, mI.value
     quad = s.has_quadrupole
-    den = 2 * iv * jv * (2 * iv - 1) * (2 * jv - 1) if quad else math.inf
+    den = 2 * iv * jv * (2 * iv - 1) * (2 * jv - 1)
 
     dmj = (mJp.twice - mJ.twice) // 2
     val = 0.0
@@ -121,10 +116,8 @@ def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
         if quad:
             val += c.Q * (3 * miv**2 * mjv**2 + 1.5 * miv * mjv
                           - iv * jv * (iv + 1) * (jv + 1)) / den
-            val += c.Q * 3 * (iv + miv) * (iv - miv + 1) * (jv - mjv) * (jv + mjv + 1) \
-                * _theta(jv - mjv) * _theta(miv + iv) / (4 * den)
-            val += c.Q * 3 * (iv - miv) * (iv + miv + 1) * (jv + mjv) * (jv - mjv + 1) \
-                * _theta(jv + mjv) * _theta(iv - miv) / (4 * den)
+            val += c.Q * 3 * (iv + miv) * (iv - miv + 1) * (jv - mjv) * (jv + mjv + 1) / (4 * den)
+            val += c.Q * 3 * (iv - miv) * (iv + miv + 1) * (jv + mjv) * (jv - mjv + 1) / (4 * den)
     elif dmj == -1:
         a = ladder_a(s.I, s.J, mJ, mI)
         val = 0.5 * c.A * a

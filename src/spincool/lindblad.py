@@ -43,12 +43,14 @@ class DensityMatrixError(ValueError):
     """A matrix violates the density-matrix invariants.
 
     index is the stack position of the offending matrix (() for a single
-    matrix), or None when the error concerns no particular matrix.
+    matrix), or None when the error concerns no particular matrix.  The
+    message is reason, then the index of a stacked matrix, then `where`.
     """
 
-    def __init__(self, message: str, index: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.index = index
+    def __init__(self, reason: str, index: tuple[int, ...] | None = None, where: str = ""):
+        at = f" at stack index {index}" if index else ""
+        super().__init__(reason + at + where)
+        self.reason, self.index = reason, index
 
 
 class IntegrationError(RuntimeError):
@@ -70,8 +72,7 @@ def _raise_first(bad: np.ndarray, values: np.ndarray, message: str, where: str) 
     if not bad.any():
         return
     index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-    at = f" at stack index {index}" if index else ""
-    raise DensityMatrixError(message.format(values[index]) + at + where, index=index)
+    raise DensityMatrixError(message.format(values[index]), index, where)
 
 
 def _check_trace_and_positivity(trace: np.ndarray, blocks, trace_tol: float,
@@ -291,13 +292,22 @@ def reachable_subspace(L: np.ndarray, support: np.ndarray) -> np.ndarray:
         reached = grown
 
 
+def _allocate(make, *args) -> np.ndarray:
+    """make(*args), with an array too large to allocate an IntegrationError."""
+    try:
+        return make(*args)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise IntegrationError(f"cannot allocate the samples: {exc}") from exc
+
+
 def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float,
            samples: int) -> Trajectory:
     """Propagate rho0, one density matrix or a stack, over linspace(0, t_final, samples) us.
 
     A generator with |Im| > HERMITICITY_TOL / t_final in real form is an IntegrationError;
     so is a sample that is not finite, or off unit trace or positivity by 10x tolerance,
-    named by its time and stack index.  Samples are stepped and checked in runs of about
+    named by its time and stack index, and so is a time grid or coordinate array too
+    large to allocate.  Samples are stepped and checked in runs of about
     _CHECK_STATES states and stepping stops at the first failing run: the check's
     precedence (finiteness, then trace, then positivity, then stack order) holds within
     a run, so a positivity failure in an earlier run is reported before a trace failure
@@ -307,7 +317,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {samples}")
-    t_grid = np.linspace(0.0, t_final, samples)
+    t_grid = _allocate(np.linspace, 0.0, t_final, samples)
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, where=" (initial state)")
 
@@ -331,7 +341,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
                                f"{drift:.3e} > {HERMITICITY_TOL:.0e}")
 
     # U[i] holds the coordinates of every state at t_grid[i], one per column
-    U = np.empty((samples, len(basis.idx), vec0.shape[0]))
+    U = _allocate(np.empty, (samples, len(basis.idx), vec0.shape[0]))
     U[0] = (basis.T @ vec0[:, basis.idx].T).real
     # one run at a time keeps the check's temporaries small and reused, not faulted in afresh
     rows = max(1, _CHECK_STATES // vec0.shape[0])
@@ -343,9 +353,8 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
                         10 * TRACE_TOL, 10 * POSITIVITY_TOL)
         except DensityMatrixError as exc:
             index = (start + exc.index[0], *exc.index[1:])
-            message = str(exc).rsplit(" at stack index ", 1)[0]
             raise IntegrationError(f"state invariants violated at t={t_grid[index[0]]:g} us: "
-                                   f"{message} at stack index {index}") from exc
+                                   f"{exc.reason} at stack index {index}") from exc
     coords = U.transpose(2, 0, 1).reshape(*rho0.shape[:-2], samples, len(basis.idx))
     return Trajectory(times=t_grid, coords=coords, basis=basis)
 

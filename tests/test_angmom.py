@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from spincool.angmom import HalfInt, clebsch_gordan, ladder_a, ladder_b, xi_factors
+from spincool.angmom import (HalfInt, clebsch_gordan, dressing_amplitude, ladder_a, ladder_b,
+                             xi_factors)
 
 from .oracles import half_values, racah_cg
 
@@ -48,6 +49,8 @@ class TestClebschGordan:
     def test_triangle_rule_returns_zero(self):
         assert clebsch_gordan(1, 0, 1, 0, 3, 0) == 0.0
         assert clebsch_gordan(0.5, 0.5, 0.5, -0.5, 2, 0) == 0.0
+        assert clebsch_gordan(1, 0, 1, 0, 1.5, 0) == 0.0  # J of the wrong parity
+        assert clebsch_gordan(1, 1, 1, 1, 1, 2) == 0.0  # |M| > J
 
     def test_invalid_quantum_numbers_raise(self):
         with pytest.raises(ValueError):
@@ -151,6 +154,10 @@ class TestXiFactors:
         assert xi.xi1 == pytest.approx(3 / math.sqrt(13), abs=1e-12)
         assert xi.xi2 == pytest.approx(3 / math.sqrt(26), abs=1e-12)
         assert xi.xi3 == pytest.approx(-2 / math.sqrt(13), abs=1e-12)
+
+    def test_dressing_amplitude_rejects_mj_outside_j1(self):
+        with pytest.raises(ValueError):
+            dressing_amplitude(HalfInt(13), HalfInt(-13), -2, HalfInt(-9))
 
     def test_completeness_over_f(self):
         # the F-coupling amplitudes squared sum to 1 for every reachable

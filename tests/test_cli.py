@@ -196,6 +196,18 @@ class TestSimulate:
             self._assert_fails(tmp_path, capsys, overrides, 2,
                                "config error: the model Hamiltonian is not finite", command)
 
+    @pytest.mark.filterwarnings("error")
+    def test_unallocatable_samples_exit_3(self, tmp_path, capsys):
+        # 2^62 samples exceed numpy's array size limit: the time grid fails
+        # before anything is allocated
+        out = tmp_path / "fail"
+        assert main(["--out", str(out), "--set", "samples=4611686018427387904",
+                     "simulate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: cannot allocate the samples: array is too big")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         self._assert_fails(tmp_path, capsys, ["bogus=1"], 2, "config error")
 

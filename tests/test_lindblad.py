@@ -366,6 +366,24 @@ class TestEvolve:
         with pytest.raises(IntegrationError, match="propagation failed"):
             evolve(rho0, H, [damping_op(gamma)], 1.0, 2)
 
+    @pytest.mark.parametrize("name, of_samples", [
+        ("linspace", lambda *args: args[2] == 7),
+        ("empty", lambda shape, *_: np.ndim(shape) == 1 and shape[0] == 7),
+    ], ids=["time-grid", "coordinates"])
+    def test_unallocatable_samples_is_integration_error(self, monkeypatch, name, of_samples):
+        # a fake numpy allocator that is out of memory for the 7-sample arrays only
+        real = getattr(np, name)
+
+        def fake(*args, **kwargs):
+            if of_samples(*args):
+                raise MemoryError("Unable to allocate")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, fake)
+        rho0 = pure_density(np.array([0.0, 1.0]))
+        with pytest.raises(IntegrationError, match="cannot allocate the samples: Unable"):
+            evolve(rho0, np.zeros((2, 2)), [damping_op(GAMMA)], 1.0, 7)
+
 
 def static(rho: np.ndarray):
     """Two samples of rho under the zero generator, whose propagator is exactly I."""
