@@ -217,10 +217,9 @@ def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
     # every series has shape (runs, samples)
     series = dict(zip(("pop_psi0", "pop_psif", "pop_perp"),
                       population(run, np.stack([psi0, psi_f, psi_perp]))))
-    diag = run.diagonal
-    series["pop_reservoir"] = diag[..., BasisState.RESERVOIR]
+    series["pop_reservoir"] = run.level_sum([BasisState.RESERVOIR])
     for name, group in _GROUP_SERIES.items():
-        series[name] = diag[..., group].sum(axis=-1)
+        series[name] = run.level_sum(group)
     for name, values in series.items():
         low, high = values.min(), values.max()
         # not (x <= tol) also flags NaN
@@ -271,8 +270,7 @@ def _row(name: str, overrides: dict[str, float], res: CoolingResult, i: int = -1
     """
     series = res.series
     named = sum(values[i] for values in series.values())
-    diag = res.trajectory.diagonal[i]
-    clock = diag[BasisState.CLOCK_UP] + diag[BasisState.CLOCK_DOWN]
+    clock = res.trajectory.level_sum([BasisState.CLOCK_UP, BasisState.CLOCK_DOWN])[i]
     return SweepRow(name=name, overrides=overrides, t_us=float(res.trajectory.times[i]),
                     fidelity=float(series["pop_psif"][i]), pop_perp=float(series["pop_perp"][i]),
                     notes={**notes, "pop_total": named + (clock - series["pop_psi0"][i])})

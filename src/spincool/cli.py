@@ -298,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     if name in ("lasercalc", "appendixA"):
         return cmd_lasercalc(args.out)
     import numpy as np
-    from .analysis import AmbiguousOverlapError, SaturationError
+    from .analysis import AmbiguousOverlapError
     from .lindblad import DensityMatrixError, IntegrationError
     try:
         if args.command == "simulate":
@@ -309,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_dressed(cfg)
         return cmd_reproduce(args.target, cfg, args.out)
     except (IntegrationError, DensityMatrixError, np.linalg.LinAlgError,
-            AmbiguousOverlapError, SaturationError) as exc:
+            AmbiguousOverlapError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -6,11 +6,15 @@ reachable from the initial states and written in real coordinates
 (RealBasis), where it must be real, as it is when it preserves hermiticity;
 it is exponentiated once for the grid step (Pade scaling and squaring in
 numpy, Higham 2005, with the squarings chosen from ||A||_1) and applied to a
-stack of states.
+stack of states.  The first 8 samples are stepped with that propagator P,
+every later one from the sample 8 steps earlier with P^8, 8 samples per
+matrix product.
 The samples are stepped and checked in runs of about 256 states, each run
 for finite coordinates, unit trace and, block by block, positivity, and
 stepping stops at the first failing run; full density matrices are built
-only on request.
+only on request.  Positivity reads the real coordinates: blocks of 1 and 2
+levels in closed form, larger ones by a Cholesky test of conj(rho_block) +
+tol*I gathered into its lower triangle.
 
 Sign convention of the master equation:
 
@@ -21,6 +25,7 @@ with H in rad/us and collapse amplitudes in sqrt(rad/us).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +42,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
 _CHECK_STATES = 256  # states stepped and checked per run in evolve
+_CHOLESKY_STATES = 64  # states per Cholesky test of a block of 3 or more levels
+_LADDER = 8  # evolve steps samples from 8 steps earlier by P^8
 
 
 class DensityMatrixError(ValueError):
@@ -75,30 +82,81 @@ def _raise_first(bad: np.ndarray, values: np.ndarray, message: str, where: str) 
     raise DensityMatrixError(message.format(values[index]), index, where)
 
 
-def _check_trace_and_positivity(trace: np.ndarray, blocks, trace_tol: float,
-                                positivity_tol: float, where: str) -> None:
-    """Raise for the first matrix of a stack off unit trace or with an eigenvalue below -tol.
-
-    blocks are Hermitian stacks (..., nb, nb) whose spectra make up each matrix's; only
-    a block without a Cholesky factor of b + tol*I pays for eigvalsh.  They are scratch:
-    the shift by tol*I is made in place, which saves a block-sized copy.
-    """
+def _check_trace(trace: np.ndarray, tol: float, where: str) -> None:
+    """Raise for the first matrix of a stack whose trace is off 1 by more than tol."""
     dev = np.abs(trace - 1.0)
     # ~(x <= tol) also flags NaN
-    _raise_first(~(dev <= trace_tol), dev, f"trace deviation {{:.3e}} > {trace_tol:.0e}", where)
-    min_eig = None
-    for b in blocks:
-        i = np.arange(b.shape[-1])
-        diag = b[..., i, i]
-        b[..., i, i] += positivity_tol
-        try:
-            np.linalg.cholesky(b)
-        except np.linalg.LinAlgError:
-            b[..., i, i] = diag
-            low = np.linalg.eigvalsh(b)[..., 0]
-            min_eig = low if min_eig is None else np.minimum(min_eig, low)
-    if min_eig is not None:
-        _raise_first(min_eig < -positivity_tol, min_eig, "negative eigenvalue {:.3e}", where)
+    _raise_first(~(dev <= tol), dev, f"trace deviation {{:.3e}} > {tol:.0e}", where)
+
+
+def _block_plan(pos: np.ndarray, m: int):
+    """How _check_positivity reads one level block from real coordinates u (..., m).
+
+    pos (nb, nb) holds the coordinate of each entry of the block, m where u lacks it.
+    A block of 1 level is (its diagonal,), one of 2 levels with every entry is
+    (diagonal, diagonal, Re rho_01, Im rho_01): both have a closed-form spectrum.  A
+    larger block is (nb, dest, src): u[src] goes to the float positions dest of a
+    complex (nb, nb) matrix, the lower triangle of conj(rho_block).  Its entry (i, j),
+    i > j, is rho_ji = u[pos[j, i]] + i u[pos[i, j]], so the gather needs no sign.
+    """
+    nb = len(pos)
+    if nb == 1:
+        return (pos[0, 0],)
+    if nb == 2 and (pos < m).all():
+        return (pos[0, 0], pos[1, 1], pos[0, 1], pos[1, 0])
+    i, j = np.tril_indices(nb)
+    at, off = 2 * (i * nb + j), i > j
+    dest = np.concatenate([at, at[off] + 1])
+    src = np.concatenate([pos[j, i], pos[i, j][off]])
+    keep = src < m
+    return nb, dest[keep], src[keep]
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_plan(n: int):
+    """The _block_plan of all n levels of an n x n matrix in RealBasis's layout, read-only."""
+    return _block_plan(np.arange(n * n).reshape(n, n), n * n)
+
+
+def _gather(u: np.ndarray, plan, shift: float) -> np.ndarray:
+    """conj(rho_block) + shift*I for each state of u (k, m), lower triangle only."""
+    nb, dest, src = plan
+    out = np.zeros((len(u), nb, nb), dtype=complex)
+    out.view(float).reshape(len(u), -1)[:, dest] = u[:, src]
+    i = np.arange(nb)
+    out[:, i, i] += shift
+    return out
+
+
+def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> None:
+    """Raise for the first state of u (..., m) with an eigenvalue below -tol.
+
+    plans (_block_plan) are the level blocks whose spectra make up each state's.
+    Blocks of 1 and 2 levels give their smallest eigenvalue in closed form.  A larger
+    block is tested in chunks of _CHOLESKY_STATES states: a chunk passes when every
+    conj(rho_block) + tol*I has a Cholesky factor, and only a failing chunk pays for
+    eigvalsh.  Conjugation keeps the spectrum, and both read only the lower triangle.
+    """
+    flat = u.reshape(-1, u.shape[-1])
+    low = np.full(len(flat), np.inf)
+    for plan in plans:
+        if len(plan) == 1:
+            np.minimum(low, flat[:, plan[0]], out=low)
+        elif len(plan) == 4:
+            a, d, x, y = (flat[:, k] for k in plan)
+            np.minimum(low, 0.5 * (a + d) - np.sqrt((0.5 * (a - d)) ** 2 + x * x + y * y),
+                       out=low)
+        else:
+            for lo in range(0, len(flat), _CHOLESKY_STATES):
+                chunk, part = flat[lo:lo + _CHOLESKY_STATES], low[lo:lo + _CHOLESKY_STATES]
+                try:
+                    np.linalg.cholesky(_gather(chunk, plan, tol))
+                except np.linalg.LinAlgError:
+                    np.minimum(part, np.linalg.eigvalsh(_gather(chunk, plan, 0.0))[:, 0],
+                               out=part)
+    shape = u.shape[:-1]
+    _raise_first((low < -tol).reshape(shape), low.reshape(shape),
+                 "negative eigenvalue {:.3e}", where)
 
 
 def check_density_matrix(rho: np.ndarray, where: str = "") -> None:
@@ -106,16 +164,22 @@ def check_density_matrix(rho: np.ndarray, where: str = "") -> None:
 
     rho is one matrix (n, n) or a stack (..., n, n); every matrix of a stack
     is checked in one batched pass and the error names the first failure.
+    Positivity is that of the Hermitian part, read as one block of n levels in
+    RealBasis's coordinates.
     """
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise DensityMatrixError(f"not square: shape {rho.shape}")
+    n = rho.shape[-1]
     rho_h = rho.conj().swapaxes(-1, -2)
     herm = np.abs(rho - rho_h).max(axis=(-2, -1))
     _raise_first(~(herm <= HERMITICITY_TOL), herm,
                  f"hermiticity violation {{:.3e}} > {HERMITICITY_TOL:.0e}", where)
-    _check_trace_and_positivity(np.trace(rho, axis1=-2, axis2=-1), [(rho + rho_h) / 2],
-                                TRACE_TOL, POSITIVITY_TOL, where)
+    _check_trace(np.trace(rho, axis1=-2, axis2=-1), TRACE_TOL, where)
+    h = (rho + rho_h) / 2
+    # Re h_rc at r <= c, Im h_cr at r > c
+    u = np.where(np.tri(n, k=-1, dtype=bool), h.imag.swapaxes(-1, -2), h.real)
+    _check_positivity(u.reshape(*rho.shape[:-2], n * n), [_matrix_plan(n)], POSITIVITY_TOL, where)
 
 
 class RealBasis:
@@ -124,7 +188,9 @@ class RealBasis:
     The entries idx (row-major positions r*n + c of vec(rho)) are grown together
     with their transposes.  u_k is rho_rr, Re rho_rc (r < c) or Im rho_cr (r > c)
     for idx[k] = r*n + c: rho_rc = u_k + i u_t and rho_cr = u_k - i u_t with t the
-    transposed position.  u = T v and v = T_inv u for v = vec(rho)[idx].
+    transposed position.  u = T v and v = T_inv u for v = vec(rho)[idx].  Each row and
+    column of T and T_inv has at most two entries, at k and t, so both are applied
+    by indexing (T_dot, dot_T_inv); the dense matrices are built only on request.
     """
 
     def __init__(self, L: np.ndarray, support: np.ndarray):
@@ -135,10 +201,12 @@ class RealBasis:
         self.r, self.c = r, c = np.divmod(idx, n)
         m, k, t = len(idx), np.arange(len(idx)), np.searchsorted(idx, c * n + r)
         upper, lower, pair = r < c, r > c, r != c
-        self.T_inv = np.zeros((m, m), dtype=complex)
-        self.T_inv[k, k] = np.where(lower, -1j, 1.0)
-        self.T_inv[k, t] += np.where(upper, 1j, 1.0) * pair
-        self.T = self.T_inv.conj().T * np.where(pair, 0.5, 1.0)[:, None]
+        # T_inv[k, k] = a_k and T_inv[k, t_k] = b_k; T = T_inv^+ with its pair rows halved
+        a = np.where(lower, -1j, 1.0)
+        b = np.where(upper, 1j, 1.0) * pair
+        half = np.where(pair, 0.5, 1.0)
+        self._t, self._inv_k, self._inv_t = t, a, b[t]
+        self._fwd_k, self._fwd_t = a.conj() * half, b[t].conj() * half
         self.diag, self.levels = np.flatnonzero(~pair), r[~pair]
         # v_k = u[re_k] + i sign_k u[im_k]; a matrix position outside idx reads v[m] = 0
         self._re, self._im = np.where(lower, t, k), np.where(upper, t, k)
@@ -152,6 +220,25 @@ class RealBasis:
         # sorted(set(...)), not np.unique, which loads numpy.ma
         groups = [np.flatnonzero(label == low) for low in sorted(set(label[r].tolist()))]
         self.blocks = [g[:, None] * n + g for g in groups]
+        self._plans = [_block_plan(self._pos[f], m) for f in self.blocks]
+
+    def T_dot(self, y: np.ndarray) -> np.ndarray:
+        """T @ y for y (m, ...)."""
+        return self._fwd_k[:, None] * y + self._fwd_t[:, None] * y[self._t]
+
+    def dot_T_inv(self, x: np.ndarray) -> np.ndarray:
+        """x @ T_inv for x (..., m)."""
+        return x * self._inv_k + x[..., self._t] * self._inv_t
+
+    @functools.cached_property
+    def T(self) -> np.ndarray:
+        """T as a dense (m, m) matrix, built on first access."""
+        return self.T_dot(np.eye(len(self.idx)))
+
+    @functools.cached_property
+    def T_inv(self) -> np.ndarray:
+        """T_inv as a dense (m, m) matrix, built on first access."""
+        return self.dot_T_inv(np.eye(len(self.idx)))
 
     def entries(self, u: np.ndarray, *positions: np.ndarray) -> list[np.ndarray]:
         """rho[..., r, c] at each array of matrix positions r*n + c, from u (..., m)."""
@@ -168,8 +255,8 @@ class RealBasis:
         """
         if not np.isfinite(u).all():  # one pass; the per-state search is 10x slower
             _raise_first(~np.isfinite(u).all(axis=-1), u, "non-finite state", "")
-        _check_trace_and_positivity(u[..., self.diag].sum(axis=-1),
-                                    self.entries(u, *self.blocks), trace_tol, positivity_tol, "")
+        _check_trace(u[..., self.diag].sum(axis=-1), trace_tol, "")
+        _check_positivity(u, self._plans, positivity_tol, "")
 
 
 @dataclass
@@ -190,12 +277,15 @@ class Trajectory:
         n = self.basis.n
         return self.basis.entries(self.coords, np.arange(n * n).reshape(n, n))[0]
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        """The level populations, shape (..., len(times), n)."""
-        out = np.zeros(self.coords.shape[:-1] + (self.basis.n,))
-        out[..., self.basis.levels] = self.coords[..., self.basis.diag]
-        return out
+    def level_sum(self, levels) -> np.ndarray:
+        """The summed populations of `levels`, shape (..., len(times)).
+
+        The diagonal coordinates are added in the order of `levels`; a level outside
+        the index set has population 0.
+        """
+        basis = self.basis
+        at = basis._pos[np.asarray(levels, dtype=int) * (basis.n + 1)]
+        return self.coords[..., at[at < len(basis.idx)]].sum(axis=-1)
 
 
 def liouvillian_matrix(H: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:
@@ -307,11 +397,13 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     A generator with |Im| > HERMITICITY_TOL / t_final in real form is an IntegrationError;
     so is a sample that is not finite, or off unit trace or positivity by 10x tolerance,
     named by its time and stack index, and so is a time grid or coordinate array too
-    large to allocate.  Samples are stepped and checked in runs of about
-    _CHECK_STATES states and stepping stops at the first failing run: the check's
-    precedence (finiteness, then trace, then positivity, then stack order) holds within
-    a run, so a positivity failure in an earlier run is reported before a trace failure
-    in a later one.
+    large to allocate.  The coordinates are laid out (samples, k, m) for k initial
+    states: samples 1 to 7 are stepped with the grid-step propagator P, and each later
+    one from the sample 8 earlier with P^8, eight samples (8k x m) in one product.
+    Samples are stepped and checked in runs of about _CHECK_STATES states and stepping
+    stops at the first failing run: the check's precedence (finiteness, then trace,
+    then positivity, then stack order) holds within a run, so a positivity failure in
+    an earlier run is reported before a trace failure in a later one.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
@@ -327,7 +419,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
         L = liouvillian_matrix(H, cs)
         basis = RealBasis(L, np.any(vec0 != 0, axis=0))
         # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones
-        Lr = basis.T @ L[np.ix_(basis.idx, basis.idx)] @ basis.T_inv
+        Lr = basis.T_dot(basis.dot_T_inv(L[np.ix_(basis.idx, basis.idx)]))
         try:
             P = expm(Lr.real * t_grid[1])
         except FloatingPointError as exc:
@@ -340,22 +432,28 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
         raise IntegrationError(f"generator breaks hermiticity: |Im L| t_final = "
                                f"{drift:.3e} > {HERMITICITY_TOL:.0e}")
 
-    # U[i] holds the coordinates of every state at t_grid[i], one per column
-    U = _allocate(np.empty, (samples, len(basis.idx), vec0.shape[0]))
-    U[0] = (basis.T @ vec0[:, basis.idx].T).real
+    # U[i, j] holds the coordinates of state j at t_grid[i]; rows step as u @ P^T
+    m, k = len(basis.idx), vec0.shape[0]
+    U = _allocate(np.empty, (samples, k, m))
+    U[0] = basis.T_dot(vec0[:, basis.idx].T).real.T
+    step, ladder = P.T, np.linalg.matrix_power(P, _LADDER).T
     # one run at a time keeps the check's temporaries small and reused, not faulted in afresh
-    rows = max(1, _CHECK_STATES // vec0.shape[0])
+    rows = max(1, _CHECK_STATES // k)
     for start in range(0, samples, rows):
-        for i in range(max(start, 1), min(start + rows, samples)):
-            np.matmul(P, U[i - 1], out=U[i])
+        stop = min(start + rows, samples)
+        for i in range(max(start, 1), min(stop, _LADDER)):
+            np.matmul(U[i - 1], step, out=U[i])
+        for i in range(max(start, _LADDER), stop, _LADDER):
+            j = min(i + _LADDER, stop)
+            np.matmul(U[i - _LADDER:j - _LADDER].reshape(-1, m), ladder,
+                      out=U[i:j].reshape(-1, m))
         try:
-            basis.check(U[start:start + rows].transpose(0, 2, 1),
-                        10 * TRACE_TOL, 10 * POSITIVITY_TOL)
+            basis.check(U[start:stop], 10 * TRACE_TOL, 10 * POSITIVITY_TOL)
         except DensityMatrixError as exc:
             index = (start + exc.index[0], *exc.index[1:])
             raise IntegrationError(f"state invariants violated at t={t_grid[index[0]]:g} us: "
                                    f"{exc.reason} at stack index {index}") from exc
-    coords = U.transpose(2, 0, 1).reshape(*rho0.shape[:-2], samples, len(basis.idx))
+    coords = U.transpose(1, 0, 2).reshape(*rho0.shape[:-2], samples, m)
     return Trajectory(times=t_grid, coords=coords, basis=basis)
 
 
@@ -365,5 +463,5 @@ def population(traj: Trajectory, psi: np.ndarray) -> np.ndarray:
     The values are returned as computed, neither checked against [0, 1] nor clipped.
     """
     psi, basis = np.asarray(psi, dtype=complex), traj.basis
-    w = ((psi[..., basis.r].conj() * psi[..., basis.c]) @ basis.T_inv).real
+    w = basis.dot_T_inv(psi[..., basis.r].conj() * psi[..., basis.c]).real
     return (traj.coords @ w[..., None])[..., 0]

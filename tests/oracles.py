@@ -127,14 +127,19 @@ def one_shot_lindblad(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray],
                       times) -> np.ndarray:
     """rho(t) = expm(L t) vec(rho0) at each t, with the full n^2-dimensional L.
 
-    Each time is reached in one exponential rather than by stepping.
+    rho0 is one density matrix (n, n) or a stack (k, n, n); the result has shape
+    (len(times), *rho0.shape).  Each time is reached in one exponential rather
+    than by stepping, shared by the whole stack.
     """
     from scipy.linalg import expm
 
     L = _column_major_liouvillian(H, cs)
     n = len(H)
-    v0 = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
-    return np.array([(expm(L * t) @ v0).reshape(n, n, order="F") for t in times])
+    rho0 = np.asarray(rho0, dtype=complex)
+    # column-major vec(rho) of each matrix, one per column
+    v0 = rho0.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n).T
+    out = [(expm(L * t) @ v0).T.reshape(-1, n, n).transpose(0, 2, 1) for t in times]
+    return np.array(out).reshape(len(times), *rho0.shape)
 
 
 def adaptive_lindblad(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray],

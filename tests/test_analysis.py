@@ -150,6 +150,15 @@ class TestCool:
                  + obs["pop_1D2_total"][k] + obs["pop_6s"][k])
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_unreached_levels_read_zero(self, reference_params):
+        # without the clock drive the index set holds the two clock levels only
+        res = cool(1.0, 1.0, reference_params.replace(omega_eff=0.0), t_final=2.0, samples=5)
+        levels = sorted(res.trajectory.basis.levels.tolist())
+        assert levels == sorted([BasisState.CLOCK_UP, BasisState.CLOCK_DOWN])
+        for name in ("pop_reservoir", "pop_1P1_total", "pop_1D2_total", "pop_6s"):
+            assert res.series[name].tolist() == [0.0] * 5
+        assert res.series["pop_psi0"] == pytest.approx(np.ones(5), abs=1e-12)
+
     def test_fidelity_monotone_after_ten_us(self, fig3_run):
         t = fig3_run.trajectory.times
         f = fig3_run.series["pop_psif"]

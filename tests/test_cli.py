@@ -94,6 +94,19 @@ class TestSimulate:
         for name in ("trajectory.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    # grid edges of evolve's stepping for one state: a trailing run of one sample
+    # (runs of 256) and a grid that ends two samples into the first P^8 product
+    @pytest.mark.parametrize("samples", [257, 10])
+    def test_grid_edges_rerun_identical_bytes(self, tmp_path, samples):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["--out", str(out), "--set", f"samples={samples}", "simulate"]) == 0
+        names = sorted(path.name for path in runs[0].iterdir())
+        assert names == ["summary.json", "trajectory.csv"]
+        assert sorted(path.name for path in runs[1].iterdir()) == names
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
     def test_svg_emitted(self, tmp_path):
         out = str(tmp_path / "svg")
         assert main(["--out", out, *FAST, "--svg", "simulate"]) == 0

@@ -28,7 +28,7 @@ from spincool.srmodel import (
     with_polarization_impurity,
 )
 
-from .oracles import adaptive_lindblad, liouvillian_apply
+from .oracles import adaptive_lindblad, liouvillian_apply, one_shot_lindblad
 from .test_engine_properties import PROPERTY, physical_params
 
 GAMMA = 1.3  # rad/us, arbitrary two-level decay rate
@@ -507,6 +507,63 @@ class TestRealBasis:
             basis.check(u, 1e-8, 1e-7)
         assert exc.value.index == (2, 1)
 
+    def test_negative_eigenvalue_in_two_level_block(self):
+        _, basis = reference_basis(ModelParams())
+        pair = next(f for f in basis.blocks if len(f) == 2)
+        a, b = pair[0, 0] // 13, pair[1, 1] // 13
+        bad = np.diag(np.full(13, 1 / 13)).astype(complex)
+        # eigenvalues 1/13 -+ |x|: the closed form must take the lower root
+        bad[a, b] = (1 / 13 + 0.1) * (0.6 - 0.8j)
+        bad[b, a] = np.conj(bad[a, b])
+        u = self._stack(basis, bad)
+        basis.check(u[:2], 1e-8, 1e-7)
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue -1.000e-01") as exc:
+            basis.check(u, 1e-8, 1e-7)
+        assert exc.value.index == (2, 1)
+
+    @staticmethod
+    def _edge_state(basis: RealBasis, size: int, x: float) -> np.ndarray:
+        """A unit-trace state whose block of `size` levels has the eigenvalue -x."""
+        levels = next(f for f in basis.blocks if len(f) == size)[:, 0] // 13
+        rho = np.diag(np.full(13, 1 / 13)).astype(complex)
+        if size == 1:
+            a, other = levels[0], (levels[0] + 1) % 13
+            rho[a, a] = -x
+            rho[other, other] += 1 / 13 + x
+            return rho
+        # eigenvectors with a complex coherence on the first and last level of the block
+        v, w = np.array([0.6, 0.8j]), np.array([0.8, -0.6j])
+        ab = np.ix_(levels[[0, -1]], levels[[0, -1]])
+        rho[ab] = (2 / 13 + x) * np.outer(v, v.conj()) - x * np.outer(w, w.conj())
+        return rho
+
+    @pytest.mark.parametrize("size", [1, 2, 9])
+    def test_positivity_tolerance_edges(self, size):
+        _, basis = reference_basis(ModelParams())
+        tol = 1e-7
+        basis.check(self._stack(basis, self._edge_state(basis, size, 0.5 * tol)), 1e-8, tol)
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue -2.000e-07") as exc:
+            basis.check(self._stack(basis, self._edge_state(basis, size, 2 * tol)), 1e-8, tol)
+        assert exc.value.index == (2, 1)
+
+    def test_complex_coherences_of_nine_level_block(self):
+        # a pure state on three levels of the block passes; flipping the sign of one
+        # imaginary coherence gives det = -4/27 < 0 and must fail
+        _, basis = reference_basis(ModelParams())
+        levels = next(f for f in basis.blocks if len(f) == 9)[[0, 4, 8], 0] // 13
+        psi = np.zeros(13, dtype=complex)
+        psi[levels] = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3)
+        good = pure_density(psi)
+        basis.check(self._stack(basis, good), 1e-8, 1e-7)
+        bad = good.copy()
+        a, b = levels[:2]
+        bad[a, b], bad[b, a] = good[b, a], good[a, b]
+        low = np.linalg.eigvalsh(bad)[0]
+        assert low < -0.1
+        with pytest.raises(DensityMatrixError, match=f"negative eigenvalue {low:.3e}") as exc:
+            basis.check(self._stack(basis, bad), 1e-8, 1e-7)
+        assert exc.value.index == (2, 1)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("size", [9, 2])
     def test_non_finite_coherence_names_stack_index(self, size, value):
@@ -562,6 +619,41 @@ class TestStreamedCheck:
                                    "1.005e-08 > 1e-08 at stack index (59, 0)")
         assert len(calls) == 59 // rows + 1
         assert calls == [rows] * len(calls)
+
+    # samples 1-7 are stepped with P, later ones from 8 earlier with P^8; the picks
+    # cover the ladder's start, block edges and the runs' edges (42 samples for 6
+    # states, 256 for one)
+    @pytest.mark.parametrize("states, t_final, samples, picks", [
+        (6, 20.0, 401, [0, 1, 7, 8, 9, 16, 41, 42, 43, 84, 400]),
+        (1, 30.0, 600, [255, 256, 257, 511, 599]),
+    ], ids=["six-states", "one-state"])
+    def test_ladder_matches_one_shot_oracle(self, states, t_final, samples, picks):
+        rho0, H, cs = self._stack(ModelParams())
+        rho0 = rho0 if states > 1 else rho0[2]
+        traj = evolve(rho0, H, cs, t_final, samples)
+        basis = traj.basis
+        ref = one_shot_lindblad(rho0, H, cs, traj.times[picks]).reshape(len(picks), states, -1)
+        assert np.abs(np.delete(ref, basis.idx, axis=-1)).max() <= 1e-14
+        # the oracle's states in real coordinates, shape (picks, states, m)
+        want = np.einsum("ij,psj->psi", basis.T, ref[..., basis.idx]).real
+        got = traj.coords.reshape(states, samples, -1)[:, picks].swapaxes(0, 1)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_table1_sweep_peak_memory(self):
+        # U (401 x 6 x 87 doubles, 1.6 MiB) and one run's check temporaries; the
+        # bound keeps the ratio_sweep benchmark's resident memory at its parent's
+        import tracemalloc
+
+        from spincool.analysis import TABLE1_RATIOS, table1_sweep
+
+        table1_sweep(ModelParams(), ratios=TABLE1_RATIOS[:6])
+        tracemalloc.start()
+        try:
+            table1_sweep(ModelParams(), ratios=TABLE1_RATIOS[:6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 2**20
 
     def test_peak_memory_is_bounded_by_the_coordinates(self):
         import tracemalloc
