@@ -1,20 +1,26 @@
 """Density-matrix propagation under a Lindblad master equation.
 
 The generator is time independent, so the propagation is exact and
-step-size independent: the superoperator is cut to the entries of vec(rho)
-reachable from the initial states and written in real coordinates
-(RealBasis), where it must be real, as it is when it preserves hermiticity;
-it is exponentiated once for the grid step (Pade scaling and squaring in
-numpy, Higham 2005, with the squarings chosen from ||A||_1) and applied to a
-stack of states.  The first 8 samples are stepped with that propagator P,
-every later one from the sample 8 steps earlier with P^8, 8 samples per
-matrix product.
+step-size independent.  It is built only on the entries of vec(rho)
+reachable from the initial states: the nonzero terms of the superoperator
+are listed from H and the collapse matrices, the reachable set is grown over
+them together with the transposed entries, and the terms inside it are summed
+into L[idx][:, idx], with no n^2 x n^2 array.  Its coordinates split into
+parts that L never couples (at the reference point the populations with the
+coherences inside one nuclear-spin sector, and the cross-sector coherences
+that carry the qubit).  In real coordinates (RealBasis), where the generator
+must be real, as it is when it preserves hermiticity, it is block diagonal
+over the parts, and each part's block is exponentiated once for the grid
+step (Pade scaling and squaring in numpy, Higham 2005, with the squarings
+chosen from ||A||_1) and applied to that part's columns of a stack of
+states.  The first 8 samples are stepped with the propagator P, every later
+one from the sample 8 steps earlier with P^8, 8 samples per matrix product.
 The samples are stepped and checked in runs of about 256 states, each run
 for finite coordinates, unit trace and, block by block, positivity, and
 stepping stops at the first failing run; full density matrices are built
 only on request.  Positivity reads the real coordinates: blocks of 1 and 2
 levels in closed form, larger ones by a Cholesky test of conj(rho_block) +
-tol*I gathered into its lower triangle.
+tol*I taken into its lower triangle.
 
 Sign convention of the master equation:
 
@@ -95,21 +101,23 @@ def _block_plan(pos: np.ndarray, m: int):
     pos (nb, nb) holds the coordinate of each entry of the block, m where u lacks it.
     A block of 1 level is (its diagonal,), one of 2 levels with every entry is
     (diagonal, diagonal, Re rho_01, Im rho_01): both have a closed-form spectrum.  A
-    larger block is (nb, dest, src): u[src] goes to the float positions dest of a
-    complex (nb, nb) matrix, the lower triangle of conj(rho_block).  Its entry (i, j),
-    i > j, is rho_ji = u[pos[j, i]] + i u[pos[i, j]], so the gather needs no sign.
+    larger block is (nb, take): float slot f of a complex (nb, nb) matrix, the lower
+    triangle of conj(rho_block), is coordinate take[f] of u with a zero column m
+    appended.  Its entry (i, j), i > j, is rho_ji = u[pos[j, i]] + i u[pos[i, j]], so
+    the gather needs no sign; the upper triangle and the imaginary diagonal read the
+    zero column, as does an entry that u lacks.
     """
     nb = len(pos)
     if nb == 1:
         return (pos[0, 0],)
     if nb == 2 and (pos < m).all():
         return (pos[0, 0], pos[1, 1], pos[0, 1], pos[1, 0])
+    take = np.full((nb, nb, 2), m)
     i, j = np.tril_indices(nb)
-    at, off = 2 * (i * nb + j), i > j
-    dest = np.concatenate([at, at[off] + 1])
-    src = np.concatenate([pos[j, i], pos[i, j][off]])
-    keep = src < m
-    return nb, dest[keep], src[keep]
+    take[i, j, 0] = pos[j, i]
+    off = i > j
+    take[i[off], j[off], 1] = pos[i[off], j[off]]
+    return nb, take.reshape(-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,14 +126,12 @@ def _matrix_plan(n: int):
     return _block_plan(np.arange(n * n).reshape(n, n), n * n)
 
 
-def _gather(u: np.ndarray, plan, shift: float) -> np.ndarray:
-    """conj(rho_block) + shift*I for each state of u (k, m), lower triangle only."""
-    nb, dest, src = plan
-    out = np.zeros((len(u), nb, nb), dtype=complex)
-    out.view(float).reshape(len(u), -1)[:, dest] = u[:, src]
-    i = np.arange(nb)
-    out[:, i, i] += shift
-    return out
+def _gather(padded: np.ndarray, plan, shift: float) -> np.ndarray:
+    """conj(rho_block) + shift*I for each state of padded (k, m + 1), upper triangle 0."""
+    nb, take = plan
+    out = padded.take(take, axis=1)
+    out[:, ::2 * nb + 2] += shift  # the real diagonal
+    return out.view(complex).reshape(-1, nb, nb)
 
 
 def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> None:
@@ -139,6 +145,7 @@ def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> Non
     """
     flat = u.reshape(-1, u.shape[-1])
     low = np.full(len(flat), np.inf)
+    padded = None  # one chunk of flat with a zero column appended
     for plan in plans:
         if len(plan) == 1:
             np.minimum(low, flat[:, plan[0]], out=low)
@@ -147,12 +154,16 @@ def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> Non
             np.minimum(low, 0.5 * (a + d) - np.sqrt((0.5 * (a - d)) ** 2 + x * x + y * y),
                        out=low)
         else:
+            if padded is None:
+                padded = np.zeros((min(len(flat), _CHOLESKY_STATES), flat.shape[1] + 1))
             for lo in range(0, len(flat), _CHOLESKY_STATES):
-                chunk, part = flat[lo:lo + _CHOLESKY_STATES], low[lo:lo + _CHOLESKY_STATES]
+                chunk = flat[lo:lo + _CHOLESKY_STATES]
+                part, rows = low[lo:lo + len(chunk)], padded[:len(chunk)]
+                rows[:, :-1] = chunk
                 try:
-                    np.linalg.cholesky(_gather(chunk, plan, tol))
+                    np.linalg.cholesky(_gather(rows, plan, tol))
                 except np.linalg.LinAlgError:
-                    np.minimum(part, np.linalg.eigvalsh(_gather(chunk, plan, 0.0))[:, 0],
+                    np.minimum(part, np.linalg.eigvalsh(_gather(rows, plan, 0.0))[:, 0],
                                out=part)
     shape = u.shape[:-1]
     _raise_first((low < -tol).reshape(shape), low.reshape(shape),
@@ -183,23 +194,24 @@ def check_density_matrix(rho: np.ndarray, where: str = "") -> None:
 
 
 class RealBasis:
-    """Real coordinates of the Hermitian matrices on the entries L reaches from `support`.
+    """Real coordinates of the Hermitian matrices on the entries idx of vec(rho), n levels.
 
-    The entries idx (row-major positions r*n + c of vec(rho)) are grown together
-    with their transposes.  u_k is rho_rr, Re rho_rc (r < c) or Im rho_cr (r > c)
-    for idx[k] = r*n + c: rho_rc = u_k + i u_t and rho_cr = u_k - i u_t with t the
+    idx (row-major positions r*n + c, in any order) holds each entry with its
+    transpose.  u_k is rho_rr, Re rho_rc (r < c) or Im rho_cr (r > c) for
+    idx[k] = r*n + c: rho_rc = u_k + i u_t and rho_cr = u_k - i u_t with t the
     transposed position.  u = T v and v = T_inv u for v = vec(rho)[idx].  Each row and
     column of T and T_inv has at most two entries, at k and t, so both are applied
     by indexing (T_dot, dot_T_inv); the dense matrices are built only on request.
     """
 
-    def __init__(self, L: np.ndarray, support: np.ndarray):
-        self.n = n = math.isqrt(len(support))
-        transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
-        self.idx = idx = reachable_subspace((L != 0) | (L[np.ix_(transpose, transpose)] != 0),
-                                            support | support[transpose])
+    def __init__(self, idx: np.ndarray, n: int):
+        self.n, self.idx = n, idx
         self.r, self.c = r, c = np.divmod(idx, n)
-        m, k, t = len(idx), np.arange(len(idx)), np.searchsorted(idx, c * n + r)
+        m, k = len(idx), np.arange(len(idx))
+        # a matrix position outside idx maps to m
+        self._pos = np.full(n * n, m)
+        self._pos[idx] = k
+        t = self._pos[c * n + r]
         upper, lower, pair = r < c, r > c, r != c
         # T_inv[k, k] = a_k and T_inv[k, t_k] = b_k; T = T_inv^+ with its pair rows halved
         a = np.where(lower, -1j, 1.0)
@@ -211,12 +223,8 @@ class RealBasis:
         # v_k = u[re_k] + i sign_k u[im_k]; a matrix position outside idx reads v[m] = 0
         self._re, self._im = np.where(lower, t, k), np.where(upper, t, k)
         self._sign = upper - 1.0 * lower
-        self._pos = np.full(n * n, m)
-        self._pos[idx] = k
         # rho is block diagonal over connected levels; label each by the lowest it reaches
-        label = np.arange(n)
-        for _ in range(n):
-            np.minimum.at(label, r, label[c])
+        label = _lowest_linked(r, c, n)
         # sorted(set(...)), not np.unique, which loads numpy.ma
         groups = [np.flatnonzero(label == low) for low in sorted(set(label[r].tolist()))]
         self.blocks = [g[:, None] * n + g for g in groups]
@@ -365,21 +373,88 @@ def expm(A: np.ndarray) -> np.ndarray:
     return X
 
 
-def reachable_subspace(L: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Sorted indices of vec(rho) that L can populate starting from `support`.
-
-    A graph search over the nonzero pattern of L: entry i is reached once
-    some reached entry j has L[i, j] != 0.  The reached set is closed (L[i, j]
-    is zero for every reached j and unreached i), so the block
-    L[idx][:, idx] propagates any state supported on `support` exactly.
-    """
-    pattern = L != 0
-    reached = np.asarray(support, dtype=bool)
+def _lowest_linked(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """For each of `size` nodes, the lowest node that the edges a[e] -- b[e] link it to."""
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    label = np.arange(size)
     while True:
-        grown = reached | pattern[:, reached].any(axis=1)
+        low = label.copy()
+        np.minimum.at(low, dst, label[src])
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def reachable_subspace(rows: np.ndarray, cols: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Sorted indices of vec(rho) that a generator can populate starting from `support`.
+
+    The generator's nonzero entries are at (rows[e], cols[e]): entry i is reached
+    once some reached entry j has an edge (i, j).  The reached set is closed (no edge
+    leads from a reached entry to an unreached one), so the block L[idx][:, idx]
+    propagates any state supported on `support` exactly.
+    """
+    reached = np.array(support, dtype=bool)
+    while True:
+        grown = reached.copy()
+        grown[rows[reached[cols]]] = True
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached)
         reached = grown
+
+
+def _reachable_generator(H: np.ndarray, cs: list[np.ndarray], support: np.ndarray):
+    """(idx, L, parts): the entries of vec(rho) reachable from `support`, L on them, its parts.
+
+    The same sums as liouvillian_matrix(H, cs)[idx][:, idx], built from its nonzero
+    terms without the n^2 x n^2 matrix: A = -iH - S/2 at ((i, j), (k, j)), (iH - S/2)^T
+    at ((i, j), (i, l)), and C[a1, b1] conj(C[a2, b2]) at ((a1, a2), (b1, b2)) for each
+    pair of nonzeros of one collapse matrix C, summed in liouvillian_matrix's order of
+    addition.  The entries are reached over these terms and their transposes from
+    support and its transpose.  parts are slices of idx: the connected components of
+    L's pattern with each entry joined to its transpose, in the order of their lowest
+    entry, each in increasing order.  L couples no two parts, and neither does T.
+    """
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    C = np.asarray(cs, dtype=complex).reshape(-1, n, n)
+    S = np.einsum("kji,kjl->il", C.conj(), C)  # sum of c+ c
+    A, B = -1j * H - 0.5 * S, (1j * H - 0.5 * S).T
+    every = np.arange(n)
+    i, k = np.nonzero(A)
+    j, l = np.nonzero(B)
+    ck, a, b = np.nonzero(C)
+    p, q = np.nonzero(ck[:, None] == ck[None, :])  # pairs of one C, in the order of C
+    # the Hamiltonian terms, then the jump terms
+    rows = np.concatenate([(i[:, None] * n + every).ravel(), (every[:, None] * n + j).ravel(),
+                           a[p] * n + a[q]])
+    cols = np.concatenate([(k[:, None] * n + every).ravel(), (every[:, None] * n + l).ravel(),
+                           b[p] * n + b[q]])
+    vals = np.concatenate([np.repeat(A[i, k], n), np.tile(B[j, l], n),
+                           C[ck[p], a[p], b[p]] * C[ck[q], a[q], b[q]].conj()])
+    first_jump = len(rows) - len(p)
+
+    transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    idx = reachable_subspace(np.concatenate([rows, transpose[rows]]),
+                             np.concatenate([cols, transpose[cols]]),
+                             support | support[transpose])
+    m = len(idx)
+    pos = np.full(n * n, m)
+    pos[idx] = np.arange(m)
+    inside = pos[cols] < m
+    # the Hamiltonian terms' sums, then the jump terms' sums, added as the dense L adds them
+    key = pos[rows[inside]] * m + pos[cols[inside]] + m * m * (np.flatnonzero(inside) >= first_jump)
+    sums = [np.bincount(key, weights=w, minlength=2 * m * m).reshape(2, m, m)
+            for w in (vals.real[inside], vals.imag[inside])]
+    L = np.empty((m, m), dtype=complex)
+    L.real, L.imag = (s[0] + s[1] for s in sums)
+
+    e, f = np.nonzero(L)
+    label = _lowest_linked(np.concatenate([e, np.arange(m)]),
+                           np.concatenate([f, pos[transpose[idx]]]), m)
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    parts = [slice(lo, hi) for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m])]
+    return idx[order], L[np.ix_(order, order)], parts
 
 
 def _allocate(make, *args) -> np.ndarray:
@@ -390,16 +465,46 @@ def _allocate(make, *args) -> np.ndarray:
         raise IntegrationError(f"cannot allocate the samples: {exc}") from exc
 
 
+def _propagators(H: np.ndarray, cs: list[np.ndarray], support: np.ndarray, n: int,
+                 dt: float, t_final: float) -> tuple[RealBasis, list]:
+    """The real basis of the entries reachable from support, and (part, P) per part.
+
+    P is the grid-step propagator of the part's coordinates, a slice of the basis.
+    The generator and its real form are freed on return, before evolve allocates the
+    samples: a lower peak lets malloc keep the freed pages for the next call instead
+    of returning them and faulting them in again.
+    """
+    # a non-finite or overflowing generator is an IntegrationError below; mute numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx, L, parts = _reachable_generator(H, cs, support)
+        basis = RealBasis(idx, n)
+        # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones,
+        # and block diagonal over the parts
+        Lr = basis.T_dot(basis.dot_T_inv(L))
+        try:
+            steps = [(part, expm(Lr.real[part, part] * dt)) for part in parts]
+        except FloatingPointError as exc:
+            raise IntegrationError(f"propagation failed: {exc}") from exc
+        drift = np.abs(Lr.imag).max() * t_final
+    if not drift <= HERMITICITY_TOL:
+        raise IntegrationError(f"generator breaks hermiticity: |Im L| t_final = "
+                               f"{drift:.3e} > {HERMITICITY_TOL:.0e}")
+    return basis, steps
+
+
 def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float,
            samples: int) -> Trajectory:
     """Propagate rho0, one density matrix or a stack, over linspace(0, t_final, samples) us.
 
+    The generator is built on the entries of vec(rho) reachable from rho0 and
+    exponentiated once per part of them that it never couples with another.
     A generator with |Im| > HERMITICITY_TOL / t_final in real form is an IntegrationError;
     so is a sample that is not finite, or off unit trace or positivity by 10x tolerance,
     named by its time and stack index, and so is a time grid or coordinate array too
     large to allocate.  The coordinates are laid out (samples, k, m) for k initial
-    states: samples 1 to 7 are stepped with the grid-step propagator P, and each later
-    one from the sample 8 earlier with P^8, eight samples (8k x m) in one product.
+    states, each part's columns stepped by its own propagator: samples 1 to 7 with the
+    grid-step propagator P, and each later one from the sample 8 earlier with P^8,
+    eight samples (8k rows) in one product.
     Samples are stepped and checked in runs of about _CHECK_STATES states and stepping
     stops at the first failing run: the check's precedence (finiteness, then trace,
     then positivity, then stack order) holds within a run, so a positivity failure in
@@ -413,40 +518,25 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, where=" (initial state)")
 
-    vec0 = rho0.reshape(-1, rho0.shape[-1] ** 2)
-    # a non-finite or overflowing generator is an IntegrationError below; mute numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        L = liouvillian_matrix(H, cs)
-        basis = RealBasis(L, np.any(vec0 != 0, axis=0))
-        # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones
-        Lr = basis.T_dot(basis.dot_T_inv(L[np.ix_(basis.idx, basis.idx)]))
-        try:
-            P = expm(Lr.real * t_grid[1])
-        except FloatingPointError as exc:
-            raise IntegrationError(f"propagation failed: {exc}") from exc
-        drift = np.abs(Lr.imag).max() * t_final
-    # the stepping needs neither: a lower peak lets malloc keep the freed pages for the
-    # next call instead of returning them and faulting them in again
-    del L, Lr
-    if not drift <= HERMITICITY_TOL:
-        raise IntegrationError(f"generator breaks hermiticity: |Im L| t_final = "
-                               f"{drift:.3e} > {HERMITICITY_TOL:.0e}")
-
-    # U[i, j] holds the coordinates of state j at t_grid[i]; rows step as u @ P^T
+    n = rho0.shape[-1]
+    vec0 = rho0.reshape(-1, n * n)
+    basis, propagators = _propagators(H, cs, np.any(vec0 != 0, axis=0), n, t_grid[1], t_final)
+    # U[i, j] holds the coordinates of state j at t_grid[i]; a part's columns step as u @ P^T
     m, k = len(basis.idx), vec0.shape[0]
     U = _allocate(np.empty, (samples, k, m))
     U[0] = basis.T_dot(vec0[:, basis.idx].T).real.T
-    step, ladder = P.T, np.linalg.matrix_power(P, _LADDER).T
+    steps = [(part, P.T, np.linalg.matrix_power(P, _LADDER).T) for part, P in propagators]
     # one run at a time keeps the check's temporaries small and reused, not faulted in afresh
     rows = max(1, _CHECK_STATES // k)
     for start in range(0, samples, rows):
         stop = min(start + rows, samples)
-        for i in range(max(start, 1), min(stop, _LADDER)):
-            np.matmul(U[i - 1], step, out=U[i])
-        for i in range(max(start, _LADDER), stop, _LADDER):
-            j = min(i + _LADDER, stop)
-            np.matmul(U[i - _LADDER:j - _LADDER].reshape(-1, m), ladder,
-                      out=U[i:j].reshape(-1, m))
+        for part, step, ladder in steps:
+            for i in range(max(start, 1), min(stop, _LADDER)):
+                np.matmul(U[i - 1][:, part], step, out=U[i][:, part])
+            for i in range(max(start, _LADDER), stop, _LADDER):
+                j = min(i + _LADDER, stop)
+                np.matmul(U[i - _LADDER:j - _LADDER].reshape(-1, m)[:, part], ladder,
+                          out=U[i:j].reshape(-1, m)[:, part])
         try:
             basis.check(U[start:stop], 10 * TRACE_TOL, 10 * POSITIVITY_TOL)
         except DensityMatrixError as exc:

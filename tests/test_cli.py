@@ -16,6 +16,18 @@ from spincool.srmodel import BasisState
 FAST = ["--set", "t_final=2.0", "--set", "samples=9"]
 
 
+def assert_reruns_identical(tmp_path: Path, args: list[str]) -> list[str]:
+    """Run `spincool --out DIR *args` twice; both runs write the same files, byte for byte."""
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["--out", str(out), *args]) == 0
+    names = sorted(path.name for path in runs[0].iterdir())
+    assert sorted(path.name for path in runs[1].iterdir()) == names
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    return names
+
+
 class TestConfig:
     def test_parse_basic(self):
         text = """
@@ -98,14 +110,8 @@ class TestSimulate:
     # (runs of 256) and a grid that ends two samples into the first P^8 product
     @pytest.mark.parametrize("samples", [257, 10])
     def test_grid_edges_rerun_identical_bytes(self, tmp_path, samples):
-        runs = [tmp_path / "a", tmp_path / "b"]
-        for out in runs:
-            assert main(["--out", str(out), "--set", f"samples={samples}", "simulate"]) == 0
-        names = sorted(path.name for path in runs[0].iterdir())
+        names = assert_reruns_identical(tmp_path, ["--set", f"samples={samples}", "simulate"])
         assert names == ["summary.json", "trajectory.csv"]
-        assert sorted(path.name for path in runs[1].iterdir()) == names
-        for name in names:
-            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
     def test_svg_emitted(self, tmp_path):
         out = str(tmp_path / "svg")
@@ -341,6 +347,18 @@ class TestReproduce:
         assert main(["--out", out_b, "--set", "samples=41", "reproduce", "fig3"]) == 0
         assert (tmp_path / "a" / "fig3.csv").read_bytes() == \
             (tmp_path / "b" / "fig3.csv").read_bytes()
+
+    # the engine commands at full length; at omega_eff=0 evolve propagates three parts
+    @pytest.mark.parametrize("args, names", [
+        (["reproduce", "table1"], ["table1.csv", "table1.json"]),
+        (["reproduce", "fig3"], ["fig3.csv"]),
+        (["reproduce", "sensitivity"], ["sensitivity.csv", "sensitivity.json"]),
+        (["reproduce", "impurity"], ["impurity.csv", "impurity.json"]),
+        (["--set", "omega_eff=0", "--set", "samples=41", "simulate"],
+         ["summary.json", "trajectory.csv"]),
+    ], ids=["table1", "fig3", "sensitivity", "impurity", "omega_eff=0"])
+    def test_engine_commands_rerun_identical_bytes(self, tmp_path, args, names):
+        assert assert_reruns_identical(tmp_path, args) == names
 
     @pytest.mark.parametrize("target, key, values", [
         ("table1", "alpha_over_beta", [0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0]),

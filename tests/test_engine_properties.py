@@ -6,14 +6,23 @@ derandomized so every run checks the same draws.
 """
 
 import cmath
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincool.analysis import cool, table1_sweep
-from spincool.lindblad import evolve, pure_density
-from spincool.srmodel import ModelParams, collapse_ops, hamiltonian, qubit_vectors
+from spincool import lindblad
+from spincool.analysis import TABLE1_RATIOS, cool, table1_sweep
+from spincool.lindblad import RealBasis, evolve, liouvillian_matrix, pure_density
+from spincool.srmodel import (
+    ModelParams,
+    collapse_ops,
+    hamiltonian,
+    qubit_vectors,
+    with_polarization_impurity,
+)
 
 from .oracles import one_shot_lindblad
 
@@ -77,3 +86,66 @@ def test_global_phase_changes_nothing(p, alpha, beta, phase):
     for name in ("fidelity", "pop_perp", "pop_reservoir", "pop_residual_clock"):
         assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12
     assert np.abs(a.trajectory.states - b.trajectory.states).max() <= 1e-12
+
+
+def dense_reachable(L: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Sorted entries of vec(rho) that the dense L reaches from support, with transposes."""
+    n = math.isqrt(len(L))
+    transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    pattern = (L != 0) | (L[np.ix_(transpose, transpose)] != 0)
+    reached = support | support[transpose]
+    while True:
+        grown = reached | pattern[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def check_reachable_generator(p: ModelParams) -> list[int]:
+    """Check evolve's generator at p against the dense one; return the part sizes.
+
+    The index set is the dense reachable set, the generator equals the dense
+    one on it bit for bit (+0.0 folds -0.0 into 0.0), and in real coordinates
+    it has no entry outside the parts, which tile the index set in order.
+    """
+    H, cs = hamiltonian(p), [c.matrix() for c in collapse_ops(p)]
+    rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in TABLE1_RATIOS])
+    support = np.any(rho0.reshape(len(rho0), -1) != 0, axis=0)
+    idx, L, parts = lindblad._reachable_generator(H, cs, support)
+    dense = liouvillian_matrix(H, cs)
+    assert np.array_equal(np.sort(idx), dense_reachable(dense, support))
+    assert (L + 0.0).tobytes() == (dense[np.ix_(idx, idx)] + 0.0).tobytes()
+    assert [part.start for part in parts] == [0, *(part.stop for part in parts[:-1])]
+    assert parts[-1].stop == len(idx)
+    basis = RealBasis(idx, len(H))
+    outside = np.ones(L.shape, dtype=bool)
+    for part in parts:
+        outside[part, part] = False
+    assert np.all(basis.T_dot(basis.dot_T_inv(L))[outside] == 0)
+    return [part.stop - part.start for part in parts]
+
+
+@PROPERTY
+@given(p=physical_params, chi=st.floats(0.0, 0.2))
+def test_reachable_generator_matches_dense(p, chi):
+    check_reachable_generator(with_polarization_impurity(p, chi))
+
+
+# the parameter sets of the artifacts: table1, fig3 and simulate run at the
+# reference, the others are the sensitivity and impurity rows; with the clock
+# drive off, the populations and the coherence of the two clock levels decouple
+@pytest.mark.parametrize("p, sizes", [
+    (ModelParams(), [49, 38]),
+    (ModelParams(omega_eff=2.0), [49, 38]),
+    (ModelParams(delta=0.0), [49, 38]),
+    (ModelParams(omega_ps=250.0), [49, 38]),
+    (ModelParams(delta_ps_extra=10.0), [49, 38]),
+    (ModelParams(omega_pd=140.0), [49, 38]),
+    (ModelParams(delta_pd=-1750.0), [49, 38]),
+    (with_polarization_impurity(ModelParams(), 0.01), [49, 38]),
+    (with_polarization_impurity(ModelParams(), 0.1), [49, 38]),
+    (ModelParams(omega_eff=0.0), [1, 2, 1]),
+], ids=["reference", "omega_eff=2", "delta=0", "omega_ps=250", "ps_detuning=10",
+        "omega_pd=140", "delta_pd=-1750", "chi=0.01", "chi=0.1", "omega_eff=0"])
+def test_reachable_generator_on_artifact_parameters(p, sizes):
+    assert check_reachable_generator(p) == sizes
