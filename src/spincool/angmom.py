@@ -12,7 +12,7 @@ coefficients.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,14 +41,17 @@ class HalfInt:
         """Accept a HalfInt, an int, or a float that is exactly n/2."""
         if isinstance(x, HalfInt):
             return x
-        if isinstance(x, numbers.Integral):
-            return cls(2 * int(x))
         if isinstance(x, float):
             twice = 2 * x
             if twice != int(twice):
                 raise ValueError(f"{x} is not an integer or half-integer")
             return cls(int(twice))
-        raise TypeError(f"cannot interpret {x!r} as a half-integer")
+        # operator.index takes what numbers.Integral registers (bool and numpy
+        # integers too) without importing the numbers module
+        try:
+            return cls(2 * operator.index(x))
+        except TypeError:
+            raise TypeError(f"cannot interpret {x!r} as a half-integer") from None
 
     @property
     def value(self) -> float:

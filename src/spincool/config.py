@@ -9,7 +9,6 @@ keys are rejected.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -118,6 +117,8 @@ def load_run_config(path: str | None = None,
 
 def config_hash(cfg: RunConfig) -> str:
     """Stable hash of the fully resolved configuration."""
+    import hashlib  # here, so that importing the CLI does not load it
+
     canon = "\n".join(f"{k}={v}" for k, v in sorted(cfg.to_flat_dict().items()))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 

@@ -8,19 +8,26 @@ them together with the transposed entries, and the terms inside it are summed
 into L[idx][:, idx], with no n^2 x n^2 array.  Its coordinates split into
 parts that L never couples (at the reference point the populations with the
 coherences inside one nuclear-spin sector, and the cross-sector coherences
-that carry the qubit).  In real coordinates (RealBasis), where the generator
-must be real, as it is when it preserves hermiticity, it is block diagonal
-over the parts, and each part's block is exponentiated once for the grid
-step (Pade scaling and squaring in numpy, Higham 2005, with the squarings
-chosen from ||A||_1) and applied to that part's columns of a stack of
-states.  The first 8 samples are stepped with the propagator P, every later
-one from the sample 8 steps earlier with P^8, 8 samples per matrix product.
-The samples are stepped and checked in runs of about 256 states, each run
-for finite coordinates, unit trace and, block by block, positivity, and
-stepping stops at the first failing run; full density matrices are built
-only on request.  Positivity reads the real coordinates: blocks of 1 and 2
-levels in closed form, larger ones by a Cholesky test of conj(rho_block) +
-tol*I taken into its lower triangle.
+that carry the qubit).  All of this structure depends only on sparsity
+patterns, so it is analysed once per pattern, as the symbolic phase of a
+sparse direct solver is: the plan (reachable entries, parts, summation keys,
+real basis and its block plans) is cached under the nonzero patterns of the
+Hamiltonian and jump terms and of the initial states, and a call only
+gathers the term values into it.  In real coordinates (RealBasis), where the
+generator must be real, as it is when it preserves hermiticity, it is block
+diagonal over the parts, and each part's block is exponentiated once for the
+grid step (Pade scaling and squaring in numpy, Higham 2005, with the
+squarings chosen from ||A||_1) and applied to that part's columns of a stack
+of states.  The first 8 samples are stepped with the propagator P, every
+later one from the sample 8 steps earlier with P^8, 8 samples per matrix
+product.  The initial states are checked for hermiticity as matrices and then
+on the plan's basis; the samples are stepped and checked in runs of up to
+4096 states (one run for every grid of the artifact commands), each run for
+finite coordinates, unit trace and, block by block, positivity, and stepping
+stops at the first failing run; full density matrices are built only on
+request.  Positivity reads the real coordinates: blocks of 1 and 2 levels in
+closed form, larger ones by a Cholesky test of conj(rho_block) + tol*I taken
+into its lower triangle, 64 states at a time.
 
 Sign convention of the master equation:
 
@@ -34,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +55,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
-_CHECK_STATES = 256  # states stepped and checked per run in evolve
+_CHECK_STATES = 4096  # states stepped and checked per run in evolve
 _CHOLESKY_STATES = 64  # states per Cholesky test of a block of 3 or more levels
 _LADDER = 8  # evolve steps samples from 8 steps earlier by P^8
 
@@ -101,23 +109,27 @@ def _block_plan(pos: np.ndarray, m: int):
     pos (nb, nb) holds the coordinate of each entry of the block, m where u lacks it.
     A block of 1 level is (its diagonal,), one of 2 levels with every entry is
     (diagonal, diagonal, Re rho_01, Im rho_01): both have a closed-form spectrum.  A
-    larger block is (nb, take): float slot f of a complex (nb, nb) matrix, the lower
-    triangle of conj(rho_block), is coordinate take[f] of u with a zero column m
-    appended.  Its entry (i, j), i > j, is rho_ji = u[pos[j, i]] + i u[pos[i, j]], so
-    the gather needs no sign; the upper triangle and the imaginary diagonal read the
-    zero column, as does an entry that u lacks.
+    larger block is (nb, take, zero): float slot f of a complex (nb, nb) matrix, the
+    lower triangle of conj(rho_block), is coordinate take[f] of u.  Its entry (i, j),
+    i > j, is rho_ji = u[pos[j, i]] + i u[pos[i, j]], so the gather needs no sign.
+    Cholesky and eigvalsh read neither the upper triangle nor the imaginary diagonal,
+    whose slots read coordinate 0; the slots of an entry that u lacks are listed in
+    zero.
     """
     nb = len(pos)
     if nb == 1:
         return (pos[0, 0],)
     if nb == 2 and (pos < m).all():
         return (pos[0, 0], pos[1, 1], pos[0, 1], pos[1, 0])
-    take = np.full((nb, nb, 2), m)
+    take = np.zeros((nb, nb, 2), dtype=int)
     i, j = np.tril_indices(nb)
     take[i, j, 0] = pos[j, i]
     off = i > j
     take[i[off], j[off], 1] = pos[i[off], j[off]]
-    return nb, take.reshape(-1)
+    take = take.reshape(-1)
+    zero = np.flatnonzero(take == m)
+    take[zero] = 0
+    return nb, take, zero
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,10 +138,12 @@ def _matrix_plan(n: int):
     return _block_plan(np.arange(n * n).reshape(n, n), n * n)
 
 
-def _gather(padded: np.ndarray, plan, shift: float) -> np.ndarray:
-    """conj(rho_block) + shift*I for each state of padded (k, m + 1), upper triangle 0."""
-    nb, take = plan
-    out = padded.take(take, axis=1)
+def _gather(u: np.ndarray, plan, shift: float) -> np.ndarray:
+    """conj(rho_block) + shift*I in the lower triangle, for each state of u (k, m)."""
+    nb, take, zero = plan
+    out = u.take(take, axis=1)
+    if zero.size:
+        out[:, zero] = 0.0
     out[:, ::2 * nb + 2] += shift  # the real diagonal
     return out.view(complex).reshape(-1, nb, nb)
 
@@ -145,7 +159,6 @@ def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> Non
     """
     flat = u.reshape(-1, u.shape[-1])
     low = np.full(len(flat), np.inf)
-    padded = None  # one chunk of flat with a zero column appended
     for plan in plans:
         if len(plan) == 1:
             np.minimum(low, flat[:, plan[0]], out=low)
@@ -154,12 +167,8 @@ def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> Non
             np.minimum(low, 0.5 * (a + d) - np.sqrt((0.5 * (a - d)) ** 2 + x * x + y * y),
                        out=low)
         else:
-            if padded is None:
-                padded = np.zeros((min(len(flat), _CHOLESKY_STATES), flat.shape[1] + 1))
             for lo in range(0, len(flat), _CHOLESKY_STATES):
-                chunk = flat[lo:lo + _CHOLESKY_STATES]
-                part, rows = low[lo:lo + len(chunk)], padded[:len(chunk)]
-                rows[:, :-1] = chunk
+                rows, part = flat[lo:lo + _CHOLESKY_STATES], low[lo:lo + _CHOLESKY_STATES]
                 try:
                     np.linalg.cholesky(_gather(rows, plan, tol))
                 except np.linalg.LinAlgError:
@@ -168,6 +177,13 @@ def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> Non
     shape = u.shape[:-1]
     _raise_first((low < -tol).reshape(shape), low.reshape(shape),
                  "negative eigenvalue {:.3e}", where)
+
+
+def _check_hermitian(rho: np.ndarray, where: str) -> None:
+    """Raise for the first matrix of a stack (..., n, n) off hermiticity by more than the tolerance."""
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    _raise_first(~(herm <= HERMITICITY_TOL), herm,
+                 f"hermiticity violation {{:.3e}} > {HERMITICITY_TOL:.0e}", where)
 
 
 def check_density_matrix(rho: np.ndarray, where: str = "") -> None:
@@ -182,12 +198,9 @@ def check_density_matrix(rho: np.ndarray, where: str = "") -> None:
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise DensityMatrixError(f"not square: shape {rho.shape}")
     n = rho.shape[-1]
-    rho_h = rho.conj().swapaxes(-1, -2)
-    herm = np.abs(rho - rho_h).max(axis=(-2, -1))
-    _raise_first(~(herm <= HERMITICITY_TOL), herm,
-                 f"hermiticity violation {{:.3e}} > {HERMITICITY_TOL:.0e}", where)
+    _check_hermitian(rho, where)
     _check_trace(np.trace(rho, axis1=-2, axis2=-1), TRACE_TOL, where)
-    h = (rho + rho_h) / 2
+    h = (rho + rho.conj().swapaxes(-1, -2)) / 2
     # Re h_rc at r <= c, Im h_cr at r > c
     u = np.where(np.tri(n, k=-1, dtype=bool), h.imag.swapaxes(-1, -2), h.real)
     _check_positivity(u.reshape(*rho.shape[:-2], n * n), [_matrix_plan(n)], POSITIVITY_TOL, where)
@@ -220,6 +233,8 @@ class RealBasis:
         self._t, self._inv_k, self._inv_t = t, a, b[t]
         self._fwd_k, self._fwd_t = a.conj() * half, b[t].conj() * half
         self.diag, self.levels = np.flatnonzero(~pair), r[~pair]
+        # u @ _sums: each state's sum of coordinates and its trace
+        self._sums = np.stack([np.ones(m), 1.0 * ~pair], axis=1)
         # v_k = u[re_k] + i sign_k u[im_k]; a matrix position outside idx reads v[m] = 0
         self._re, self._im = np.where(lower, t, k), np.where(upper, t, k)
         self._sign = upper - 1.0 * lower
@@ -255,16 +270,21 @@ class RealBasis:
         v.imag[..., :-1] = self._sign * u[..., self._im]
         return [v[..., self._pos[f]] for f in positions]
 
-    def check(self, u: np.ndarray, trace_tol: float, positivity_tol: float) -> None:
+    def check(self, u: np.ndarray, trace_tol: float, positivity_tol: float,
+              where: str = "") -> None:
         """Raise DensityMatrixError for the first state of u (..., m) off trace or positivity.
 
         A state with a non-finite coordinate fails first: a non-finite coherence leaves the
-        trace alone, and Cholesky need not raise on it.
+        trace alone, and Cholesky need not raise on it.  `where` ends the message.
         """
-        if not np.isfinite(u).all():  # one pass; the per-state search is 10x slower
-            _raise_first(~np.isfinite(u).all(axis=-1), u, "non-finite state", "")
-        _check_trace(u[..., self.diag].sum(axis=-1), trace_tol, "")
-        _check_positivity(u, self._plans, positivity_tol, "")
+        # one product gives both sums; a state's sum is finite unless a coordinate is
+        # not or the sum overflows, and only then are its coordinates searched
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (u.reshape(-1, u.shape[-1]) @ self._sums).reshape(*u.shape[:-1], 2)
+        if not np.isfinite(sums[..., 0]).all():
+            _raise_first(~np.isfinite(u).all(axis=-1), u, "non-finite state", where)
+        _check_trace(sums[..., 1], trace_tol, where)
+        _check_positivity(u, self._plans, positivity_tol, where)
 
 
 @dataclass
@@ -402,36 +422,53 @@ def reachable_subspace(rows: np.ndarray, cols: np.ndarray, support: np.ndarray) 
         reached = grown
 
 
-def _reachable_generator(H: np.ndarray, cs: list[np.ndarray], support: np.ndarray):
-    """(idx, L, parts): the entries of vec(rho) reachable from `support`, L on them, its parts.
+class _Plan(NamedTuple):
+    """What the generator on the reachable entries takes from its sparsity pattern alone.
 
-    The same sums as liouvillian_matrix(H, cs)[idx][:, idx], built from its nonzero
-    terms without the n^2 x n^2 matrix: A = -iH - S/2 at ((i, j), (k, j)), (iH - S/2)^T
-    at ((i, j), (i, l)), and C[a1, b1] conj(C[a2, b2]) at ((a1, a2), (b1, b2)) for each
-    pair of nonzeros of one collapse matrix C, summed in liouvillian_matrix's order of
-    addition.  The entries are reached over these terms and their transposes from
-    support and its transpose.  parts are slices of idx: the connected components of
-    L's pattern with each entry joined to its transpose, in the order of their lowest
-    entry, each in increasing order.  L couples no two parts, and neither does T.
+    basis is the RealBasis of the reachable entries, ordered part by part, and parts
+    are its slices that L never couples.  The terms inside the basis take their
+    values from hamiltonian (flat positions in A and, offset by n*n, in B) and, for
+    the jump terms, C.flat[jump_a] * conj(C.flat[jump_b]); term e adds into entry
+    keys[e] of the bincount that builds L, the Hamiltonian terms' sums first.
     """
-    H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
-    C = np.asarray(cs, dtype=complex).reshape(-1, n, n)
-    S = np.einsum("kji,kjl->il", C.conj(), C)  # sum of c+ c
-    A, B = -1j * H - 0.5 * S, (1j * H - 0.5 * S).T
+
+    basis: RealBasis
+    parts: list
+    hamiltonian: np.ndarray
+    jump_a: np.ndarray
+    jump_b: np.ndarray
+    keys: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _generator_plan(key: tuple) -> _Plan:
+    """The _Plan of key = (n, collapse count, then the bytes of the nonzero patterns of
+    A = -iH - S/2, B = (iH - S/2)^T, the collapse matrices and the support).
+
+    The terms of L are A at ((i, j), (k, j)), B at ((i, j), (i, l)), and C[a1, b1]
+    conj(C[a2, b2]) at ((a1, a2), (b1, b2)) for each pair of nonzeros of one collapse
+    matrix C, in liouvillian_matrix's order of addition.  The entries are reached over
+    the terms and their transposes from the support and its transpose.  A part is a
+    connected component of the terms inside with each entry joined to its transpose,
+    in the order of its lowest entry, each in increasing order.  The plan is a pure
+    function of its key, and its arrays are read-only, so a cached plan never
+    carries one call's values into another.
+    """
+    n, count, *patterns = key
+    a_nz, b_nz, c_nz, support = (np.frombuffer(x, dtype=bool) for x in patterns)
     every = np.arange(n)
-    i, k = np.nonzero(A)
-    j, l = np.nonzero(B)
-    ck, a, b = np.nonzero(C)
+    i, k = np.nonzero(a_nz.reshape(n, n))
+    j, l = np.nonzero(b_nz.reshape(n, n))
+    ck, a, b = np.nonzero(c_nz.reshape(count, n, n))
     p, q = np.nonzero(ck[:, None] == ck[None, :])  # pairs of one C, in the order of C
     # the Hamiltonian terms, then the jump terms
     rows = np.concatenate([(i[:, None] * n + every).ravel(), (every[:, None] * n + j).ravel(),
                            a[p] * n + a[q]])
     cols = np.concatenate([(k[:, None] * n + every).ravel(), (every[:, None] * n + l).ravel(),
                            b[p] * n + b[q]])
-    vals = np.concatenate([np.repeat(A[i, k], n), np.tile(B[j, l], n),
-                           C[ck[p], a[p], b[p]] * C[ck[q], a[q], b[q]].conj()])
-    first_jump = len(rows) - len(p)
+    hamiltonian = np.concatenate([np.repeat(i * n + k, n), np.tile(n * n + j * n + l, n)])
+    flat = (ck * n + a) * n + b
+    jump_a, jump_b = flat[p], flat[q]
 
     transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
     idx = reachable_subspace(np.concatenate([rows, transpose[rows]]),
@@ -441,20 +478,47 @@ def _reachable_generator(H: np.ndarray, cs: list[np.ndarray], support: np.ndarra
     pos = np.full(n * n, m)
     pos[idx] = np.arange(m)
     inside = pos[cols] < m
-    # the Hamiltonian terms' sums, then the jump terms' sums, added as the dense L adds them
-    key = pos[rows[inside]] * m + pos[cols[inside]] + m * m * (np.flatnonzero(inside) >= first_jump)
-    sums = [np.bincount(key, weights=w, minlength=2 * m * m).reshape(2, m, m)
-            for w in (vals.real[inside], vals.imag[inside])]
-    L = np.empty((m, m), dtype=complex)
-    L.real, L.imag = (s[0] + s[1] for s in sums)
-
-    e, f = np.nonzero(L)
+    e, f = pos[rows[inside]], pos[cols[inside]]
     label = _lowest_linked(np.concatenate([e, np.arange(m)]),
                            np.concatenate([f, pos[transpose[idx]]]), m)
     order = np.argsort(label, kind="stable")
     cuts = np.flatnonzero(np.diff(label[order])) + 1
     parts = [slice(lo, hi) for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m])]
-    return idx[order], L[np.ix_(order, order)], parts
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+    # the Hamiltonian terms' sums, then the jump terms' sums, added as the dense L adds them
+    keys = rank[e] * m + rank[f] + m * m * (np.flatnonzero(inside) >= len(hamiltonian))
+    jumps = inside[len(hamiltonian):]
+    plan = _Plan(RealBasis(idx[order], n), parts, hamiltonian[inside[:len(hamiltonian)]],
+                 jump_a[jumps], jump_b[jumps], keys)
+    for array in (*plan[2:], *vars(plan.basis).values()):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return plan
+
+
+def _reachable_generator(H: np.ndarray, cs: list[np.ndarray], support: np.ndarray):
+    """(plan, L): the _generator_plan of the entries of vec(rho) reachable from support,
+    and L on them, ordered as the plan's basis.
+
+    L holds the same sums as liouvillian_matrix(H, cs)[idx][:, idx] for the basis's idx:
+    only the term values are gathered per call, the structure comes from the plan.
+    """
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    C = np.asarray(cs, dtype=complex).reshape(-1, n, n)
+    S = np.einsum("kji,kjl->il", C.conj(), C)  # sum of c+ c
+    A, B = -1j * H - 0.5 * S, (1j * H - 0.5 * S).T
+    plan = _generator_plan((n, len(C), *((x != 0).tobytes() for x in (A, B, C, support))))
+    C = C.reshape(-1)
+    vals = np.concatenate([np.concatenate([A.reshape(-1), B.reshape(-1)])[plan.hamiltonian],
+                           C[plan.jump_a] * C[plan.jump_b].conj()])
+    m = len(plan.basis.idx)
+    sums = [np.bincount(plan.keys, weights=w, minlength=2 * m * m).reshape(2, m, m)
+            for w in (vals.real, vals.imag)]
+    L = np.empty((m, m), dtype=complex)
+    L.real, L.imag = (s[0] + s[1] for s in sums)
+    return plan, L
 
 
 def _allocate(make, *args) -> np.ndarray:
@@ -465,31 +529,43 @@ def _allocate(make, *args) -> np.ndarray:
         raise IntegrationError(f"cannot allocate the samples: {exc}") from exc
 
 
-def _propagators(H: np.ndarray, cs: list[np.ndarray], support: np.ndarray, n: int,
-                 dt: float, t_final: float) -> tuple[RealBasis, list]:
-    """The real basis of the entries reachable from support, and (part, P) per part.
+def _start(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], dt: float,
+           t_final: float) -> tuple[RealBasis, np.ndarray, list]:
+    """The real basis of the entries reachable from rho0, rho0's checked coordinates
+    (k, m) and (part, P) per part.
 
+    rho0 is checked for hermiticity on its matrices, then on the basis for finite
+    coordinates, unit trace and positivity, before the generator is exponentiated.
     P is the grid-step propagator of the part's coordinates, a slice of the basis.
     The generator and its real form are freed on return, before evolve allocates the
     samples: a lower peak lets malloc keep the freed pages for the next call instead
     of returning them and faulting them in again.
     """
+    where = " (initial state)"
+    if rho0.ndim < 2 or rho0.shape[-1] != rho0.shape[-2]:
+        raise DensityMatrixError(f"not square: shape {rho0.shape}")
+    _check_hermitian(rho0, where)
+    n = rho0.shape[-1]
+    vec0 = rho0.reshape(-1, n * n)
     # a non-finite or overflowing generator is an IntegrationError below; mute numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        idx, L, parts = _reachable_generator(H, cs, support)
-        basis = RealBasis(idx, n)
+        plan, L = _reachable_generator(H, cs, np.any(vec0 != 0, axis=0))
+    basis = plan.basis
+    u0 = basis.T_dot(vec0[:, basis.idx].T).real.T
+    basis.check(u0.reshape(*rho0.shape[:-2], -1), TRACE_TOL, POSITIVITY_TOL, where)
+    with np.errstate(over="ignore", invalid="ignore"):
         # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones,
         # and block diagonal over the parts
         Lr = basis.T_dot(basis.dot_T_inv(L))
         try:
-            steps = [(part, expm(Lr.real[part, part] * dt)) for part in parts]
+            steps = [(part, expm(Lr.real[part, part] * dt)) for part in plan.parts]
         except FloatingPointError as exc:
             raise IntegrationError(f"propagation failed: {exc}") from exc
         drift = np.abs(Lr.imag).max() * t_final
     if not drift <= HERMITICITY_TOL:
         raise IntegrationError(f"generator breaks hermiticity: |Im L| t_final = "
                                f"{drift:.3e} > {HERMITICITY_TOL:.0e}")
-    return basis, steps
+    return basis, u0, steps
 
 
 def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float,
@@ -497,7 +573,13 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     """Propagate rho0, one density matrix or a stack, over linspace(0, t_final, samples) us.
 
     The generator is built on the entries of vec(rho) reachable from rho0 and
-    exponentiated once per part of them that it never couples with another.
+    exponentiated once per part of them that it never couples with another.  Its
+    structure (the reachable entries, the parts, the real basis and its block plans)
+    depends only on the nonzero patterns of H's and the collapse matrices' terms and of
+    rho0, and is analysed once per pattern (_generator_plan); a call gathers only the
+    values.  rho0 must be Hermitian to HERMITICITY_TOL, and its coordinates in that
+    basis finite, of unit trace and positive to TRACE_TOL and POSITIVITY_TOL; a failure
+    is a DensityMatrixError that names the initial state.
     A generator with |Im| > HERMITICITY_TOL / t_final in real form is an IntegrationError;
     so is a sample that is not finite, or off unit trace or positivity by 10x tolerance,
     named by its time and stack index, and so is a time grid or coordinate array too
@@ -505,10 +587,12 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     states, each part's columns stepped by its own propagator: samples 1 to 7 with the
     grid-step propagator P, and each later one from the sample 8 earlier with P^8,
     eight samples (8k rows) in one product.
-    Samples are stepped and checked in runs of about _CHECK_STATES states and stepping
-    stops at the first failing run: the check's precedence (finiteness, then trace,
-    then positivity, then stack order) holds within a run, so a positivity failure in
-    an earlier run is reported before a trace failure in a later one.
+    Samples are stepped and checked in runs of about _CHECK_STATES states, one run for
+    the grids of the artifact commands, and stepping stops at the first failing run: the
+    check's precedence (finiteness, then trace, then positivity, then stack order) holds
+    within a run, so a positivity failure in an earlier run is reported before a trace
+    failure in a later one.  A sample that overflows in the stepping fails the check as
+    non-finite.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
@@ -516,27 +600,25 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
         raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {samples}")
     t_grid = _allocate(np.linspace, 0.0, t_final, samples)
     rho0 = np.asarray(rho0, dtype=complex)
-    check_density_matrix(rho0, where=" (initial state)")
-
-    n = rho0.shape[-1]
-    vec0 = rho0.reshape(-1, n * n)
-    basis, propagators = _propagators(H, cs, np.any(vec0 != 0, axis=0), n, t_grid[1], t_final)
+    basis, u0, propagators = _start(rho0, H, cs, t_grid[1], t_final)
     # U[i, j] holds the coordinates of state j at t_grid[i]; a part's columns step as u @ P^T
-    m, k = len(basis.idx), vec0.shape[0]
+    k, m = u0.shape
     U = _allocate(np.empty, (samples, k, m))
-    U[0] = basis.T_dot(vec0[:, basis.idx].T).real.T
+    U[0] = u0
     steps = [(part, P.T, np.linalg.matrix_power(P, _LADDER).T) for part, P in propagators]
-    # one run at a time keeps the check's temporaries small and reused, not faulted in afresh
+    # runs bound the check's temporaries; every grid of the artifact commands is one run
     rows = max(1, _CHECK_STATES // k)
     for start in range(0, samples, rows):
         stop = min(start + rows, samples)
-        for part, step, ladder in steps:
-            for i in range(max(start, 1), min(stop, _LADDER)):
-                np.matmul(U[i - 1][:, part], step, out=U[i][:, part])
-            for i in range(max(start, _LADDER), stop, _LADDER):
-                j = min(i + _LADDER, stop)
-                np.matmul(U[i - _LADDER:j - _LADDER].reshape(-1, m)[:, part], ladder,
-                          out=U[i:j].reshape(-1, m)[:, part])
+        # an overflow is reported by the check below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for part, step, ladder in steps:
+                for i in range(max(start, 1), min(stop, _LADDER)):
+                    np.matmul(U[i - 1][:, part], step, out=U[i][:, part])
+                for i in range(max(start, _LADDER), stop, _LADDER):
+                    j = min(i + _LADDER, stop)
+                    np.matmul(U[i - _LADDER:j - _LADDER].reshape(-1, m)[:, part], ladder,
+                              out=U[i:j].reshape(-1, m)[:, part])
         try:
             basis.check(U[start:stop], 10 * TRACE_TOL, 10 * POSITIVITY_TOL)
         except DensityMatrixError as exc:

@@ -39,11 +39,11 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
     ml, mr, mt, mb = 62, 16, 28, 46
     pw, ph = width - ml - mr, height - mt - mb
 
-    def ty(v: float) -> float:
-        return math.log10(max(v, 1e-12)) if log_y else v
-
+    # each value is transformed once, to a Python float
+    ty = (lambda v: math.log10(max(v, 1e-12))) if log_y else float
+    series = [(name, [float(x) for x in xs], [ty(y) for y in ys]) for name, xs, ys in series]
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [ty(y) for _, _, ys in series for y in ys]
+    ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ValueError("no data")
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -54,12 +54,8 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
         y_hi = y_lo + 1.0
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
-
-    def px(x: float) -> float:
-        return ml + pw * (x - x_lo) / (x_hi - x_lo)
-
-    def py(y: float) -> float:
-        return mt + ph * (1 - (y - y_lo) / (y_hi - y_lo))
+    # a point maps to ml + pw (x - x_lo) / x_span and mt + ph (1 - (y - y_lo) / y_span)
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -68,11 +64,11 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
     for t in _ticks(x_lo, x_hi):
-        x = px(t)
+        x = ml + pw * (t - x_lo) / x_span
         parts.append(f'<line x1="{x:.1f}" y1="{mt + ph}" x2="{x:.1f}" y2="{mt + ph + 4}" stroke="#333"/>')
         parts.append(f'<text x="{x:.1f}" y="{mt + ph + 16}" text-anchor="middle">{t:g}</text>')
     for t in _ticks(y_lo, y_hi):
-        y = py(t)
+        y = mt + ph * (1 - (t - y_lo) / y_span)
         label = f"1e{t:g}" if log_y else f"{t:g}"
         parts.append(f'<line x1="{ml - 4}" y1="{y:.1f}" x2="{ml}" y2="{y:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{ml - 7}" y="{y + 3.5:.1f}" text-anchor="end">{label}</text>')
@@ -87,7 +83,8 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
 
     for k, (name, xs, ys) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(ty(y)):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{ml + pw * (x - x_lo) / x_span:.2f},"
+                       f"{mt + ph * (1 - (y - y_lo) / y_span):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>')
         ly = mt + 14 + 14 * k
         parts.append(f'<line x1="{ml + pw - 118}" y1="{ly - 4}" x2="{ml + pw - 98}" y2="{ly - 4}" '

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from spincool.angmom import (HalfInt, clebsch_gordan, dressing_amplitude, ladder_a, ladder_b,
@@ -15,12 +16,19 @@ class TestHalfInt:
         assert HalfInt.coerce(2).value == 2.0
         assert HalfInt.coerce(0.5).twice == 1
         assert HalfInt.coerce(HalfInt(-9)).value == -4.5
+        # integers come in through operator.index: bool and numpy integers too
+        for x, twice in ((True, 2), (np.int64(-3), -6), (np.uint8(2), 4), (np.float64(1.5), 3)):
+            assert HalfInt.coerce(x).twice == twice
+            assert type(HalfInt.coerce(x).twice) is int
 
     def test_rejects_non_half_values(self):
         with pytest.raises(ValueError):
             HalfInt.coerce(0.3)
-        with pytest.raises(TypeError):
-            HalfInt.coerce("1/2")
+        with pytest.raises(ValueError):
+            HalfInt.coerce(np.float64(0.3))
+        for x in ("1/2", "3", None, np.bool_(True), 1 + 0j):
+            with pytest.raises(TypeError):
+                HalfInt.coerce(x)
         with pytest.raises(TypeError):
             HalfInt(1.5)
 

@@ -411,6 +411,11 @@ class TestImports:
         out = _run_python(f"import sys, spincool.cli; print({SCIPY_LOADED})")
         assert out.strip() == "[]"
 
+    def test_cli_import_leaves_hashlib_and_numbers_unloaded(self):
+        out = _run_python("import sys, spincool.cli; "
+                          "print(sorted({'hashlib', 'numbers'} & set(sys.modules)))")
+        assert out.strip() == "[]"
+
     def test_light_commands_leave_numpy_unloaded(self, tmp_path):
         # scalar commands and config errors, the overflow check included, never load numpy
         commands = [["levels"], ["lasercalc"], ["reproduce", "appendixA"],
@@ -426,6 +431,25 @@ class TestImports:
         assert out[0] == "False"
         assert out[-1] == "[0, 0, 0, 0, 2, 2] False"
         assert (tmp_path / "laser_budget.json").exists()
+
+    # each light command once more in a fresh interpreter with numpy unimportable and
+    # warnings as errors writes the files and prints the text of the in-process run
+    @pytest.mark.parametrize("cmd", [["levels"], ["lasercalc"], ["reproduce", "appendixA"],
+                                     ["reproduce", "levels"]], ids=" ".join)
+    def test_light_command_without_numpy_writes_the_same_bytes(self, tmp_path, capsys, cmd):
+        here, fresh = tmp_path / "in_process", tmp_path / "no_numpy"
+        assert main(["--out", str(here), *cmd]) == 0
+        printed = capsys.readouterr().out
+        code = ("import sys, warnings\n"
+                "warnings.simplefilter('error')\n"
+                "sys.modules['numpy'] = None\n"
+                "from spincool.cli import main\n"
+                f"sys.exit(main(['--out', {str(fresh)!r}, *{cmd!r}]))\n")
+        assert _run_python(code) == printed
+        names = sorted(path.name for path in here.iterdir()) if here.exists() else []
+        assert (sorted(path.name for path in fresh.iterdir()) if fresh.exists() else []) == names
+        for name in names:
+            assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
     def test_engine_run_leaves_numpy_ma_unloaded(self):
         code = ("import sys\n"

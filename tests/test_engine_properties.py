@@ -111,7 +111,8 @@ def check_reachable_generator(p: ModelParams) -> list[int]:
     H, cs = hamiltonian(p), [c.matrix() for c in collapse_ops(p)]
     rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in TABLE1_RATIOS])
     support = np.any(rho0.reshape(len(rho0), -1) != 0, axis=0)
-    idx, L, parts = lindblad._reachable_generator(H, cs, support)
+    plan, L = lindblad._reachable_generator(H, cs, support)
+    idx, parts = plan.basis.idx, plan.parts
     dense = liouvillian_matrix(H, cs)
     assert np.array_equal(np.sort(idx), dense_reachable(dense, support))
     assert (L + 0.0).tobytes() == (dense[np.ix_(idx, idx)] + 0.0).tobytes()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,18 @@ class TestEvolve:
         with pytest.raises(DensityMatrixError):
             evolve(np.diag([0.7, 0.7]), np.zeros((2, 2)), [], 1.0, 2)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.1], [0.3, 0.5]]), "hermiticity violation 2.000e-01 > 1e-10"),
+        (np.diag([0.7, 0.7]), "trace deviation 4.000e-01 > 1e-09"),
+        (np.diag([1.2, -0.2]), "negative eigenvalue -2.000e-01"),
+    ], ids=["hermiticity", "trace", "positivity"])
+    def test_bad_initial_state_named_in_its_stack(self, bad, message):
+        good = np.diag([0.5, 0.5])
+        with pytest.raises(DensityMatrixError) as exc:
+            evolve(np.array([[good, good], [good, bad]]), np.zeros((2, 2)),
+                   [damping_op(GAMMA)], 1.0, 2)
+        assert str(exc.value) == f"{message} at stack index (1, 1) (initial state)"
+
     @pytest.mark.parametrize("H, gamma", [
         (np.array([[0.0, np.inf], [np.inf, 0.0]]), GAMMA),
         (np.zeros((2, 2)), 1e300),
@@ -386,6 +399,44 @@ class TestEvolve:
         rho0 = pure_density(np.array([0.0, 1.0]))
         with pytest.raises(IntegrationError, match="cannot allocate the samples: Unable"):
             evolve(rho0, np.zeros((2, 2)), [damping_op(GAMMA)], 1.0, 7)
+
+
+class TestGeneratorPlan:
+    """evolve analyses the generator's sparsity pattern once per key and reuses it."""
+
+    @staticmethod
+    def _run(p: ModelParams, alpha: float, beta: float) -> Trajectory:
+        psi0 = qubit_vectors(alpha, beta)[0]
+        return evolve(pure_density(psi0), hamiltonian(p), collapse_matrices(p), 2.0, 41)
+
+    def test_results_do_not_depend_on_earlier_calls(self):
+        b = ModelParams(omega_ps=250.0)
+        lindblad._generator_plan.cache_clear()
+        fresh = self._run(b, 2.0, 1.0)
+        lindblad._generator_plan.cache_clear()
+        # B's pattern from a population alone reaches fewer entries: the support is in the key
+        assert len(self._run(b, 1.0, 0.0).basis.idx) == 49
+        # the reference has B's pattern and builds the plan that B reuses; with the
+        # clock drive off the pattern differs, and the generator has parts [1, 2, 1]
+        self._run(ModelParams(), 2.0, 1.0)
+        off = ModelParams(omega_eff=0.0)
+        plan = lindblad._reachable_generator(hamiltonian(off), collapse_matrices(off),
+                                             pure_density(qubit_vectors(2.0, 1.0)[0]).reshape(-1) != 0)[0]
+        assert [part.stop - part.start for part in plan.parts] == [1, 2, 1]
+        self._run(off, 2.0, 1.0)
+        hits = lindblad._generator_plan.cache_info().hits
+        again = self._run(b, 2.0, 1.0)
+        assert lindblad._generator_plan.cache_info().hits == hits + 1
+        assert again.basis.idx.tobytes() == fresh.basis.idx.tobytes()
+        assert again.coords.tobytes() == fresh.coords.tobytes()
+
+    def test_plan_is_read_only(self):
+        p = ModelParams()
+        plan = lindblad._reachable_generator(hamiltonian(p), collapse_matrices(p),
+                                             pure_density(qubit_vectors(1.0, 1.0)[0]).reshape(-1) != 0)[0]
+        for array in (plan.keys, plan.hamiltonian, plan.basis.idx, plan.basis.diag):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def static(rho: np.ndarray):
@@ -430,7 +481,7 @@ def reference_basis(p: ModelParams) -> tuple[np.ndarray, RealBasis]:
     """The Liouvillian at p and the real basis of the clock-qubit subspace."""
     H, cs = hamiltonian(p), collapse_matrices(p)
     support = pure_density(qubit_vectors(1.0, 1.0)[0]).reshape(-1) != 0
-    idx = lindblad._reachable_generator(H, cs, support)[0]
+    idx = lindblad._reachable_generator(H, cs, support)[0].basis.idx
     return liouvillian_matrix(H, cs), RealBasis(idx, len(H))
 
 
@@ -569,6 +620,18 @@ class TestRealBasis:
             basis.check(self._stack(basis, bad), 1e-8, 1e-7)
         assert exc.value.index == (2, 1)
 
+    def test_entries_outside_the_index_set_read_zero(self):
+        # levels 0, 1 and 2 form one block through rho_01 and rho_12, but rho_02 is not
+        # in the index set: its slots read 0, not a coordinate (rho_00 = 0.6 in its
+        # place would give the 0-2 pair the determinant 0.06 - 0.36 < 0)
+        basis = RealBasis(np.array([0, 1, 3, 4, 5, 7, 8]), 3)
+        assert [len(f) for f in basis.blocks] == [3]
+        rho = np.diag([0.6, 0.3, 0.1]).astype(complex)
+        basis.check((basis.T @ rho.reshape(-1)[basis.idx]).real, 1e-8, 1e-7)
+        rho[0, 1] = rho[1, 0] = 0.5  # the 0-1 pair: determinant 0.18 - 0.25 < 0
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
+            basis.check((basis.T @ rho.reshape(-1)[basis.idx]).real, 1e-8, 1e-7)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("size", [9, 2])
     def test_non_finite_coherence_names_stack_index(self, size, value):
@@ -612,11 +675,18 @@ class TestStreamedCheck:
 
     def test_failure_names_the_absolute_sample_and_stops_stepping(self, monkeypatch):
         # a 5 THz drive fails the trace check first at sample 59, in the second
-        # run of 42 samples: t and the stack index must count from the grid's start
+        # run of 42 samples: t and the stack index must count from the grid's start;
+        # runs of 256 states, since at the default every grid here is one run
+        monkeypatch.setattr(lindblad, "_CHECK_STATES", 256)
         calls = []
         check = RealBasis.check
-        monkeypatch.setattr(RealBasis, "check",
-                            lambda self, u, *tols: calls.append(u.shape[0]) or check(self, u, *tols))
+
+        def spy(self, u, *args):
+            if u.ndim == 3:  # a run of samples, not the initial states
+                calls.append(u.shape[0])
+            return check(self, u, *args)
+
+        monkeypatch.setattr(RealBasis, "check", spy)
         rows = max(1, lindblad._CHECK_STATES // len(self.RATIOS))
         with pytest.raises(IntegrationError) as info:
             evolve(*self._stack(ModelParams(omega_ps=5e12)), 2.0, 4001)
@@ -625,14 +695,38 @@ class TestStreamedCheck:
         assert len(calls) == 59 // rows + 1
         assert calls == [rows] * len(calls)
 
+    @pytest.mark.parametrize("states, samples", [(6, 401), (1, 4001)],
+                             ids=["table1", "simulate-4001"])
+    def test_artifact_grids_are_one_run(self, monkeypatch, states, samples):
+        calls = []
+        check = RealBasis.check
+        monkeypatch.setattr(RealBasis, "check",
+                            lambda self, u, *args: calls.append(u.shape) or check(self, u, *args))
+        rho0, H, cs = self._stack(ModelParams())
+        evolve(rho0[:states], H, cs, 20.0, samples)
+        assert calls == [(states, 87), (samples, states, 87)]
+
+    def test_overflow_inside_a_run_is_a_failed_check(self, monkeypatch):
+        # a propagator scaled by 1e3 overflows at sample 103, inside the one run: the
+        # check names the first non-finite sample, and the stepping warns of nothing
+        monkeypatch.setattr(lindblad, "expm", lambda A: 1e3 * expm(A))
+        rho0, H, cs = self._stack(ModelParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as info:
+                evolve(rho0[2], H, cs, 20.0, 401)
+        assert str(info.value) == ("state invariants violated at t=5.15 us: non-finite state "
+                                   "at stack index (103, 0)")
+
     # samples 1-7 are stepped with P, later ones from 8 earlier with P^8; the picks
-    # cover the ladder's start, block edges and the runs' edges (42 samples for 6
-    # states, 256 for one)
+    # cover the ladder's start, block edges and the edges of runs of 256 states (42
+    # samples for 6 states, 256 for one)
     @pytest.mark.parametrize("states, t_final, samples, picks", [
         (6, 20.0, 401, [0, 1, 7, 8, 9, 16, 41, 42, 43, 84, 400]),
         (1, 30.0, 600, [255, 256, 257, 511, 599]),
     ], ids=["six-states", "one-state"])
-    def test_ladder_matches_one_shot_oracle(self, states, t_final, samples, picks):
+    def test_ladder_matches_one_shot_oracle(self, monkeypatch, states, t_final, samples, picks):
+        monkeypatch.setattr(lindblad, "_CHECK_STATES", 256)
         rho0, H, cs = self._stack(ModelParams())
         rho0 = rho0 if states > 1 else rho0[2]
         traj = evolve(rho0, H, cs, t_final, samples)
