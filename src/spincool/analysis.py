@@ -12,12 +12,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-# the package's modules before numpy (lindblad, which loads it, last): where they
-# are compiled at import, numpy's import then reuses the compiler's freed memory
-# instead of leaving it as holes under the heap's top, which makes the heap of a
-# process that runs the engine about 0.6 MB smaller
+import numpy as np
+
 from .angmom import HalfInt
 from .hyperfine import HyperfineConstants, SpinSpace, hf_matrix
+from .lindblad import DensityMatrixError, Trajectory, evolve, population, pure_density
 from .srmodel import (
     TWO_PI,
     BasisState,
@@ -29,9 +28,6 @@ from .srmodel import (
     qubit_vectors,
     with_polarization_impurity,
 )
-from .lindblad import DensityMatrixError, Trajectory, evolve, population, pure_density
-
-import numpy as np
 
 __all__ = [
     "DressedPair",

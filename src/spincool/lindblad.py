@@ -132,10 +132,23 @@ def _block_plan(pos: np.ndarray, m: int):
     return nb, take, zero
 
 
+def _read_only(*items) -> None:
+    """Make every array among items, also those inside tuples, read-only."""
+    todo = list(items)
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            todo.extend(item)
+        elif isinstance(item, np.ndarray):
+            item.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=None)
 def _matrix_plan(n: int):
     """The _block_plan of all n levels of an n x n matrix in RealBasis's layout, read-only."""
-    return _block_plan(np.arange(n * n).reshape(n, n), n * n)
+    plan = _block_plan(np.arange(n * n).reshape(n, n), n * n)
+    _read_only(plan)
+    return plan
 
 
 def _gather(u: np.ndarray, plan, shift: float) -> np.ndarray:
@@ -148,7 +161,7 @@ def _gather(u: np.ndarray, plan, shift: float) -> np.ndarray:
     return out.view(complex).reshape(-1, nb, nb)
 
 
-def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> None:
+def _check_positivity(u: np.ndarray, plans: tuple, tol: float, where: str) -> None:
     """Raise for the first state of u (..., m) with an eigenvalue below -tol.
 
     plans (_block_plan) are the level blocks whose spectra make up each state's.
@@ -180,7 +193,10 @@ def _check_positivity(u: np.ndarray, plans: list, tol: float, where: str) -> Non
 
 
 def _check_hermitian(rho: np.ndarray, where: str) -> None:
-    """Raise for the first matrix of a stack (..., n, n) off hermiticity by more than the tolerance."""
+    """Raise unless rho is square, (n, n) or a stack (..., n, n), and every matrix of it
+    is Hermitian to HERMITICITY_TOL; the error names the first that is not."""
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise DensityMatrixError(f"not square: shape {rho.shape}")
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _raise_first(~(herm <= HERMITICITY_TOL), herm,
                  f"hermiticity violation {{:.3e}} > {HERMITICITY_TOL:.0e}", where)
@@ -195,15 +211,13 @@ def check_density_matrix(rho: np.ndarray, where: str = "") -> None:
     RealBasis's coordinates.
     """
     rho = np.asarray(rho)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise DensityMatrixError(f"not square: shape {rho.shape}")
-    n = rho.shape[-1]
     _check_hermitian(rho, where)
+    n = rho.shape[-1]
     _check_trace(np.trace(rho, axis1=-2, axis2=-1), TRACE_TOL, where)
     h = (rho + rho.conj().swapaxes(-1, -2)) / 2
     # Re h_rc at r <= c, Im h_cr at r > c
     u = np.where(np.tri(n, k=-1, dtype=bool), h.imag.swapaxes(-1, -2), h.real)
-    _check_positivity(u.reshape(*rho.shape[:-2], n * n), [_matrix_plan(n)], POSITIVITY_TOL, where)
+    _check_positivity(u.reshape(*rho.shape[:-2], n * n), (_matrix_plan(n),), POSITIVITY_TOL, where)
 
 
 class RealBasis:
@@ -242,8 +256,8 @@ class RealBasis:
         label = _lowest_linked(r, c, n)
         # sorted(set(...)), not np.unique, which loads numpy.ma
         groups = [np.flatnonzero(label == low) for low in sorted(set(label[r].tolist()))]
-        self.blocks = [g[:, None] * n + g for g in groups]
-        self._plans = [_block_plan(self._pos[f], m) for f in self.blocks]
+        self.blocks = tuple(g[:, None] * n + g for g in groups)
+        self._plans = tuple(_block_plan(self._pos[f], m) for f in self.blocks)
 
     def T_dot(self, y: np.ndarray) -> np.ndarray:
         """T @ y for y (m, ...)."""
@@ -255,13 +269,17 @@ class RealBasis:
 
     @functools.cached_property
     def T(self) -> np.ndarray:
-        """T as a dense (m, m) matrix, built on first access."""
-        return self.T_dot(np.eye(len(self.idx)))
+        """T as a dense (m, m) matrix, built on first access, read-only."""
+        T = self.T_dot(np.eye(len(self.idx)))
+        _read_only(T)
+        return T
 
     @functools.cached_property
     def T_inv(self) -> np.ndarray:
-        """T_inv as a dense (m, m) matrix, built on first access."""
-        return self.dot_T_inv(np.eye(len(self.idx)))
+        """T_inv as a dense (m, m) matrix, built on first access, read-only."""
+        T_inv = self.dot_T_inv(np.eye(len(self.idx)))
+        _read_only(T_inv)
+        return T_inv
 
     def entries(self, u: np.ndarray, *positions: np.ndarray) -> list[np.ndarray]:
         """rho[..., r, c] at each array of matrix positions r*n + c, from u (..., m)."""
@@ -433,7 +451,7 @@ class _Plan(NamedTuple):
     """
 
     basis: RealBasis
-    parts: list
+    parts: tuple
     hamiltonian: np.ndarray
     jump_a: np.ndarray
     jump_b: np.ndarray
@@ -483,7 +501,7 @@ def _generator_plan(key: tuple) -> _Plan:
                            np.concatenate([f, pos[transpose[idx]]]), m)
     order = np.argsort(label, kind="stable")
     cuts = np.flatnonzero(np.diff(label[order])) + 1
-    parts = [slice(lo, hi) for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m])]
+    parts = tuple(slice(lo, hi) for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m]))
     rank = np.empty(m, dtype=int)
     rank[order] = np.arange(m)
     # the Hamiltonian terms' sums, then the jump terms' sums, added as the dense L adds them
@@ -491,9 +509,7 @@ def _generator_plan(key: tuple) -> _Plan:
     jumps = inside[len(hamiltonian):]
     plan = _Plan(RealBasis(idx[order], n), parts, hamiltonian[inside[:len(hamiltonian)]],
                  jump_a[jumps], jump_b[jumps], keys)
-    for array in (*plan[2:], *vars(plan.basis).values()):
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
+    _read_only(plan, *vars(plan.basis).values())
     return plan
 
 
@@ -542,8 +558,6 @@ def _start(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], dt: float,
     of returning them and faulting them in again.
     """
     where = " (initial state)"
-    if rho0.ndim < 2 or rho0.shape[-1] != rho0.shape[-2]:
-        raise DensityMatrixError(f"not square: shape {rho0.shape}")
     _check_hermitian(rho0, where)
     n = rho0.shape[-1]
     vec0 = rho0.reshape(-1, n * n)

@@ -61,6 +61,13 @@ class TestDensityMatrixChecks:
         with pytest.raises(DensityMatrixError):
             pure_density(np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_not_square_in_both_checks(self, shape):
+        # check_density_matrix and evolve's initial-state check share the shape check
+        for check in (check_density_matrix, lambda rho: evolve(rho, np.zeros((2, 2)), [], 1.0, 2)):
+            with pytest.raises(DensityMatrixError, match=rf"not square: shape \({shape[0]},"):
+                check(np.zeros(shape))
+
     def test_stack_names_first_failure(self):
         good = pure_density(np.array([1.0, 1.0j]))
         stack = np.array([[good, good, good], [good, good, np.diag([0.7, 0.7])]])
@@ -434,9 +441,16 @@ class TestGeneratorPlan:
         p = ModelParams()
         plan = lindblad._reachable_generator(hamiltonian(p), collapse_matrices(p),
                                              pure_density(qubit_vectors(1.0, 1.0)[0]).reshape(-1) != 0)[0]
-        for array in (plan.keys, plan.hamiltonian, plan.basis.idx, plan.basis.diag):
+        basis = plan.basis
+        nb, take, zero = next(q for q in basis._plans if len(q) == 3)
+        assert nb == 9
+        for array in (plan.keys, plan.hamiltonian, basis.idx, basis.diag, basis.blocks[0],
+                      take, basis.T, basis.T_inv):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+                array.flat[0] = 0
+        assert not zero.flags.writeable
+        with pytest.raises(TypeError):
+            plan.parts[0] = slice(0, 1)
 
 
 def static(rho: np.ndarray):
