@@ -28,16 +28,12 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
 
 from . import __version__, lasercalc
 from .angmom import HalfInt
 from .config import ConfigError, RunConfig, atomic_write_text, config_hash, load_run_config
 from .hyperfine import HyperfineConstants, f_level_energy
 from .svgplot import line_plot
-
-if TYPE_CHECKING:
-    from . import analysis
 
 # at most 169-wide matrices gain nothing from more BLAS threads but CPU time;
 # the pool is sized when numpy loads, so default it to one before, unless set
@@ -64,8 +60,7 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _trajectory_csv(result: analysis.CoolingResult) -> str:
-    times, series = result.trajectory.times, result.series
+def _trajectory_csv(times, series: dict) -> str:
     return _csv("trajectory", ("t_us", *series), zip(times, *series.values()))
 
 
@@ -103,40 +98,43 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
     start = time.perf_counter()
     result = analysis.cool(cfg.alpha, cfg.beta, cfg.params,
                            t_final=cfg.t_final, samples=cfg.samples)
+    # keep only what is written: the trajectory's coordinates (2.8 MB at 4001
+    # samples) go with the result, before the diagonalisation and the writes
+    times, series, fidelity = result.trajectory.times, result.series, result.fidelity
+    final = {"perp": result.pop_perp, "reservoir": result.pop_reservoir,
+             "residual_clock": result.pop_residual_clock}
+    del result
     overlaps, nu, imbalance = _dressed_summary(cfg)
     # echoes its input so runs are repeatable; no wall-clock data, so reruns are identical
     payload = {
         "config": cfg.to_flat_dict(),
         "config_sha": config_hash(cfg),
-        "fidelity": result.fidelity,
-        "final_populations": {
-            "perp": result.pop_perp,
-            "reservoir": result.pop_reservoir,
-            "residual_clock": result.pop_residual_clock,
-        },
+        "fidelity": fidelity,
+        "final_populations": final,
         "dressed_overlaps": overlaps,
         "nu_mhz": nu,
         "imbalance_mhz": imbalance,
         "tool_version": f"spincool {__version__}",
     }
-    atomic_write_text(f"{out_dir}/trajectory.csv", _trajectory_csv(result))
+    atomic_write_text(f"{out_dir}/trajectory.csv", _trajectory_csv(times, series))
     atomic_write_text(f"{out_dir}/summary.json", _json(payload))
     if svg:
-        t, obs = list(result.trajectory.times), result.series
-        leak = [("perp", t, list(obs["pop_perp"])),
-                ("reservoir", t, list(obs["pop_reservoir"])),
-                ("1P1", t, list(obs["pop_1P1_total"])),
-                ("1D2", t, list(obs["pop_1D2_total"])),
-                ("6s", t, list(obs["pop_6s"]))]
-        main = [("initial", t, list(obs["pop_psi0"])),
-                ("target", t, list(obs["pop_psif"]))]
-        svg_doc = line_plot(leak, xlabel="t (us)", ylabel="log10 population",
+        # one list of Python floats for the shared times, one per curve as it is plotted
+        t = times.tolist()
+
+        def curves(*named: tuple[str, str]) -> list:
+            return [(label, t, series[key].tolist()) for label, key in named]
+
+        svg_doc = line_plot(curves(("perp", "pop_perp"), ("reservoir", "pop_reservoir"),
+                                   ("1P1", "pop_1P1_total"), ("1D2", "pop_1D2_total"),
+                                   ("6s", "pop_6s")),
+                            xlabel="t (us)", ylabel="log10 population",
                             title="leakage populations", log_y=True)
         atomic_write_text(f"{out_dir}/populations_log.svg", svg_doc)
-        svg_doc = line_plot(main, xlabel="t (us)", ylabel="population",
-                            title="qubit transfer")
+        svg_doc = line_plot(curves(("initial", "pop_psi0"), ("target", "pop_psif")),
+                            xlabel="t (us)", ylabel="population", title="qubit transfer")
         atomic_write_text(f"{out_dir}/transfer.svg", svg_doc)
-    print(f"fidelity at {cfg.t_final:g} us: {result.fidelity:.6f}  "
+    print(f"fidelity at {cfg.t_final:g} us: {fidelity:.6f}  "
           f"(outputs in {out_dir}, wall clock {time.perf_counter() - start:.3f} s)")
     return 0
 
@@ -206,7 +204,8 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
     p = cfg.params
     if which == "fig3":
         result = analysis.cool(1.0, 1.0, p, t_final=cfg.t_final, samples=cfg.samples)
-        atomic_write_text(f"{out_dir}/fig3.csv", _trajectory_csv(result))
+        atomic_write_text(f"{out_dir}/fig3.csv",
+                          _trajectory_csv(result.trajectory.times, result.series))
         print(f"fig3: fidelity {result.fidelity:.5f}, perp {result.pop_perp:.2e}, "
               f"reservoir {result.pop_reservoir:.2e}")
     elif which == "table1":

@@ -116,11 +116,25 @@ def load_run_config(path: str | None = None,
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Stable hash of the fully resolved configuration."""
-    import hashlib  # here, so that importing the CLI does not load it
+    """Stable hash of the fully resolved configuration.
+
+    The first 16 hex digits of the SHA-256 of its sorted `key=value` lines.
+    SHA-256 comes from CPython's builtin module (`_sha2` on 3.12+, `_sha256`
+    on 3.10-3.11), the one `hashlib` itself falls back to without OpenSSL,
+    so hashing about 300 bytes does not load libcrypto (3.5 MB of RSS).
+    `hashlib` is used only where neither module exists; the digest is the
+    same either way.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     canon = "\n".join(f"{k}={v}" for k, v in sorted(cfg.to_flat_dict().items()))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return sha256(canon.encode()).hexdigest()[:16]
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -33,21 +33,22 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
     """Render named (x, y) series as a 640x420 SVG string.
 
     With log_y, values at or below 1e-12 are clamped to that floor before
-    taking log10.
+    taking log10.  Lists of Python floats plot fastest.
     """
     width, height = 640, 420
     ml, mr, mt, mb = 62, 16, 28, 46
     pw, ph = width - ml - mr, height - mt - mb
 
-    # each value is transformed once, to a Python float
+    # each y is transformed once, to a Python float; x is read as given, so
+    # series that share one list of x do not copy it
     ty = (lambda v: math.log10(max(v, 1e-12))) if log_y else float
-    series = [(name, [float(x) for x in xs], [ty(y) for y in ys]) for name, xs, ys in series]
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
+    series = [(name, xs, [ty(y) for y in ys]) for name, xs, ys in series]
+    xs_nonempty = [xs for _, xs, _ in series if len(xs)]
+    if not xs_nonempty:
         raise ValueError("no data")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = min(map(min, xs_nonempty)), max(map(max, xs_nonempty))
+    y_lo = min(min(ys) for _, _, ys in series if ys)
+    y_hi = max(max(ys) for _, _, ys in series if ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,9 +12,48 @@ from spincool import analysis, cli, lindblad
 from spincool.cli import main
 from spincool.config import (ConfigError, config_hash, load_run_config,
                              parse_config_text)
-from spincool.srmodel import BasisState
+from spincool.srmodel import BasisState, ModelParams
 
 FAST = ["--set", "t_final=2.0", "--set", "samples=9"]
+
+# the artifact commands, kept here only; the 777- and 3-sample commands use grid
+# steps that no artifact uses, and their exponentials and the 10-sample one take
+# 10 and 13 squarings, the most; samples=4097 is one state's run of 4096 samples
+# (lindblad._CHECK_STATES) plus a trailing run of one, and samples=10 ends two
+# samples into the first P^8 product; with the clock drive off evolve propagates
+# three parts
+ARTIFACT_COMMANDS = [
+    "simulate",
+    "--set samples=4001 --svg simulate",
+    "balance",
+    "dressed",
+    "levels",
+    "lasercalc",
+    "reproduce fig3",
+    "reproduce table1",
+    "reproduce sensitivity",
+    "reproduce impurity",
+    "reproduce appendixA",
+    "reproduce levels",
+    "reproduce isotopes",
+    "--set t_final=26 --set samples=777 simulate",
+    "--set t_final=0.37 --set samples=3 simulate",
+    "--set samples=4097 simulate",
+    "--set samples=10 simulate",
+    "--set omega_eff=0 --set samples=41 simulate",
+]
+# scalar arithmetic only: these run without numpy
+LIGHT_COMMANDS = ["levels", "lasercalc", "reproduce appendixA", "reproduce levels"]
+ENGINE_COMMANDS = [cmd for cmd in ARTIFACT_COMMANDS if cmd not in LIGHT_COMMANDS]
+
+
+def assert_same_files(a: Path, b: Path) -> list[str]:
+    """Directories a and b hold the same files, byte for byte (none if absent); their names."""
+    names = sorted(path.name for path in a.iterdir()) if a.exists() else []
+    assert (sorted(path.name for path in b.iterdir()) if b.exists() else []) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    return names
 
 
 def assert_reruns_identical(tmp_path: Path, args: list[str]) -> list[str]:
@@ -21,11 +61,7 @@ def assert_reruns_identical(tmp_path: Path, args: list[str]) -> list[str]:
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
         assert main(["--out", str(out), *args]) == 0
-    names = sorted(path.name for path in runs[0].iterdir())
-    assert sorted(path.name for path in runs[1].iterdir()) == names
-    for name in names:
-        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
-    return names
+    return assert_same_files(*runs)
 
 
 class TestConfig:
@@ -77,6 +113,18 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
 
+    # config_sha is the SHA-256 of the sorted key=value lines, whichever module hashes
+    @pytest.mark.parametrize("overrides", [[], ["delta=0"],
+                                           ["alpha=1+1j", "omega_pd=140", "samples=21"]],
+                             ids=lambda kvs: ",".join(kvs) or "default")
+    def test_hash_is_sha256_of_the_sorted_lines(self, overrides):
+        cfg = load_run_config(None, overrides)
+        canon = "\n".join(f"{k}={v}" for k, v in sorted(cfg.to_flat_dict().items()))
+        assert config_hash(cfg) == hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+    def test_default_hash(self):
+        assert config_hash(load_run_config(None, [])) == "e265502de17819cf"
+
 
 class TestSimulate:
     def test_outputs_and_schema(self, tmp_path):
@@ -106,12 +154,31 @@ class TestSimulate:
         for name in ("trajectory.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    # grid edges of evolve's stepping for one state: a trailing run of one sample
-    # (runs of 256) and a grid that ends two samples into the first P^8 product
-    @pytest.mark.parametrize("samples", [257, 10])
+    # grid edges of evolve's stepping for one state: a run of 4096 samples
+    # (lindblad._CHECK_STATES) plus a trailing run of one, and a grid that ends
+    # two samples into the first P^8 product
+    @pytest.mark.parametrize("samples", [4097, 10])
     def test_grid_edges_rerun_identical_bytes(self, tmp_path, samples):
         names = assert_reruns_identical(tmp_path, ["--set", f"samples={samples}", "simulate"])
         assert names == ["summary.json", "trajectory.csv"]
+
+    def test_peak_memory_is_the_engine_run(self, tmp_path):
+        # the command keeps the series, not the trajectory, while it diagonalises,
+        # hashes and writes, so its peak is the engine run's
+        import tracemalloc
+
+        assert main(["--out", str(tmp_path / "warm"), *FAST, "--svg", "simulate"]) == 0
+        peaks = []
+        for run in (lambda: analysis.cool(1.0, 1.0, ModelParams(), 20.0, 4001),
+                    lambda: main(["--out", str(tmp_path / "run"), "--set", "samples=4001",
+                                  "--svg", "simulate"])):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
 
     def test_svg_emitted(self, tmp_path):
         out = str(tmp_path / "svg")
@@ -386,12 +453,18 @@ class TestReproduce:
         assert "unknown key 'jobs'" in capsys.readouterr().err
 
 
-def _run_python(code: str, environ: dict[str, str] | None = None) -> str:
-    """Run code in a fresh interpreter that imports this checkout; its stdout."""
+def _python(*args: str, environ: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout with args; the finished process."""
     src = str(Path(spincool.__file__).resolve().parent.parent)
     env = {**(os.environ if environ is None else environ), "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _run_python(code: str, environ: dict[str, str] | None = None) -> str:
+    """Run code in a fresh interpreter that imports this checkout; its stdout."""
+    proc = _python("-c", code, environ=environ)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
@@ -418,8 +491,7 @@ class TestImports:
 
     def test_light_commands_leave_numpy_unloaded(self, tmp_path):
         # scalar commands and config errors, the overflow check included, never load numpy
-        commands = [["levels"], ["lasercalc"], ["reproduce", "appendixA"],
-                    ["reproduce", "levels"], ["--set", "bogus=1", "simulate"],
+        commands = [*(cmd.split() for cmd in LIGHT_COMMANDS), ["--set", "bogus=1", "simulate"],
                     ["--set", "delta_pd=-2e307", "--set", "e_hf=-2e307", "levels"]]
         code = ("import sys\n"
                 "import spincool.cli\n"
@@ -434,22 +506,27 @@ class TestImports:
 
     # each light command once more in a fresh interpreter with numpy unimportable and
     # warnings as errors writes the files and prints the text of the in-process run
-    @pytest.mark.parametrize("cmd", [["levels"], ["lasercalc"], ["reproduce", "appendixA"],
-                                     ["reproduce", "levels"]], ids=" ".join)
+    @pytest.mark.parametrize("cmd", LIGHT_COMMANDS)
     def test_light_command_without_numpy_writes_the_same_bytes(self, tmp_path, capsys, cmd):
         here, fresh = tmp_path / "in_process", tmp_path / "no_numpy"
-        assert main(["--out", str(here), *cmd]) == 0
+        assert main(["--out", str(here), *cmd.split()]) == 0
         printed = capsys.readouterr().out
         code = ("import sys, warnings\n"
                 "warnings.simplefilter('error')\n"
                 "sys.modules['numpy'] = None\n"
                 "from spincool.cli import main\n"
-                f"sys.exit(main(['--out', {str(fresh)!r}, *{cmd!r}]))\n")
+                f"sys.exit(main(['--out', {str(fresh)!r}, *{cmd.split()!r}]))\n")
         assert _run_python(code) == printed
-        names = sorted(path.name for path in here.iterdir()) if here.exists() else []
-        assert (sorted(path.name for path in fresh.iterdir()) if fresh.exists() else []) == names
-        for name in names:
-            assert (fresh / name).read_bytes() == (here / name).read_bytes()
+        assert_same_files(here, fresh)
+
+    def test_simulate_leaves_hashlib_unloaded(self, tmp_path):
+        # config_sha comes from the builtin SHA-256, so OpenSSL's libcrypto stays unloaded
+        code = ("import sys\n"
+                "from spincool.cli import main\n"
+                f"assert main(['--out', {str(tmp_path)!r}, *{FAST!r}, 'simulate']) == 0\n"
+                "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        assert _run_python(code).splitlines()[-1] == "[]"
+        assert json.loads((tmp_path / "summary.json").read_text())["config_sha"]
 
     def test_engine_run_leaves_numpy_ma_unloaded(self):
         code = ("import sys\n"
@@ -497,13 +574,56 @@ class TestImports:
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _without_thread_vars() -> dict[str, str]:
+    """This environment with the BLAS thread variables unset, so the CLI's default runs."""
+    return {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+
+
+@pytest.fixture(scope="module")
+def artifact_runs(tmp_path_factory) -> dict[str, Path]:
+    """Each artifact command run once in process: its output directory."""
+    root = tmp_path_factory.mktemp("artifacts")
+    runs = {cmd: root / str(k) for k, cmd in enumerate(ARTIFACT_COMMANDS)}
+    for cmd, out in runs.items():
+        assert main(["--out", str(out), *cmd.split()]) == 0, cmd
+    return runs
+
+
+class TestArtifactCommands:
+    # the second run in process writes the files of the first, byte for byte
+    @pytest.mark.parametrize("cmd", ARTIFACT_COMMANDS)
+    def test_reruns_identical_bytes(self, tmp_path, artifact_runs, cmd):
+        assert main(["--out", str(tmp_path / "rerun"), *cmd.split()]) == 0
+        assert_same_files(artifact_runs[cmd], tmp_path / "rerun")
+
+    def test_engine_commands_in_a_fresh_interpreter(self, tmp_path, artifact_runs):
+        # one interpreter with warnings as errors and the CLI's own BLAS default runs
+        # every engine command, whose files are those of the in-process run, and then
+        # 2^62 samples, which numpy refuses before allocating: exit 3, one line on
+        # stderr and no output directory
+        fresh = {cmd: str(tmp_path / str(k)) for k, cmd in enumerate(ENGINE_COMMANDS)}
+        huge = tmp_path / "huge"
+        code = ("import sys\n"
+                "from spincool.cli import main\n"
+                f"for cmd, out in {list(fresh.items())!r}:\n"
+                "    assert main(['--out', out, *cmd.split()]) == 0, cmd\n"
+                f"sys.exit(main(['--out', {str(huge)!r}, '--set', 'samples={2**62}', "
+                "'simulate']))\n")
+        proc = _python("-W", "error", "-c", code, environ=_without_thread_vars())
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical failure: cannot allocate the samples")
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert not huge.exists()
+        for cmd, out in fresh.items():
+            assert_same_files(artifact_runs[cmd], Path(out))
+
+
 class TestBlasThreads:
     @staticmethod
     def _threads(module: str, **user: str) -> str:
         """The three thread variables after importing module, starting from user's values."""
-        environ = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
         code = f"import os, {module}; print([os.environ.get(v) for v in {THREAD_VARS!r}])"
-        return _run_python(code, {**environ, **user}).strip()
+        return _run_python(code, {**_without_thread_vars(), **user}).strip()
 
     def test_cli_defaults_one_thread(self):
         assert self._threads("spincool.cli") == "['1', '1', '1']"
