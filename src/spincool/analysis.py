@@ -164,7 +164,9 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
 
     Bisection of the level difference to 1e-6 MHz; the result depends on
     delta_pd (a different detuning balances at a different Rabi frequency).
-    A bracket that is not finite with lo < hi is a BracketError.
+    A bracket that is not finite with lo < hi is a BracketError, and so is one
+    whose sign change is a jump (the dressed pair changes states) rather than a
+    root: the levels at the result differ by more than BALANCE_TOL_MHZ.
     """
     lo, hi = bracket
     if not (np.isfinite(bracket).all() and lo < hi):
@@ -179,7 +181,13 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f({lo})={f_lo:.4f}, f({hi})={f_hi:.4f}")
     lo, hi = _bisect(lambda x: imbalance(x) * f_lo <= 0, lo, hi, 1e-6)
-    return 0.5 * (lo + hi)
+    root = 0.5 * (lo + hi)
+    f_root = imbalance(root)
+    if not abs(f_root) <= BALANCE_TOL_MHZ:
+        raise BracketError(f"no root on [{bracket[0]}, {bracket[1]}]: the level difference "
+                           f"jumps across 0 at {root:.6f}, f({root:.6f})={f_root:.4f} "
+                           f"(the dressed pair changes states)")
+    return root
 
 
 def _bisect(passed: Callable[[float], bool], lo: float, hi: float,

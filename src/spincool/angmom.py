@@ -43,7 +43,7 @@ class HalfInt:
             return x
         if isinstance(x, float):
             twice = 2 * x
-            if twice != int(twice):
+            if not twice.is_integer():  # also inf and nan
                 raise ValueError(f"{x} is not an integer or half-integer")
             return cls(int(twice))
         # operator.index takes what numbers.Integral registers (bool and numpy
@@ -70,7 +70,9 @@ class HalfInt:
             return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("HalfInt", self.twice))
+        # equal to an int or float of the same value, so it hashes as that value does
+        half, odd = divmod(self.twice, 2)
+        return hash(self.twice / 2 if odd else half)
 
     def __repr__(self) -> str:
         if self.twice % 2 == 0:

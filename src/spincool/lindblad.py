@@ -20,14 +20,16 @@ grid step (Pade scaling and squaring in numpy, Higham 2005, with the
 squarings chosen from ||A||_1) and applied to that part's columns of a stack
 of states.  The first 8 samples are stepped with the propagator P, every
 later one from the sample 8 steps earlier with P^8, 8 samples per matrix
-product.  The initial states are checked for hermiticity as matrices and then
-on the plan's basis; the samples are stepped and checked in runs of up to
-4096 states (one run for every grid of the artifact commands), each run for
-finite coordinates, unit trace and, block by block, positivity, and stepping
-stops at the first failing run; full density matrices are built only on
-request.  Positivity reads the real coordinates: blocks of 1 and 2 levels in
-closed form, larger ones by a Cholesky test of conj(rho_block) + tol*I taken
-into its lower triangle, 64 states at a time.
+product.  A Hermitian stack becomes checked coordinates in one function: the
+initial states are checked for hermiticity as matrices and then converted and
+checked on the plan's basis, and check_density_matrix does the same on a basis
+of every entry; the samples are stepped and checked in runs of up to 4096
+states (one run for every grid of the artifact commands), each run for finite
+coordinates, unit trace and, block by block, positivity, and stepping stops at
+the first failing run; full density matrices are built from the coordinates
+only on request.  Positivity reads the real coordinates: blocks of 1 and 2
+levels in closed form, larger ones by a Cholesky test of conj(rho_block) +
+tol*I taken into its lower triangle, 64 states at a time.
 
 Sign convention of the master equation:
 
@@ -96,13 +98,6 @@ def _raise_first(bad: np.ndarray, values: np.ndarray, message: str, where: str) 
     raise DensityMatrixError(message.format(values[index]), index, where)
 
 
-def _check_trace(trace: np.ndarray, tol: float, where: str) -> None:
-    """Raise for the first matrix of a stack whose trace is off 1 by more than tol."""
-    dev = np.abs(trace - 1.0)
-    # ~(x <= tol) also flags NaN
-    _raise_first(~(dev <= tol), dev, f"trace deviation {{:.3e}} > {tol:.0e}", where)
-
-
 def _block_plan(pos: np.ndarray, m: int):
     """How _check_positivity reads one level block from real coordinates u (..., m).
 
@@ -141,14 +136,6 @@ def _read_only(*items) -> None:
             todo.extend(item)
         elif isinstance(item, np.ndarray):
             item.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=None)
-def _matrix_plan(n: int):
-    """The _block_plan of all n levels of an n x n matrix in RealBasis's layout, read-only."""
-    plan = _block_plan(np.arange(n * n).reshape(n, n), n * n)
-    _read_only(plan)
-    return plan
 
 
 def _gather(u: np.ndarray, plan, shift: float) -> np.ndarray:
@@ -207,17 +194,22 @@ def check_density_matrix(rho: np.ndarray, where: str = "") -> None:
 
     rho is one matrix (n, n) or a stack (..., n, n); every matrix of a stack
     is checked in one batched pass and the error names the first failure.
-    Positivity is that of the Hermitian part, read as one block of n levels in
-    RealBasis's coordinates.
+    Trace and positivity are those of the Hermitian part, read as the coordinates
+    of a RealBasis on every entry, whose n levels form one block.
     """
     rho = np.asarray(rho)
     _check_hermitian(rho, where)
     n = rho.shape[-1]
-    _check_trace(np.trace(rho, axis1=-2, axis2=-1), TRACE_TOL, where)
-    h = (rho + rho.conj().swapaxes(-1, -2)) / 2
-    # Re h_rc at r <= c, Im h_cr at r > c
-    u = np.where(np.tri(n, k=-1, dtype=bool), h.imag.swapaxes(-1, -2), h.real)
-    _check_positivity(u.reshape(*rho.shape[:-2], n * n), (_matrix_plan(n),), POSITIVITY_TOL, where)
+    _coordinates(rho, RealBasis(np.arange(n * n), n), where)
+
+
+def _coordinates(rho: np.ndarray, basis: RealBasis, where: str) -> np.ndarray:
+    """The coordinates (..., m) in basis of the Hermitian part of rho (..., n, n), checked
+    for finite values, unit trace to TRACE_TOL and positivity to POSITIVITY_TOL."""
+    vec = rho.reshape(-1, rho.shape[-1] ** 2)
+    u = basis.T_dot(vec[:, basis.idx].T).real.T.reshape(*rho.shape[:-2], -1)
+    basis.check(u, TRACE_TOL, POSITIVITY_TOL, where)
+    return u
 
 
 class RealBasis:
@@ -249,9 +241,6 @@ class RealBasis:
         self.diag, self.levels = np.flatnonzero(~pair), r[~pair]
         # u @ _sums: each state's sum of coordinates and its trace
         self._sums = np.stack([np.ones(m), 1.0 * ~pair], axis=1)
-        # v_k = u[re_k] + i sign_k u[im_k]; a matrix position outside idx reads v[m] = 0
-        self._re, self._im = np.where(lower, t, k), np.where(upper, t, k)
-        self._sign = upper - 1.0 * lower
         # rho is block diagonal over connected levels; label each by the lowest it reaches
         label = _lowest_linked(r, c, n)
         # sorted(set(...)), not np.unique, which loads numpy.ma
@@ -281,13 +270,6 @@ class RealBasis:
         _read_only(T_inv)
         return T_inv
 
-    def entries(self, u: np.ndarray, *positions: np.ndarray) -> list[np.ndarray]:
-        """rho[..., r, c] at each array of matrix positions r*n + c, from u (..., m)."""
-        v = np.zeros(u.shape[:-1] + (len(self.idx) + 1,), dtype=complex)
-        v.real[..., :-1] = u[..., self._re]
-        v.imag[..., :-1] = self._sign * u[..., self._im]
-        return [v[..., self._pos[f]] for f in positions]
-
     def check(self, u: np.ndarray, trace_tol: float, positivity_tol: float,
               where: str = "") -> None:
         """Raise DensityMatrixError for the first state of u (..., m) off trace or positivity.
@@ -301,7 +283,10 @@ class RealBasis:
             sums = (u.reshape(-1, u.shape[-1]) @ self._sums).reshape(*u.shape[:-1], 2)
         if not np.isfinite(sums[..., 0]).all():
             _raise_first(~np.isfinite(u).all(axis=-1), u, "non-finite state", where)
-        _check_trace(sums[..., 1], trace_tol, where)
+        dev = np.abs(sums[..., 1] - 1.0)
+        # ~(x <= tol) also flags NaN
+        _raise_first(~(dev <= trace_tol), dev, f"trace deviation {{:.3e}} > {trace_tol:.0e}",
+                     where)
         _check_positivity(u, self._plans, positivity_tol, where)
 
 
@@ -319,9 +304,16 @@ class Trajectory:
 
     @property
     def states(self) -> np.ndarray:
-        """The density matrices, shape (..., len(times), n, n), built on each access."""
-        n = self.basis.n
-        return self.basis.entries(self.coords, np.arange(n * n).reshape(n, n))[0]
+        """The density matrices, shape (..., len(times), n, n), built on each access.
+
+        Entries outside the basis's index set are 0; the others are T_inv applied to
+        the coordinates, exact on finite ones since each row of T_inv has at most two
+        entries, each +-1 or +-i.
+        """
+        basis, n = self.basis, self.basis.n
+        rho = np.zeros(self.coords.shape[:-1] + (n * n,), dtype=complex)
+        rho[..., basis.idx] = self.coords @ basis.T_inv.T
+        return rho.reshape(*rho.shape[:-1], n, n)
 
     def level_sum(self, levels) -> np.ndarray:
         """The summed populations of `levels`, shape (..., len(times)).
@@ -560,13 +552,12 @@ def _start(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], dt: float,
     where = " (initial state)"
     _check_hermitian(rho0, where)
     n = rho0.shape[-1]
-    vec0 = rho0.reshape(-1, n * n)
+    support = np.any(rho0.reshape(-1, n * n) != 0, axis=0)
     # a non-finite or overflowing generator is an IntegrationError below; mute numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        plan, L = _reachable_generator(H, cs, np.any(vec0 != 0, axis=0))
+        plan, L = _reachable_generator(H, cs, support)
     basis = plan.basis
-    u0 = basis.T_dot(vec0[:, basis.idx].T).real.T
-    basis.check(u0.reshape(*rho0.shape[:-2], -1), TRACE_TOL, POSITIVITY_TOL, where)
+    u0 = _coordinates(rho0, basis, where).reshape(-1, len(basis.idx))
     with np.errstate(over="ignore", invalid="ignore"):
         # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones,
         # and block diagonal over the parts

@@ -116,6 +116,13 @@ class TestBalanceOmegaPd:
         with pytest.raises(BracketError):
             balance_omega_pd(reference_params, bracket=(140.0, 141.0))
 
+    def test_jump_is_not_a_root(self, reference_params):
+        # the dressed pair changes states inside the bracket, so bisection would
+        # converge on the jump of the level difference
+        p = reference_params.replace(omega_ps=0.0, delta_pd=0.0, b_field=1.0)
+        with pytest.raises(BracketError, match="jumps across 0"):
+            balance_omega_pd(p, bracket=(36.03, 38.53))
+
     @pytest.mark.parametrize("delta_pd", [None, -1500.0])
     def test_matches_brentq(self, reference_params, delta_pd):
         from scipy.optimize import brentq

@@ -31,6 +31,17 @@ class TestHalfInt:
                 HalfInt.coerce(x)
         with pytest.raises(TypeError):
             HalfInt(1.5)
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="is not an integer or half-integer"):
+                HalfInt.coerce(x)
+
+    def test_hash_agrees_with_eq(self):
+        # equal values hash equally, so a set or dict key treats them as one
+        for half, x in ((HalfInt(2), 1), (HalfInt(2), 1.0), (HalfInt(-3), -1.5),
+                        (HalfInt(0), 0), (HalfInt(2 * 10**20), 10**20)):
+            assert half == x and hash(half) == hash(x)
+            assert len({half, x}) == 1
+        assert HalfInt(1) != math.inf
 
     def test_exact_arithmetic(self):
         a = HalfInt(9)   # 9/2

@@ -16,32 +16,33 @@ from spincool.srmodel import BasisState, ModelParams
 
 FAST = ["--set", "t_final=2.0", "--set", "samples=9"]
 
-# the artifact commands, kept here only; the 777- and 3-sample commands use grid
-# steps that no artifact uses, and their exponentials and the 10-sample one take
-# 10 and 13 squarings, the most; samples=4097 is one state's run of 4096 samples
-# (lindblad._CHECK_STATES) plus a trailing run of one, and samples=10 ends two
-# samples into the first P^8 product; with the clock drive off evolve propagates
-# three parts
-ARTIFACT_COMMANDS = [
-    "simulate",
-    "--set samples=4001 --svg simulate",
-    "balance",
-    "dressed",
-    "levels",
-    "lasercalc",
-    "reproduce fig3",
-    "reproduce table1",
-    "reproduce sensitivity",
-    "reproduce impurity",
-    "reproduce appendixA",
-    "reproduce levels",
-    "reproduce isotopes",
-    "--set t_final=26 --set samples=777 simulate",
-    "--set t_final=0.37 --set samples=3 simulate",
-    "--set samples=4097 simulate",
-    "--set samples=10 simulate",
-    "--set omega_eff=0 --set samples=41 simulate",
-]
+# the artifact commands, kept here only, and the files each writes; the 777- and
+# 3-sample commands use grid steps that no artifact uses, and their exponentials and
+# the 10-sample one take 10 and 13 squarings, the most; samples=4097 is one state's
+# run of 4096 samples (lindblad._CHECK_STATES) plus a trailing run of one, and
+# samples=10 ends two samples into the first P^8 product; with the clock drive off
+# evolve propagates three parts
+RUN_FILES = ["summary.json", "trajectory.csv"]
+ARTIFACT_COMMANDS = {
+    "simulate": RUN_FILES,
+    "--set samples=4001 --svg simulate": ["populations_log.svg", *RUN_FILES, "transfer.svg"],
+    "balance": ["balance.json"],
+    "dressed": [],
+    "levels": ["levels.csv"],
+    "lasercalc": ["laser_budget.json"],
+    "reproduce fig3": ["fig3.csv"],
+    "reproduce table1": ["table1.csv", "table1.json"],
+    "reproduce sensitivity": ["sensitivity.csv", "sensitivity.json"],
+    "reproduce impurity": ["impurity.csv", "impurity.json"],
+    "reproduce appendixA": ["laser_budget.json"],
+    "reproduce levels": ["levels.csv"],
+    "reproduce isotopes": ["isotopes.json"],
+    "--set t_final=26 --set samples=777 simulate": RUN_FILES,
+    "--set t_final=0.37 --set samples=3 simulate": RUN_FILES,
+    "--set samples=4097 simulate": RUN_FILES,
+    "--set samples=10 simulate": RUN_FILES,
+    "--set omega_eff=0 --set samples=41 simulate": RUN_FILES,
+}
 # scalar arithmetic only: these run without numpy
 LIGHT_COMMANDS = ["levels", "lasercalc", "reproduce appendixA", "reproduce levels"]
 ENGINE_COMMANDS = [cmd for cmd in ARTIFACT_COMMANDS if cmd not in LIGHT_COMMANDS]
@@ -54,14 +55,6 @@ def assert_same_files(a: Path, b: Path) -> list[str]:
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
     return names
-
-
-def assert_reruns_identical(tmp_path: Path, args: list[str]) -> list[str]:
-    """Run `spincool --out DIR *args` twice; both runs write the same files, byte for byte."""
-    runs = [tmp_path / "a", tmp_path / "b"]
-    for out in runs:
-        assert main(["--out", str(out), *args]) == 0
-    return assert_same_files(*runs)
 
 
 class TestConfig:
@@ -145,22 +138,6 @@ class TestSimulate:
         assert 0 <= summary["fidelity"] <= 1
         assert summary["config_sha"]
         assert summary["config"]["t_final"] == "2.0"
-
-    def test_rerun_identical_bytes(self, tmp_path):
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        assert main(["--out", out_a, *FAST, "simulate"]) == 0
-        assert main(["--out", out_b, *FAST, "simulate"]) == 0
-        for name in ("trajectory.csv", "summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    # grid edges of evolve's stepping for one state: a run of 4096 samples
-    # (lindblad._CHECK_STATES) plus a trailing run of one, and a grid that ends
-    # two samples into the first P^8 product
-    @pytest.mark.parametrize("samples", [4097, 10])
-    def test_grid_edges_rerun_identical_bytes(self, tmp_path, samples):
-        names = assert_reruns_identical(tmp_path, ["--set", f"samples={samples}", "simulate"])
-        assert names == ["summary.json", "trajectory.csv"]
 
     def test_peak_memory_is_the_engine_run(self, tmp_path):
         # the command keeps the series, not the trajectory, while it diagonalises,
@@ -345,6 +322,15 @@ class TestBalance:
         assert "not finite with lo < hi" in capsys.readouterr().err
         assert not (tmp_path / "balance.json").exists()
 
+    def test_jump_in_bracket_exit_2(self, tmp_path, capsys):
+        # the dressed pair changes states inside this bracket: a sign change, no root
+        rc = main(["--out", str(tmp_path), "--set", "omega_ps=0", "--set", "delta_pd=0",
+                   "--set", "b_field=1", "balance", "--bracket", "36.03", "38.53"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no root on [36.03, 38.53]") and err.count("\n") == 1
+        assert not (tmp_path / "balance.json").exists()
+
 
 class TestDressed:
     def test_prints_overlaps(self, capsys):
@@ -406,26 +392,6 @@ class TestReproduce:
     def test_levels_target(self, tmp_path):
         assert main(["--out", str(tmp_path), "reproduce", "levels"]) == 0
         assert (tmp_path / "levels.csv").exists()
-
-    def test_fig3_deterministic(self, tmp_path):
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        assert main(["--out", out_a, "--set", "samples=41", "reproduce", "fig3"]) == 0
-        assert main(["--out", out_b, "--set", "samples=41", "reproduce", "fig3"]) == 0
-        assert (tmp_path / "a" / "fig3.csv").read_bytes() == \
-            (tmp_path / "b" / "fig3.csv").read_bytes()
-
-    # the engine commands at full length; at omega_eff=0 evolve propagates three parts
-    @pytest.mark.parametrize("args, names", [
-        (["reproduce", "table1"], ["table1.csv", "table1.json"]),
-        (["reproduce", "fig3"], ["fig3.csv"]),
-        (["reproduce", "sensitivity"], ["sensitivity.csv", "sensitivity.json"]),
-        (["reproduce", "impurity"], ["impurity.csv", "impurity.json"]),
-        (["--set", "omega_eff=0", "--set", "samples=41", "simulate"],
-         ["summary.json", "trajectory.csv"]),
-    ], ids=["table1", "fig3", "sensitivity", "impurity", "omega_eff=0"])
-    def test_engine_commands_rerun_identical_bytes(self, tmp_path, args, names):
-        assert assert_reruns_identical(tmp_path, args) == names
 
     @pytest.mark.parametrize("target, key, values", [
         ("table1", "alpha_over_beta", [0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0]),
@@ -536,41 +502,6 @@ class TestImports:
                 "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n")
         assert _run_python(code).strip() == "True False"
 
-    def test_artifact_commands_leave_scipy_unloaded(self, tmp_path):
-        commands = [["simulate"], ["balance"], ["reproduce", "table1"],
-                    ["reproduce", "sensitivity"]]
-        code = ("import sys\n"
-                "from spincool.cli import main\n"
-                f"for cmd in {commands!r}:\n"
-                f"    assert main(['--out', {str(tmp_path)!r}, *cmd]) == 0, cmd\n"
-                f"print({SCIPY_LOADED})\n")
-        out = _run_python(code)
-        assert out.splitlines()[-1] == "[]"
-        assert (tmp_path / "sensitivity.json").exists()
-
-    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
-        # numpy is the only runtime dependency: with scipy unimportable every
-        # command and reproduce target still succeeds
-        targets = ["fig3", "table1", "sensitivity", "impurity", "appendixA",
-                   "levels", "isotopes"]
-        commands = [["--svg", "simulate"], ["balance"], ["dressed"], ["levels"],
-                    ["lasercalc"], *(["reproduce", t] for t in targets)]
-        code = ("import json, sys\n"
-                "sys.modules['scipy'] = None\n"
-                "from spincool.cli import main\n"
-                "codes = {}\n"
-                f"for cmd in {commands!r}:\n"
-                "    try:\n"
-                f"        codes[' '.join(cmd)] = main(['--out', {str(tmp_path)!r}, *cmd])\n"
-                "    except Exception as exc:\n"
-                "        codes[' '.join(cmd)] = repr(exc)\n"
-                "print(json.dumps(codes))\n")
-        codes = json.loads(_run_python(code).splitlines()[-1])
-        assert codes == {" ".join(cmd): 0 for cmd in commands}
-        assert (tmp_path / "transfer.svg").exists()
-        assert (tmp_path / "isotopes.json").exists()
-
-
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -594,19 +525,21 @@ class TestArtifactCommands:
     @pytest.mark.parametrize("cmd", ARTIFACT_COMMANDS)
     def test_reruns_identical_bytes(self, tmp_path, artifact_runs, cmd):
         assert main(["--out", str(tmp_path / "rerun"), *cmd.split()]) == 0
-        assert_same_files(artifact_runs[cmd], tmp_path / "rerun")
+        assert assert_same_files(artifact_runs[cmd], tmp_path / "rerun") == ARTIFACT_COMMANDS[cmd]
 
     def test_engine_commands_in_a_fresh_interpreter(self, tmp_path, artifact_runs):
         # one interpreter with warnings as errors and the CLI's own BLAS default runs
-        # every engine command, whose files are those of the in-process run, and then
-        # 2^62 samples, which numpy refuses before allocating: exit 3, one line on
-        # stderr and no output directory
+        # every engine command, whose files are those of the in-process run, without
+        # loading scipy (numpy is the only runtime dependency), and then 2^62 samples,
+        # which numpy refuses before allocating: exit 3, one line on stderr and no
+        # output directory
         fresh = {cmd: str(tmp_path / str(k)) for k, cmd in enumerate(ENGINE_COMMANDS)}
         huge = tmp_path / "huge"
         code = ("import sys\n"
                 "from spincool.cli import main\n"
                 f"for cmd, out in {list(fresh.items())!r}:\n"
                 "    assert main(['--out', out, *cmd.split()]) == 0, cmd\n"
+                f"assert not {SCIPY_LOADED}, {SCIPY_LOADED}\n"
                 f"sys.exit(main(['--out', {str(huge)!r}, '--set', 'samples={2**62}', "
                 "'simulate']))\n")
         proc = _python("-W", "error", "-c", code, environ=_without_thread_vars())
