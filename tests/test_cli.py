@@ -57,6 +57,14 @@ def assert_same_files(a: Path, b: Path) -> list[str]:
     return names
 
 
+def assert_reruns_identical(tmp_path: Path, args: list[str]) -> list[str]:
+    """Run `spincool --out DIR *args` twice; both runs write the same files, byte for byte."""
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["--out", str(out), *args]) == 0
+    return assert_same_files(*runs)
+
+
 class TestConfig:
     def test_parse_basic(self):
         text = """
@@ -138,6 +146,14 @@ class TestSimulate:
         assert 0 <= summary["fidelity"] <= 1
         assert summary["config_sha"]
         assert summary["config"]["t_final"] == "2.0"
+
+    # grid edges of evolve's stepping for one state: a run of 4096 samples
+    # (lindblad._CHECK_STATES) plus a trailing run of one, and a grid that ends
+    # two samples into the first P^8 product
+    @pytest.mark.parametrize("samples", [4097, 10])
+    def test_grid_edges_rerun_identical_bytes(self, tmp_path, samples):
+        names = assert_reruns_identical(tmp_path, ["--set", f"samples={samples}", "simulate"])
+        assert names == ["summary.json", "trajectory.csv"]
 
     def test_peak_memory_is_the_engine_run(self, tmp_path):
         # the command keeps the series, not the trajectory, while it diagonalises,
@@ -393,6 +409,18 @@ class TestReproduce:
         assert main(["--out", str(tmp_path), "reproduce", "levels"]) == 0
         assert (tmp_path / "levels.csv").exists()
 
+    # the engine commands at full length; at omega_eff=0 evolve propagates three parts
+    @pytest.mark.parametrize("args, names", [
+        (["reproduce", "table1"], ["table1.csv", "table1.json"]),
+        (["reproduce", "fig3"], ["fig3.csv"]),
+        (["reproduce", "sensitivity"], ["sensitivity.csv", "sensitivity.json"]),
+        (["reproduce", "impurity"], ["impurity.csv", "impurity.json"]),
+        (["--set", "omega_eff=0", "--set", "samples=41", "simulate"],
+         ["summary.json", "trajectory.csv"]),
+    ], ids=["table1", "fig3", "sensitivity", "impurity", "omega_eff=0"])
+    def test_engine_commands_rerun_identical_bytes(self, tmp_path, args, names):
+        assert assert_reruns_identical(tmp_path, args) == names
+
     @pytest.mark.parametrize("target, key, values", [
         ("table1", "alpha_over_beta", [0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0]),
         ("impurity", "chi", [0.0, 0.01, 0.1]),
@@ -501,6 +529,41 @@ class TestImports:
                 "cool(1.0, 1.0, ModelParams(), t_final=2.0, samples=9)\n"
                 "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n")
         assert _run_python(code).strip() == "True False"
+
+    def test_artifact_commands_leave_scipy_unloaded(self, tmp_path):
+        commands = [["simulate"], ["balance"], ["reproduce", "table1"],
+                    ["reproduce", "sensitivity"]]
+        code = ("import sys\n"
+                "from spincool.cli import main\n"
+                f"for cmd in {commands!r}:\n"
+                f"    assert main(['--out', {str(tmp_path)!r}, *cmd]) == 0, cmd\n"
+                f"print({SCIPY_LOADED})\n")
+        out = _run_python(code)
+        assert out.splitlines()[-1] == "[]"
+        assert (tmp_path / "sensitivity.json").exists()
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy unimportable every
+        # command and reproduce target still succeeds
+        targets = ["fig3", "table1", "sensitivity", "impurity", "appendixA",
+                   "levels", "isotopes"]
+        commands = [["--svg", "simulate"], ["balance"], ["dressed"], ["levels"],
+                    ["lasercalc"], *(["reproduce", t] for t in targets)]
+        code = ("import json, sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from spincool.cli import main\n"
+                "codes = {}\n"
+                f"for cmd in {commands!r}:\n"
+                "    try:\n"
+                f"        codes[' '.join(cmd)] = main(['--out', {str(tmp_path)!r}, *cmd])\n"
+                "    except Exception as exc:\n"
+                "        codes[' '.join(cmd)] = repr(exc)\n"
+                "print(json.dumps(codes))\n")
+        codes = json.loads(_run_python(code).splitlines()[-1])
+        assert codes == {" ".join(cmd): 0 for cmd in commands}
+        assert (tmp_path / "transfer.svg").exists()
+        assert (tmp_path / "isotopes.json").exists()
+
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
