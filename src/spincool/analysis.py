@@ -379,11 +379,14 @@ def min_omega_ps(I, A: float, Q: float, threshold: float = 0.99,
 
     Bisects the reduced-model overlap, which grows monotonically with the
     dressing strength.  Raises SaturationError when even cap_mhz is not
-    enough.
+    enough, and ValueError for I < 1/2, which has no |mI=1-I> state.
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
-    overlap = _reduced_overlap(HalfInt.coerce(I), A, Q)
+    I = HalfInt.coerce(I)
+    if I.twice < 1:
+        raise ValueError(f"the reduced model needs nuclear spin I >= 1/2, got I = {I}")
+    overlap = _reduced_overlap(I, A, Q)
     best = overlap(cap_mhz)
     if best < threshold:
         raise SaturationError(threshold, cap_mhz, best)

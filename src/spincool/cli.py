@@ -10,7 +10,7 @@ Subcommands:
     lasercalc   print the laser-budget conversion table
     levels      print the 5s15d 1D2 F-level energies
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
 
 Importing this module loads only the stdlib and the pure-Python model
 modules (config, srmodel, hyperfine, angmom, constants, lasercalc,
@@ -290,6 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        return _run(args, cfg)
+    except OSError as exc:  # a write that fails: full disk, no permission
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def _run(args: argparse.Namespace, cfg: RunConfig) -> int:
+    """The command's exit code; a numerical failure is reported here as EXIT_NUMERICAL."""
     # scalar arithmetic only: these run without numpy
     name = args.target if args.command == "reproduce" else args.command
     if name == "levels":

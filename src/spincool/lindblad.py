@@ -26,10 +26,11 @@ checked on the plan's basis, and check_density_matrix does the same on a basis
 of every entry; the samples are stepped and checked in runs of up to 4096
 states (one run for every grid of the artifact commands), each run for finite
 coordinates, unit trace and, block by block, positivity, and stepping stops at
-the first failing run; full density matrices are built from the coordinates
-only on request.  Positivity reads the real coordinates: blocks of 1 and 2
+the first failing run.  Positivity reads the real coordinates: blocks of 1 and 2
 levels in closed form, larger ones by a Cholesky test of conj(rho_block) +
-tol*I taken into its lower triangle, 64 states at a time.
+tol*I taken into its lower triangle, 64 states at a time.  The results stay in
+coordinates: populations and projections are read from them directly, and no
+full density matrix is built.
 
 Sign convention of the master equation:
 
@@ -50,8 +51,7 @@ import numpy as np
 __all__ = [
     "DensityMatrixError", "IntegrationError", "RealBasis", "Trajectory",
     "HERMITICITY_TOL", "TRACE_TOL", "POSITIVITY_TOL",
-    "pure_density", "check_density_matrix", "liouvillian_matrix",
-    "reachable_subspace", "evolve", "population",
+    "pure_density", "check_density_matrix", "liouvillian_matrix", "evolve", "population",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -220,7 +220,7 @@ class RealBasis:
     idx[k] = r*n + c: rho_rc = u_k + i u_t and rho_cr = u_k - i u_t with t the
     transposed position.  u = T v and v = T_inv u for v = vec(rho)[idx].  Each row and
     column of T and T_inv has at most two entries, at k and t, so both are applied
-    by indexing (T_dot, dot_T_inv); the dense matrices are built only on request.
+    by indexing (T_dot, dot_T_inv), never as dense matrices.
     """
 
     def __init__(self, idx: np.ndarray, n: int):
@@ -238,7 +238,6 @@ class RealBasis:
         half = np.where(pair, 0.5, 1.0)
         self._t, self._inv_k, self._inv_t = t, a, b[t]
         self._fwd_k, self._fwd_t = a.conj() * half, b[t].conj() * half
-        self.diag, self.levels = np.flatnonzero(~pair), r[~pair]
         # u @ _sums: each state's sum of coordinates and its trace
         self._sums = np.stack([np.ones(m), 1.0 * ~pair], axis=1)
         # rho is block diagonal over connected levels; label each by the lowest it reaches
@@ -255,20 +254,6 @@ class RealBasis:
     def dot_T_inv(self, x: np.ndarray) -> np.ndarray:
         """x @ T_inv for x (..., m)."""
         return x * self._inv_k + x[..., self._t] * self._inv_t
-
-    @functools.cached_property
-    def T(self) -> np.ndarray:
-        """T as a dense (m, m) matrix, built on first access, read-only."""
-        T = self.T_dot(np.eye(len(self.idx)))
-        _read_only(T)
-        return T
-
-    @functools.cached_property
-    def T_inv(self) -> np.ndarray:
-        """T_inv as a dense (m, m) matrix, built on first access, read-only."""
-        T_inv = self.dot_T_inv(np.eye(len(self.idx)))
-        _read_only(T_inv)
-        return T_inv
 
     def check(self, u: np.ndarray, trace_tol: float, positivity_tol: float,
               where: str = "") -> None:
@@ -301,19 +286,6 @@ class Trajectory:
     times: np.ndarray
     coords: np.ndarray
     basis: RealBasis
-
-    @property
-    def states(self) -> np.ndarray:
-        """The density matrices, shape (..., len(times), n, n), built on each access.
-
-        Entries outside the basis's index set are 0; the others are T_inv applied to
-        the coordinates, exact on finite ones since each row of T_inv has at most two
-        entries, each +-1 or +-i.
-        """
-        basis, n = self.basis, self.basis.n
-        rho = np.zeros(self.coords.shape[:-1] + (n * n,), dtype=complex)
-        rho[..., basis.idx] = self.coords @ basis.T_inv.T
-        return rho.reshape(*rho.shape[:-1], n, n)
 
     def level_sum(self, levels) -> np.ndarray:
         """The summed populations of `levels`, shape (..., len(times)).
@@ -415,7 +387,7 @@ def _lowest_linked(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
         label = low
 
 
-def reachable_subspace(rows: np.ndarray, cols: np.ndarray, support: np.ndarray) -> np.ndarray:
+def _reachable_subspace(rows: np.ndarray, cols: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Sorted indices of vec(rho) that a generator can populate starting from `support`.
 
     The generator's nonzero entries are at (rows[e], cols[e]): entry i is reached
@@ -481,9 +453,9 @@ def _generator_plan(key: tuple) -> _Plan:
     jump_a, jump_b = flat[p], flat[q]
 
     transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    idx = reachable_subspace(np.concatenate([rows, transpose[rows]]),
-                             np.concatenate([cols, transpose[cols]]),
-                             support | support[transpose])
+    idx = _reachable_subspace(np.concatenate([rows, transpose[rows]]),
+                              np.concatenate([cols, transpose[cols]]),
+                              support | support[transpose])
     m = len(idx)
     pos = np.full(n * n, m)
     pos[idx] = np.arange(m)

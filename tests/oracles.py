@@ -4,9 +4,11 @@ These deliberately share no code with the package: the Clebsch-Gordan
 oracle is the closed-form Racah factorial sum evaluated in exact rational
 arithmetic, the hyperfine oracle builds I.J and (I.J)^2 as explicit
 operator matrices from spin matrices, the right-hand-side oracle applies
-the master equation to rho by matrix products, and the two propagation
+the master equation to rho by matrix products, the two propagation
 oracles exponentiate the full column-major Liouvillian once per sample
-time or integrate it with adaptive Runge-Kutta (DOP853).
+time or integrate it with adaptive Runge-Kutta (DOP853), and the real-basis
+oracle writes the engine's coordinate maps as dense matrices, entry by
+entry, from the index set alone.
 """
 
 from __future__ import annotations
@@ -154,3 +156,44 @@ def adaptive_lindblad(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray],
                     t_eval=times, rtol=rtol, atol=atol)
     assert sol.success, sol.message
     return np.array([y.reshape(n, n, order="F") for y in sol.y.T])
+
+
+def real_basis_matrices(idx, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (T, T_inv) of the real coordinates on the entries idx of row-major vec(rho).
+
+    Coordinate k, at idx[k] = r*n + c, is rho_rr on the diagonal, Re rho_rc above
+    it and Im rho_cr below it; u = T v and v = T_inv u for v = vec(rho)[idx] of a
+    Hermitian rho.  Each entry is written from that convention, with t the
+    position of the transposed entry c*n + r: Re rho_rc = (v_k + v_t) / 2,
+    Im rho_cr = (v_t - v_k) / 2i, rho_rc = u_k + i u_t above the diagonal and
+    rho_rc = u_t - i u_k below it.
+    """
+    at = {int(e): k for k, e in enumerate(idx)}
+    m = len(at)
+    T = np.zeros((m, m), dtype=complex)
+    T_inv = np.zeros((m, m), dtype=complex)
+    for e, k in at.items():
+        r, c = divmod(e, n)
+        if r == c:
+            T[k, k] = T_inv[k, k] = 1.0
+            continue
+        t = at[c * n + r]
+        if r < c:
+            T[k, k] = T[k, t] = 0.5
+            T_inv[k, k], T_inv[k, t] = 1.0, 1j
+        else:
+            T[k, k], T[k, t] = 0.5j, -0.5j
+            T_inv[k, k], T_inv[k, t] = -1j, 1.0
+    return T, T_inv
+
+
+def full_states(traj) -> np.ndarray:
+    """The density matrices (..., len(times), n, n) of a Trajectory.
+
+    Reads only traj.coords and its basis's idx and n: the entries at idx are
+    T_inv applied to each state's coordinates, every other entry is 0.
+    """
+    idx, n = traj.basis.idx, traj.basis.n
+    rho = np.zeros(traj.coords.shape[:-1] + (n * n,), dtype=complex)
+    rho[..., idx] = traj.coords @ real_basis_matrices(idx, n)[1].T
+    return rho.reshape(*rho.shape[:-1], n, n)

@@ -40,7 +40,7 @@ from spincool.lasercalc import (
 from spincool.lindblad import evolve, pure_density
 from spincool.srmodel import collapse_ops, hamiltonian, qubit_vectors
 
-from .oracles import half_values, operator_hf_matrix, racah_cg
+from .oracles import full_states, half_values, operator_hf_matrix, racah_cg
 
 RESULTS: list[tuple[str, bool]] = []
 
@@ -245,9 +245,9 @@ class TestCriterion12LaserBudget:
 
 class TestCriterion13PropertySuites:
     def test_state_invariants_along_reference_run(self, fig3_run):
-        traces = [abs(np.trace(r).real - 1) for r in fig3_run.trajectory.states]
-        herms = [np.abs(r - r.conj().T).max() for r in fig3_run.trajectory.states]
-        eigs = [np.linalg.eigvalsh(r).min() for r in fig3_run.trajectory.states]
+        traces = [abs(np.trace(r).real - 1) for r in full_states(fig3_run.trajectory)]
+        herms = [np.abs(r - r.conj().T).max() for r in full_states(fig3_run.trajectory)]
+        eigs = [np.linalg.eigvalsh(r).min() for r in full_states(fig3_run.trajectory)]
         ok = max(traces) <= 1e-8 and max(herms) <= 1e-9 and min(eigs) >= -1e-8
         check("13a state invariants: trace 1e-8, hermiticity 1e-9, positivity 1e-8",
               ok, f"max drift {max(traces):.1e}, {max(herms):.1e}, min eig {min(eigs):.1e}")
@@ -286,7 +286,7 @@ class TestCriterion13PropertySuites:
         c = np.zeros((2, 2))
         c[0, 1] = math.sqrt(gamma)
         traj = evolve(pure_density(np.array([0.0, 1.0])), np.zeros((2, 2)), [c], 4.0, 9)
-        excited = np.array([r[1, 1].real for r in traj.states])
+        excited = np.array([r[1, 1].real for r in full_states(traj)])
         rel = np.abs(excited / np.exp(-gamma * traj.times) - 1).max()
         check("13d two-level decay matches analytic to 1e-6 relative",
               rel < 1e-6, f"worst rel {rel:.1e}")
@@ -297,7 +297,7 @@ class TestCriterion13PropertySuites:
         cs = [c.matrix() for c in collapse_ops(reference_params)]
         a = evolve(pure_density(psi0), H, cs, 5.0, 11)
         b = evolve(pure_density(psi0), H, cs, 5.0, 11)
-        ok = all(x.tobytes() == y.tobytes() for x, y in zip(a.states, b.states))
+        ok = all(x.tobytes() == y.tobytes() for x, y in zip(full_states(a), full_states(b)))
         check("13e reruns are byte-identical", ok)
 
     def test_grid_subdivision_convergence(self, reference_params, fig3_run):

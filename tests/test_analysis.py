@@ -160,7 +160,8 @@ class TestCool:
     def test_unreached_levels_read_zero(self, reference_params):
         # without the clock drive the index set holds the two clock levels only
         res = cool(1.0, 1.0, reference_params.replace(omega_eff=0.0), t_final=2.0, samples=5)
-        levels = sorted(res.trajectory.basis.levels.tolist())
+        basis = res.trajectory.basis
+        levels = sorted(basis.r[basis.r == basis.c].tolist())
         assert levels == sorted([BasisState.CLOCK_UP, BasisState.CLOCK_DOWN])
         for name in ("pop_reservoir", "pop_1P1_total", "pop_1D2_total", "pop_6s"):
             assert res.series[name].tolist() == [0.0] * 5
@@ -257,6 +258,11 @@ class TestMinOmegaPs:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             min_omega_ps(0.5, -213.0, 0.0, threshold=1.5)
+
+    @pytest.mark.parametrize("I, shown", [(0, "0"), (-0.5, "-1/2")])
+    def test_spin_below_one_half_rejected(self, I, shown):
+        with pytest.raises(ValueError, match=f"nuclear spin I >= 1/2, got I = {shown}$"):
+            min_omega_ps(I, -213.0, 0.0)
 
     def test_saturation_reported(self):
         with pytest.raises(SaturationError) as err:

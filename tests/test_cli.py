@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -217,8 +218,7 @@ class TestSimulate:
         # named series allow only 1e-8 outside [0, 1], both a level population
         # and a projection <psi|rho|psi>
         def reservoir_below_0(run):
-            k = list(run.basis.levels).index(BasisState.RESERVOIR)
-            run.coords[..., -1, run.basis.diag[k]] = -5e-8
+            run.coords[..., -1, run.basis._pos[BasisState.RESERVOIR * (run.basis.n + 1)]] = -5e-8
 
         def psi0_above_1(run):
             # pop_psi0 starts at 1 and is the first series checked
@@ -286,6 +286,19 @@ class TestSimulate:
         assert err.startswith("numerical failure: cannot allocate the samples: array is too big")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["levels", "simulate"])
+    def test_failed_write_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # a full disk at the rename: one line on stderr, no traceback, no temp file left
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *FAST, command]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write outputs: [Errno {errno.ENOSPC}] "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(out.iterdir()) == []
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         self._assert_fails(tmp_path, capsys, ["bogus=1"], 2, "config error")

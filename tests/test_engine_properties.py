@@ -24,7 +24,7 @@ from spincool.srmodel import (
     with_polarization_impurity,
 )
 
-from .oracles import one_shot_lindblad
+from .oracles import full_states, one_shot_lindblad
 
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
 
@@ -50,7 +50,7 @@ def test_subspace_engine_matches_full_one_shot_expm(p, ratio, t_final):
     rho0 = pure_density(psi0)
     H = hamiltonian(p)
     cs = [c.matrix() for c in collapse_ops(p)]
-    got = evolve(rho0, H, cs, t_final, 3).states
+    got = full_states(evolve(rho0, H, cs, t_final, 3))
     want = one_shot_lindblad(rho0, H, cs, np.linspace(0.0, t_final, 3))
     assert np.abs(got - want).max() <= 1e-12
 
@@ -69,7 +69,7 @@ def test_batched_table1_matches_single_runs(p, rs):
 @PROPERTY
 @given(p=physical_params, alpha=amplitudes, beta=amplitudes)
 def test_invariants_along_trajectory(p, alpha, beta):
-    states = cool(alpha, beta, p, t_final=20.0, samples=41).trajectory.states
+    states = full_states(cool(alpha, beta, p, t_final=20.0, samples=41).trajectory)
     trace = np.trace(states, axis1=-2, axis2=-1)
     assert np.abs(trace - 1).max() <= 1e-9
     assert np.abs(states - states.conj().swapaxes(-1, -2)).max() <= 1e-10
@@ -85,7 +85,7 @@ def test_global_phase_changes_nothing(p, alpha, beta, phase):
     b = cool(u * alpha, u * beta, p, t_final=5.0, samples=11)
     for name in ("fidelity", "pop_perp", "pop_reservoir", "pop_residual_clock"):
         assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12
-    assert np.abs(a.trajectory.states - b.trajectory.states).max() <= 1e-12
+    assert np.abs(full_states(a.trajectory) - full_states(b.trajectory)).max() <= 1e-12
 
 
 def dense_reachable(L: np.ndarray, support: np.ndarray) -> np.ndarray:

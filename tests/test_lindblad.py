@@ -19,7 +19,6 @@ from spincool.lindblad import (
     liouvillian_matrix,
     population,
     pure_density,
-    reachable_subspace,
 )
 from spincool.srmodel import (
     ModelParams,
@@ -29,7 +28,13 @@ from spincool.srmodel import (
     with_polarization_impurity,
 )
 
-from .oracles import adaptive_lindblad, liouvillian_apply, one_shot_lindblad
+from .oracles import (
+    adaptive_lindblad,
+    full_states,
+    liouvillian_apply,
+    one_shot_lindblad,
+    real_basis_matrices,
+)
 from .test_engine_properties import PROPERTY, physical_params
 
 GAMMA = 1.3  # rad/us, arbitrary two-level decay rate
@@ -190,7 +195,7 @@ class TestExpm:
         p = ModelParams()
         L = liouvillian_matrix(hamiltonian(p), collapse_matrices(p))
         psi0, _, _ = qubit_vectors(1.0, 1.0)
-        idx = reachable_subspace(*np.nonzero(L), pure_density(psi0).reshape(-1) != 0)
+        idx = lindblad._reachable_subspace(*np.nonzero(L), pure_density(psi0).reshape(-1) != 0)
         A = L[np.ix_(idx, idx)] * dt
         assert lindblad._squarings(A) > 0
         ref = scipy_expm(A)
@@ -222,7 +227,7 @@ class TestReachableSubspace:
     def test_size_and_closure(self, p):
         L = liouvillian_matrix(hamiltonian(p), collapse_matrices(p))
         psi0, _, _ = qubit_vectors(1.0, 1.0)
-        idx = reachable_subspace(*np.nonzero(L), pure_density(psi0).reshape(-1) != 0)
+        idx = lindblad._reachable_subspace(*np.nonzero(L), pure_density(psi0).reshape(-1) != 0)
         assert len(idx) == 87
         outside = np.setdiff1d(np.arange(L.shape[0]), idx)
         assert not np.any(L[np.ix_(outside, idx)])
@@ -231,7 +236,7 @@ class TestReachableSubspace:
         # a decaying two-level system never builds up coherence from a population
         L = liouvillian_matrix(np.zeros((2, 2)), [damping_op(GAMMA)])
         support = np.array([False, False, False, True])
-        assert reachable_subspace(*np.nonzero(L), support).tolist() == [0, 3]
+        assert lindblad._reachable_subspace(*np.nonzero(L), support).tolist() == [0, 3]
 
 
 def rhs(H: np.ndarray, cs: list, rho: np.ndarray) -> np.ndarray:
@@ -280,7 +285,7 @@ class TestEvolve:
         H = np.array([[0.0, 2.0], [2.0, 1.0]])
         rho0 = pure_density(np.array([1.0, 0.5 + 0.2j]))
         traj = evolve(rho0, H, [], 20.0, 81)
-        purities = [np.trace(r @ r).real for r in traj.states]
+        purities = [np.trace(r @ r).real for r in full_states(traj)]
         assert max(abs(p - 1.0) for p in purities) < 1e-8
 
     @pytest.mark.parametrize("t_final", [3.0], ids=["expm"])
@@ -288,7 +293,7 @@ class TestEvolve:
         rho0 = pure_density(np.array([0.0, 1.0]))
         traj = evolve(rho0, np.zeros((2, 2)), [damping_op(GAMMA)], t_final, 16)
         assert np.array_equal(traj.times, np.linspace(0, t_final, 16))
-        excited = np.array([r[1, 1].real for r in traj.states])
+        excited = np.array([r[1, 1].real for r in full_states(traj)])
         expected = np.exp(-GAMMA * traj.times)
         assert np.abs(excited / expected - 1).max() < 1e-6
 
@@ -299,7 +304,7 @@ class TestEvolve:
         cs = collapse_matrices(p)
         psi0, _, _ = qubit_vectors(1.0, 1.0)
         rho0 = pure_density(psi0)
-        ref = evolve(rho0, H, cs, 0.5, 6).states
+        ref = full_states(evolve(rho0, H, cs, 0.5, 6))
         alt = adaptive_lindblad(rho0, H, cs, np.linspace(0, 0.5, 6))
         assert np.abs(ref - alt).max() < 1e-6
 
@@ -307,7 +312,7 @@ class TestEvolve:
         p = ModelParams()
         psi0, _, _ = qubit_vectors(1.0, 2.0)
         traj = evolve(pure_density(psi0), hamiltonian(p), collapse_matrices(p), 20.0, 41)
-        for rho in traj.states:
+        for rho in full_states(traj):
             assert abs(np.trace(rho).real - 1) < 1e-8
             assert np.abs(rho - rho.conj().T).max() < 1e-9
             assert np.linalg.eigvalsh(rho).min() > -1e-8
@@ -317,16 +322,16 @@ class TestEvolve:
         psi0, _, _ = qubit_vectors(1.0, 1.0)
         a = evolve(pure_density(psi0), hamiltonian(p), collapse_matrices(p), 5.0, 11)
         b = evolve(pure_density(psi0), hamiltonian(p), collapse_matrices(p), 5.0, 11)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.states, b.states))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(full_states(a), full_states(b)))
 
     def test_stack_matches_single_runs(self):
         p = ModelParams()
         H, cs = hamiltonian(p), collapse_matrices(p)
         rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in (0.2, 1.0, 7.0)])
-        stacked = evolve(rho0, H, cs, 4.0, 9).states
+        stacked = full_states(evolve(rho0, H, cs, 4.0, 9))
         assert stacked.shape == (3, 9, 13, 13)
         for k in range(3):
-            single = evolve(rho0[k], H, cs, 4.0, 9).states
+            single = full_states(evolve(rho0[k], H, cs, 4.0, 9))
             assert np.abs(stacked[k] - single).max() < 1e-12
 
     def test_non_hermitian_evolution_detected(self):
@@ -341,8 +346,8 @@ class TestEvolve:
         p = ModelParams()
         psi0, _, _ = qubit_vectors(1.0, 1.0)
         rho0 = pure_density(psi0)
-        coarse = evolve(rho0, hamiltonian(p), collapse_matrices(p), 4.0, 5).states[-1]
-        fine = evolve(rho0, hamiltonian(p), collapse_matrices(p), 4.0, 41).states[-1]
+        coarse = full_states(evolve(rho0, hamiltonian(p), collapse_matrices(p), 4.0, 5))[-1]
+        fine = full_states(evolve(rho0, hamiltonian(p), collapse_matrices(p), 4.0, 41))[-1]
         assert np.abs(coarse - fine).max() < 1e-11
 
     def test_bad_grid_rejected(self):
@@ -444,8 +449,7 @@ class TestGeneratorPlan:
         basis = plan.basis
         nb, take, zero = next(q for q in basis._plans if len(q) == 3)
         assert nb == 9
-        for array in (plan.keys, plan.hamiltonian, basis.idx, basis.diag, basis.blocks[0],
-                      take, basis.T, basis.T_inv):
+        for array in (plan.keys, plan.hamiltonian, basis.idx, basis.blocks[0], take):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
         assert not zero.flags.writeable
@@ -487,7 +491,7 @@ class TestPopulation:
         rng = np.random.default_rng(4)
         psi = rng.normal(size=(3, 2, 13)) + 1j * rng.normal(size=(3, 2, 13))
         psi /= 2 * np.linalg.norm(psi, axis=-1, keepdims=True)
-        want = np.einsum("jki,ktil,jkl->jkt", psi.conj(), traj.states, psi).real
+        want = np.einsum("jki,ktil,jkl->jkt", psi.conj(), full_states(traj), psi).real
         assert np.abs(population(traj, psi) - want).max() <= 1e-15
 
 
@@ -497,6 +501,11 @@ def reference_basis(p: ModelParams) -> tuple[np.ndarray, RealBasis]:
     support = pure_density(qubit_vectors(1.0, 1.0)[0]).reshape(-1) != 0
     idx = lindblad._reachable_generator(H, cs, support)[0].basis.idx
     return liouvillian_matrix(H, cs), RealBasis(idx, len(H))
+
+
+def coordinates(basis: RealBasis, rho: np.ndarray) -> np.ndarray:
+    """The real coordinates of a Hermitian rho on basis's entries, by the oracle's T."""
+    return (real_basis_matrices(basis.idx, basis.n)[0] @ rho.reshape(-1)[basis.idx]).real
 
 
 def _supported(basis: RealBasis, rho: np.ndarray) -> np.ndarray:
@@ -510,13 +519,28 @@ class TestRealBasis:
     def test_round_trip(self):
         _, basis = reference_basis(ModelParams())
         assert sorted(len(f) for f in basis.blocks) == [1, 1, 2, 9]
+        T, T_inv = real_basis_matrices(basis.idx, basis.n)
         rng = np.random.default_rng(8)
         for _ in range(5):
             a = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
             rho = _supported(basis, a + a.conj().T)
-            u = basis.T @ rho.reshape(-1)[basis.idx]
+            u = T @ rho.reshape(-1)[basis.idx]
             assert np.all(u.imag == 0)
-            assert np.array_equal(basis.T_inv @ u, rho.reshape(-1)[basis.idx])
+            assert np.array_equal(T_inv @ u, rho.reshape(-1)[basis.idx])
+
+    @pytest.mark.parametrize("basis", [
+        reference_basis(ModelParams())[1],
+        RealBasis(np.arange(25), 5),
+        RealBasis(np.array([8, 0, 5, 1, 7, 3, 4]), 3),
+    ], ids=["reference", "every-entry", "unordered"])
+    def test_maps_match_oracle_matrices(self, basis):
+        # the indexed maps against T and T_inv written entry by entry from the convention
+        T, T_inv = real_basis_matrices(basis.idx, basis.n)
+        assert np.array_equal(T_inv @ T, np.eye(len(basis.idx)))
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=(len(basis.idx), 3)) + 1j * rng.normal(size=(len(basis.idx), 3))
+        assert np.array_equal(basis.T_dot(y), T @ y)
+        assert np.array_equal(basis.dot_T_inv(y.T), y.T @ T_inv)
 
     @pytest.mark.parametrize("p", [
         ModelParams(),
@@ -525,7 +549,8 @@ class TestRealBasis:
     ], ids=["reference", "delta_pd=-1750", "chi=0.1"])
     def test_generator_is_exactly_real(self, p):
         L, basis = reference_basis(p)
-        Lr = basis.T @ L[np.ix_(basis.idx, basis.idx)] @ basis.T_inv
+        T, T_inv = real_basis_matrices(basis.idx, basis.n)
+        Lr = T @ L[np.ix_(basis.idx, basis.idx)] @ T_inv
         assert np.all(Lr.imag == 0)
         assert np.abs(Lr).max() > 1e3
 
@@ -533,14 +558,15 @@ class TestRealBasis:
     @given(p=physical_params)
     def test_generator_is_exactly_real_over_parameters(self, p):
         L, basis = reference_basis(p)
-        assert np.all((basis.T @ L[np.ix_(basis.idx, basis.idx)] @ basis.T_inv).imag == 0)
+        T, T_inv = real_basis_matrices(basis.idx, basis.n)
+        assert np.all((T @ L[np.ix_(basis.idx, basis.idx)] @ T_inv).imag == 0)
 
     @staticmethod
     def _stack(basis: RealBasis, bad: np.ndarray) -> np.ndarray:
         """Coordinates (3, 2, m) of a mixed state, with `bad` at stack index (2, 1)."""
         good = np.diag(np.full(13, 1 / 13))
-        u = np.array([[(basis.T @ good.reshape(-1)[basis.idx]).real] * 2] * 3)
-        u[2, 1] = (basis.T @ bad.reshape(-1)[basis.idx]).real
+        u = np.array([[coordinates(basis, good)] * 2] * 3)
+        u[2, 1] = coordinates(basis, bad)
         return u
 
     def test_negative_eigenvalue_inside_nine_level_block(self):
@@ -639,10 +665,10 @@ class TestRealBasis:
         basis = RealBasis(np.array([0, 1, 3, 4, 5, 7, 8]), 3)
         assert [len(f) for f in basis.blocks] == [3]
         rho = np.diag([0.6, 0.3, 0.1]).astype(complex)
-        basis.check((basis.T @ rho.reshape(-1)[basis.idx]).real, 1e-8, 1e-7)
+        basis.check(coordinates(basis, rho), 1e-8, 1e-7)
         rho[0, 1] = rho[1, 0] = 0.5  # the 0-1 pair: determinant 0.18 - 0.25 < 0
         with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
-            basis.check((basis.T @ rho.reshape(-1)[basis.idx]).real, 1e-8, 1e-7)
+            basis.check(coordinates(basis, rho), 1e-8, 1e-7)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("size", [9, 2])
@@ -656,24 +682,6 @@ class TestRealBasis:
         with pytest.raises(DensityMatrixError, match="non-finite state") as exc:
             basis.check(u, 1e-8, 1e-7)
         assert exc.value.index == (2, 1)
-
-
-def test_sweeps_and_cli_never_build_full_states(monkeypatch, tmp_path):
-    from spincool.analysis import cool, table1_sweep
-    from spincool.cli import main
-
-    builds = []
-    full = Trajectory.states
-    monkeypatch.setattr(Trajectory, "states",
-                        property(lambda traj: builds.append(traj) or full.fget(traj)))
-    p = ModelParams()
-    table1_sweep(p, ratios=(0.5, 2.0), t_final=2.0)
-    res = cool(1.0, 1.0, p, t_final=2.0, samples=11)
-    for cmd in (["simulate"], ["reproduce", "table1"]):
-        assert main(["--out", str(tmp_path), "--set", "t_final=2.0", *cmd]) == 0
-    assert builds == []
-    assert res.trajectory.states.shape == (11, 13, 13)
-    assert len(builds) == 1
 
 
 class TestStreamedCheck:
@@ -746,7 +754,8 @@ class TestStreamedCheck:
         ref = one_shot_lindblad(rho0, H, cs, traj.times[picks]).reshape(len(picks), states, -1)
         assert np.abs(np.delete(ref, basis.idx, axis=-1)).max() <= 1e-14
         # the oracle's states in real coordinates, shape (picks, states, m)
-        want = np.einsum("ij,psj->psi", basis.T, ref[..., basis.idx]).real
+        T = real_basis_matrices(basis.idx, basis.n)[0]
+        want = np.einsum("ij,psj->psi", T, ref[..., basis.idx]).real
         got = traj.coords.reshape(states, samples, -1)[:, picks].swapaxes(0, 1)
         assert np.abs(got - want).max() <= 1e-12
 
