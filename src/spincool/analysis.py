@@ -10,7 +10,7 @@ the parameter-sensitivity and cross-isotope estimates.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ class SaturationError(RuntimeError):
             f"overlap {best:.5f} below threshold {threshold} even at {cap_mhz:.0f} MHz")
 
 
-@dataclass(frozen=True)
-class DressedPair:
+class DressedPair(NamedTuple):
     """The two eigenstates dominated by the operative 1P1 spin states.
 
     Energies are in MHz; overlaps are |<target|eigenvector>| against
@@ -95,8 +94,7 @@ class DressedPair:
     overlap_down: float
 
 
-@dataclass
-class CoolingResult:
+class CoolingResult(NamedTuple):
     """Endpoint figures of one cooling run, its named population series and trajectory."""
 
     fidelity: float
@@ -256,8 +254,7 @@ def cool(alpha: complex, beta: complex, p: ModelParams, t_final: float = 20.0,
     return _cool_many([(alpha, beta)], p, t_final, samples)[0]
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     """One labelled run of a parameter sweep."""
 
     name: str
@@ -281,7 +278,8 @@ def _row(name: str, overrides: dict[str, float], res: CoolingResult, i: int = -1
     clock = res.trajectory.level_sum([BasisState.CLOCK_UP, BasisState.CLOCK_DOWN])[i]
     return SweepRow(name=name, overrides=overrides, t_us=float(res.trajectory.times[i]),
                     fidelity=float(series["pop_psif"][i]), pop_perp=float(series["pop_perp"][i]),
-                    notes={**notes, "pop_total": named + (clock - series["pop_psi0"][i])})
+                    notes={**notes,
+                           "pop_total": float(named + (clock - series["pop_psi0"][i]))})
 
 
 TABLE1_RATIOS = (0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0)

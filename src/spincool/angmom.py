@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
+
+from ._record import FrozenRecord
 
 __all__ = [
     "HalfInt",
@@ -26,15 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HalfInt:
+class HalfInt(FrozenRecord):
     """An exact integer or half-integer quantum number, stored as twice its value."""
 
-    twice: int
+    __slots__ = _fields = ("twice",)
 
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise TypeError(f"HalfInt stores twice the value as int, got {self.twice!r}")
+    def __init__(self, twice: int):
+        if not isinstance(twice, int):
+            raise TypeError(f"HalfInt stores twice the value as int, got {twice!r}")
+        object.__setattr__(self, "twice", twice)
 
     @classmethod
     def coerce(cls, x) -> "HalfInt":
@@ -187,8 +189,7 @@ def ladder_b(I, J, mJ, mI) -> float:
     return math.sqrt((iv + miv) * (iv - miv + 1)) * math.sqrt((jv - mjv) * (jv + mjv + 1))
 
 
-@dataclass(frozen=True)
-class XiFactors:
+class XiFactors(NamedTuple):
     """Relative amplitudes of the four weaker sigma-minus dressing couplings.
 
     Normalized so the stretched transition

@@ -13,23 +13,27 @@ Subcommands:
 Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
 
 Importing this module loads only the stdlib and the pure-Python model
-modules (config, srmodel, hyperfine, angmom, constants, lasercalc,
-svgplot).  numpy, analysis and lindblad load in the commands that compute
-(simulate, balance, dressed, reproduce fig3/table1/sensitivity/impurity/
-isotopes), so levels, lasercalc, reproduce appendixA/levels, --help and
-every configuration error run without numpy.
+modules (config, srmodel, hyperfine, angmom, constants, svgplot); lasercalc
+loads in lasercalc and reproduce appendixA.  numpy, analysis and lindblad
+load in the commands that compute (simulate, balance, dressed, reproduce
+fig3/table1/sensitivity/impurity/isotopes), so levels, lasercalc, reproduce
+appendixA/levels, --help and every configuration error run without numpy.
+
+Two settings hold for the CLI's own process, not for the library: BLAS
+threads default to one, and once a command's imports are done the objects
+they built are frozen out of garbage collection (gc.freeze).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import gc
 import json
 import os
 import sys
 import time
 
-from . import __version__, lasercalc
+from . import __version__
 from .angmom import HalfInt
 from .config import ConfigError, RunConfig, atomic_write_text, config_hash, load_run_config
 from .hyperfine import HyperfineConstants, f_level_energy
@@ -47,12 +51,11 @@ EXIT_NUMERICAL = 3
 def _csv(kind: str, cols, rows) -> str:
     """CSV text under a `# spincool {kind} csv v1` schema line.
 
-    A str cell is written as is; any other cell is a number, written as the
-    repr of its float so that it reads back bit for bit.
+    A str cell is written as is; any other cell is a Python float, written as
+    its repr so that it reads back bit for bit.
     """
     lines = [f"# spincool {kind} csv v1", ",".join(cols)]
-    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
-              for row in rows]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -61,7 +64,8 @@ def _json(payload) -> str:
 
 
 def _trajectory_csv(times, series: dict) -> str:
-    return _csv("trajectory", ("t_us", *series), zip(times, *series.values()))
+    columns = [times.tolist(), *(values.tolist() for values in series.values())]
+    return _csv("trajectory", ("t_us", *series), zip(*columns))
 
 
 def _write_sweep(out_dir: str, stem: str, kind: str, cols, rows, records) -> None:
@@ -190,7 +194,9 @@ def cmd_levels(out_dir: str) -> int:
 
 
 def cmd_lasercalc(out_dir: str) -> int:
-    records = lasercalc.sr_laser_budget()
+    from .lasercalc import sr_laser_budget
+
+    records = sr_laser_budget()
     text = _json(records)
     atomic_write_text(f"{out_dir}/laser_budget.json", text)
     print(text, end="")
@@ -218,7 +224,7 @@ def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
                   *(r.notes.get(k, "") for k in notes)) for r in rows]
         _write_sweep(out_dir, "sensitivity", "sweep",
                      ("name", "t_us", "fidelity", "pop_perp", *notes), cells,
-                     [dataclasses.asdict(r) for r in rows])
+                     [r._asdict() for r in rows])
     elif which == "impurity":
         _write_points(out_dir, "impurity", "chi",
                       analysis.impurity_sweep(p, t_final=cfg.t_final))
@@ -297,17 +303,35 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
+def _freeze_imports() -> None:
+    """Leave what the imports built out of every later garbage collection.
+
+    Modules, classes, functions and numpy's tables live until the process exits,
+    yet each full collection, the ones at exit included, would traverse them
+    again.  Frozen after the command's imports, and once per process: a caller
+    that runs main repeatedly would otherwise make each run's uncollected
+    garbage permanent.  Objects made later are collected as usual, and the
+    collector stays enabled.
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
+
+
 def _run(args: argparse.Namespace, cfg: RunConfig) -> int:
     """The command's exit code; a numerical failure is reported here as EXIT_NUMERICAL."""
     # scalar arithmetic only: these run without numpy
     name = args.target if args.command == "reproduce" else args.command
     if name == "levels":
+        _freeze_imports()
         return cmd_levels(args.out)
     if name in ("lasercalc", "appendixA"):
+        from . import lasercalc  # noqa: F401  (loaded before the freeze)
+        _freeze_imports()
         return cmd_lasercalc(args.out)
     import numpy as np
     from .analysis import AmbiguousOverlapError
     from .lindblad import DensityMatrixError, IntegrationError
+    _freeze_imports()
     try:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out, args.svg)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field, fields
 
+from ._record import FrozenRecord
 from .srmodel import TWO_PI, ModelParams, hamiltonian_mhz
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_run_config",
@@ -23,29 +23,27 @@ class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
 
 
-_MODEL_KEYS = tuple(f.name for f in fields(ModelParams))
+_MODEL_KEYS = ModelParams._fields
 
 _RUN_KEYS = ("alpha", "beta", "t_final", "samples")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FrozenRecord):
     """Fully resolved inputs of one simulation run."""
 
-    params: ModelParams = field(default_factory=ModelParams)
-    alpha: complex = 1.0 + 0.0j
-    beta: complex = 1.0 + 0.0j
-    t_final: float = 20.0
-    samples: int = 401
+    __slots__ = _fields = ("params", "alpha", "beta", "t_final", "samples")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.t_final) and self.t_final > 0):
-            raise ValueError(f"t_final must be finite and > 0, got {self.t_final!r}")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {self.samples}")
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
-            raise ValueError(f"alpha and beta must be finite, got {self.alpha!r}, {self.beta!r}")
-        if self.alpha == 0 and self.beta == 0:
+    # ModelParams is immutable, so every default config can share one instance
+    def __init__(self, params: ModelParams = ModelParams(), alpha: complex = 1.0 + 0.0j,
+                 beta: complex = 1.0 + 0.0j, t_final: float = 20.0, samples: int = 401):
+        self._assign(locals())
+        if not (math.isfinite(t_final) and t_final > 0):
+            raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
+        if samples < 2:
+            raise ValueError(f"samples must be >= 2 (t=0 and t_final), got {samples}")
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+            raise ValueError(f"alpha and beta must be finite, got {alpha!r}, {beta!r}")
+        if alpha == 0 and beta == 0:
             raise ValueError("alpha and beta must not both be zero")
 
     def to_flat_dict(self) -> dict[str, str]:

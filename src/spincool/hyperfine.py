@@ -10,9 +10,9 @@ frequencies (value/2pi) in MHz throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import FrozenRecord
 from .angmom import HalfInt, ladder_a, ladder_b
 from .constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G
 
@@ -31,29 +31,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HyperfineConstants:
+class HyperfineConstants(FrozenRecord):
     """Magnetic-dipole constant A and electric-quadrupole constant Q, in MHz."""
 
-    A: float
-    Q: float
+    __slots__ = _fields = ("A", "Q")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.A) and math.isfinite(self.Q)):
+    def __init__(self, A: float, Q: float):
+        self._assign(locals())
+        if not (math.isfinite(A) and math.isfinite(Q)):
             raise ValueError("hyperfine constants must be finite")
 
 
-@dataclass(frozen=True)
-class SpinSpace:
+class SpinSpace(FrozenRecord):
     """A nuclear spin I coupled to an electronic angular momentum J."""
 
-    I: HalfInt
-    J: HalfInt
+    __slots__ = _fields = ("I", "J")
 
-    def __post_init__(self):
-        object.__setattr__(self, "I", HalfInt.coerce(self.I))
-        object.__setattr__(self, "J", HalfInt.coerce(self.J))
-        if self.I.twice < 0 or self.J.twice < 0:
+    def __init__(self, I: HalfInt, J: HalfInt):
+        I, J = HalfInt.coerce(I), HalfInt.coerce(J)
+        self._assign(locals())
+        if I.twice < 0 or J.twice < 0:
             raise ValueError("I and J must be non-negative")
 
     def basis(self) -> list[tuple[HalfInt, HalfInt]]:
@@ -70,24 +67,21 @@ class SpinSpace:
         return self.I.twice >= 2 and self.J.twice >= 2
 
 
-@dataclass(frozen=True)
-class ZeemanParams:
+class ZeemanParams(FrozenRecord):
     """Magnetic field B (gauss), electronic g-factor, and nuclear moment (units of mu_N).
 
     The nuclear moment is the measured total moment of the nucleus; the
     nuclear Zeeman energy is modelled as -(moment/I) mu_N B mI.
     """
 
-    B: float
-    gJ: float
-    mu_nuclear: float
-    I: HalfInt
+    __slots__ = _fields = ("B", "gJ", "mu_nuclear", "I")
 
-    def __post_init__(self):
-        object.__setattr__(self, "I", HalfInt.coerce(self.I))
-        if self.B < 0:
+    def __init__(self, B: float, gJ: float, mu_nuclear: float, I: HalfInt):
+        I = HalfInt.coerce(I)
+        self._assign(locals())
+        if B < 0:
             raise ValueError("B must be >= 0")
-        if not math.isfinite(self.gJ):
+        if not math.isfinite(gJ):
             raise ValueError("gJ must be finite")
 
 

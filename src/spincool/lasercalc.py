@@ -15,8 +15,8 @@ argument rather than a hidden choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import FrozenRecord
 from .constants import BOHR_RADIUS, DIPOLE_EA0, ELEMENTARY_CHARGE, EPSILON_0, HBAR, SPEED_OF_LIGHT
 
 __all__ = [
@@ -31,18 +31,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
+class TransitionSpec(FrozenRecord):
     """One electric-dipole transition: wavelength (nm), decay rate (1/s), multiplicity."""
 
-    wavelength_nm: float
-    linewidth: float
-    multiplicity: int = 1
+    __slots__ = _fields = ("wavelength_nm", "linewidth", "multiplicity")
 
-    def __post_init__(self):
-        if self.wavelength_nm <= 0:
+    def __init__(self, wavelength_nm: float, linewidth: float, multiplicity: int = 1):
+        self._assign(locals())
+        if wavelength_nm <= 0:
             raise ValueError("wavelength must be positive")
-        if self.multiplicity not in (1, 9):
+        if multiplicity not in (1, 9):
             raise ValueError("multiplicity factor must be 1 or 9")
 
     @property
@@ -50,14 +48,14 @@ class TransitionSpec:
         return angular_frequency(self.wavelength_nm)
 
 
-@dataclass(frozen=True)
-class BeamSpec:
+class BeamSpec(FrozenRecord):
     """Gaussian-ish beam described by its spot radius at the atom, in um."""
 
-    spot_radius_um: float
+    __slots__ = _fields = ("spot_radius_um",)
 
-    def __post_init__(self):
-        if self.spot_radius_um <= 0:
+    def __init__(self, spot_radius_um: float):
+        self._assign(locals())
+        if spot_radius_um <= 0:
             raise ValueError("spot radius must be positive")
 
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -275,8 +274,7 @@ class RealBasis:
         _check_positivity(u, self._plans, positivity_tol, where)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled states of one propagation run.
 
     times (us) increase strictly; coords, shape (..., len(times), m), are the states

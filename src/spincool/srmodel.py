@@ -12,12 +12,11 @@ I = 9/2 ground manifold: "up" is mI = -7/2 and "down" is mI = -9/2.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import FrozenRecord
 from .angmom import HalfInt, xi_factors
 from .constants import SR87_NUCLEAR_MOMENT, SR87_TWICE_I
 from .hyperfine import HyperfineConstants, SpinSpace, ZeemanParams, hf_element, zeeman_diag
@@ -98,8 +97,7 @@ P1_STATES = (BasisState.P1_0_DOWN, BasisState.P1_M1_UP, BasisState.P1_M1_DOWN,
              BasisState.P1_P1_DOWN)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(FrozenRecord):
     """All model parameters: Rabi frequencies and detunings in MHz, field in gauss.
 
     gamma_* are the spontaneous linewidths of 1P1, 6s 1S0, and 5s15d 1D2 as
@@ -108,33 +106,40 @@ class ModelParams:
     operating point of the cooling scheme.
     """
 
-    omega_eff: float = 1.0        # clock <-> 1P1 two-photon Rabi frequency
-    omega_ps: float = 300.0       # 1P1 <-> 6s 1S0 pi-polarized Rabi frequency
-    omega_pd: float = 144.27      # 1P1 <-> 1D2 sigma-minus dressing Rabi frequency
-    delta: float = 3.8826         # common shift restoring clock <-> dressed-1P1 resonance
-    delta_pd: float = -1700.0     # dressing-laser detuning at the F=13/2 line
-    delta_ps_extra: float = 0.0   # additional detuning of the omega_ps laser
-    gamma_p: float = 32.0         # 1P1 linewidth
-    gamma_s: float = 3.0          # 6s 1S0 linewidth
-    gamma_d: float = 0.47         # 1D2 linewidth
-    b_field: float = 1.0          # gauss
-    a_1p1: float = -3.4           # 1P1 hyperfine A
-    q_1p1: float = 39.0           # 1P1 hyperfine Q
-    e_hf: float = 1300.0          # 1D2 F-splitting entering the detuning ladder
+    __slots__ = _fields = ("omega_eff", "omega_ps", "omega_pd", "delta", "delta_pd",
+                           "delta_ps_extra", "gamma_p", "gamma_s", "gamma_d", "b_field",
+                           "a_1p1", "q_1p1", "e_hf")
 
-    def __post_init__(self):
+    def __init__(
+            self,
+            omega_eff: float = 1.0,        # clock <-> 1P1 two-photon Rabi frequency
+            omega_ps: float = 300.0,       # 1P1 <-> 6s 1S0 pi-polarized Rabi frequency
+            omega_pd: float = 144.27,      # 1P1 <-> 1D2 sigma-minus dressing Rabi frequency
+            delta: float = 3.8826,         # common shift restoring clock <-> dressed-1P1 resonance
+            delta_pd: float = -1700.0,     # dressing-laser detuning at the F=13/2 line
+            delta_ps_extra: float = 0.0,   # additional detuning of the omega_ps laser
+            gamma_p: float = 32.0,         # 1P1 linewidth
+            gamma_s: float = 3.0,          # 6s 1S0 linewidth
+            gamma_d: float = 0.47,         # 1D2 linewidth
+            b_field: float = 1.0,          # gauss
+            a_1p1: float = -3.4,           # 1P1 hyperfine A
+            q_1p1: float = 39.0,           # 1P1 hyperfine Q
+            e_hf: float = 1300.0,          # 1D2 F-splitting entering the detuning ladder
+    ):
+        self._assign(locals())
         for name in ("gamma_p", "gamma_s", "gamma_d"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for f in dataclasses.fields(self):
+        for name in self._fields:
             # assembly multiplies by 2pi, which must stay finite too
-            if not math.isfinite(TWO_PI * getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite (also after 2pi scaling)")
+            if not math.isfinite(TWO_PI * getattr(self, name)):
+                raise ValueError(f"{name} must be finite (also after 2pi scaling)")
         if self.b_field < 0:
             raise ValueError("b_field must be >= 0")
 
     def replace(self, **overrides) -> "ModelParams":
-        return dataclasses.replace(self, **overrides)
+        """A copy with the named fields replaced, checked as a new record."""
+        return ModelParams(**{**dict(zip(self._fields, self._values())), **overrides})
 
     @property
     def hyperfine_1p1(self) -> HyperfineConstants:
@@ -146,8 +151,7 @@ class ModelParams:
         return ZeemanParams(B=self.b_field, gJ=1.0, mu_nuclear=SR87_NUCLEAR_MOMENT, I=I_SR)
 
 
-@dataclass(frozen=True)
-class CollapseOp:
+class CollapseOp(NamedTuple):
     """One spontaneous-emission jump operator, sum of amplitude |to><from| terms.
 
     Most channels are single transitions; the spin-preserving 1P1 mJ=-1

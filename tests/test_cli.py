@@ -492,8 +492,11 @@ class TestImports:
         assert out.strip() == "[]"
 
     def test_cli_import_leaves_hashlib_and_numbers_unloaded(self):
+        # nor dataclasses (the records are NamedTuples and slots classes) or the
+        # laser budget, which only lasercalc and reproduce appendixA import
+        unused = {'hashlib', 'numbers', 'dataclasses', 'spincool.lasercalc'}
         out = _run_python("import sys, spincool.cli; "
-                          "print(sorted({'hashlib', 'numbers'} & set(sys.modules)))")
+                          f"print(sorted({unused!r} & set(sys.modules)))")
         assert out.strip() == "[]"
 
     def test_light_commands_leave_numpy_unloaded(self, tmp_path):
@@ -505,24 +508,28 @@ class TestImports:
                 "print('numpy' in sys.modules)\n"
                 f"codes = [spincool.cli.main(['--out', {str(tmp_path)!r}, *cmd]) "
                 f"for cmd in {commands!r}]\n"
-                "print(codes, 'numpy' in sys.modules)\n")
+                "print(codes, sorted({'numpy', 'dataclasses'} & set(sys.modules)))\n")
         out = _run_python(code).splitlines()
         assert out[0] == "False"
-        assert out[-1] == "[0, 0, 0, 0, 2, 2] False"
+        assert out[-1] == "[0, 0, 0, 0, 2, 2] []"
         assert (tmp_path / "laser_budget.json").exists()
 
     # each light command once more in a fresh interpreter with numpy unimportable and
-    # warnings as errors writes the files and prints the text of the in-process run
+    # warnings as errors writes the files and prints the text of the in-process run;
+    # only the laser-budget commands load lasercalc
     @pytest.mark.parametrize("cmd", LIGHT_COMMANDS)
     def test_light_command_without_numpy_writes_the_same_bytes(self, tmp_path, capsys, cmd):
         here, fresh = tmp_path / "in_process", tmp_path / "no_numpy"
         assert main(["--out", str(here), *cmd.split()]) == 0
         printed = capsys.readouterr().out
+        laser = cmd.split()[-1] in ("lasercalc", "appendixA")
         code = ("import sys, warnings\n"
                 "warnings.simplefilter('error')\n"
                 "sys.modules['numpy'] = None\n"
                 "from spincool.cli import main\n"
-                f"sys.exit(main(['--out', {str(fresh)!r}, *{cmd.split()!r}]))\n")
+                f"code = main(['--out', {str(fresh)!r}, *{cmd.split()!r}])\n"
+                f"assert ('spincool.lasercalc' in sys.modules) is {laser}\n"
+                "sys.exit(code)\n")
         assert _run_python(code) == printed
         assert_same_files(here, fresh)
 
@@ -542,18 +549,6 @@ class TestImports:
                 "cool(1.0, 1.0, ModelParams(), t_final=2.0, samples=9)\n"
                 "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n")
         assert _run_python(code).strip() == "True False"
-
-    def test_artifact_commands_leave_scipy_unloaded(self, tmp_path):
-        commands = [["simulate"], ["balance"], ["reproduce", "table1"],
-                    ["reproduce", "sensitivity"]]
-        code = ("import sys\n"
-                "from spincool.cli import main\n"
-                f"for cmd in {commands!r}:\n"
-                f"    assert main(['--out', {str(tmp_path)!r}, *cmd]) == 0, cmd\n"
-                f"print({SCIPY_LOADED})\n")
-        out = _run_python(code)
-        assert out.splitlines()[-1] == "[]"
-        assert (tmp_path / "sensitivity.json").exists()
 
     def test_every_command_runs_with_scipy_blocked(self, tmp_path):
         # numpy is the only runtime dependency: with scipy unimportable every
@@ -643,6 +638,25 @@ class TestBlasThreads:
 
     def test_library_import_leaves_threads_unset(self):
         assert self._threads("spincool.lindblad") == "[None, None, None]"
+
+
+class TestGcFreeze:
+    # the CLI's other process-level setting: once its command's imports are done it
+    # freezes what they built, with the collector left on; the library freezes nothing
+    def test_cli_run_freezes_its_imports(self, tmp_path):
+        code = ("import gc\n"
+                "from spincool.cli import main\n"
+                f"assert main(['--out', {str(tmp_path)!r}, 'reproduce', 'table1']) == 0\n"
+                "print(gc.get_freeze_count() > 0, gc.isenabled())\n")
+        assert _run_python(code).splitlines()[-1] == "True True"
+
+    def test_library_run_leaves_nothing_frozen(self):
+        code = ("import gc\n"
+                "from spincool.analysis import table1_sweep\n"
+                "from spincool.srmodel import ModelParams\n"
+                "table1_sweep(ModelParams())\n"
+                "print(gc.get_freeze_count(), gc.isenabled())\n")
+        assert _run_python(code).strip() == "0 True"
 
 
 class TestSvgPlot:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -57,6 +59,21 @@ class TestModelParams:
             ModelParams(delta=float("nan"))
         with pytest.raises(ValueError):
             ModelParams(b_field=-0.1)
+
+    def test_immutable_value_record(self):
+        # equal and hashed by value, rebuilt and checked again by replace, and
+        # copied or pickled as a constructor call
+        p = ModelParams(omega_pd=140.0)
+        with pytest.raises(AttributeError, match="cannot assign to field 'omega_pd'"):
+            p.omega_pd = 150.0
+        assert p == ModelParams(1.0, 300.0, 140.0) and hash(p) == hash(ModelParams(omega_pd=140.0))
+        assert p.replace(omega_pd=144.27) == ModelParams() != p
+        with pytest.raises(ValueError, match="gamma_p must be >= 0"):
+            p.replace(gamma_p=-1.0)
+        with pytest.raises(TypeError):
+            p.replace(omega=1.0)
+        assert copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
+        assert repr(ModelParams()).startswith("ModelParams(omega_eff=1.0, omega_ps=300.0,")
 
     def test_dict_roundtrip(self):
         # the flat config echo in summary.json reloads to the same run
