@@ -68,20 +68,57 @@ def _trajectory_csv(times, series: dict) -> str:
     return _csv("trajectory", ("t_us", *series), zip(*columns))
 
 
-def _write_sweep(out_dir: str, stem: str, kind: str, cols, rows, records) -> None:
+class _Outputs:
+    """A command's files and printed text, delivered together.
+
+    write stages each file through atomic_write_text as it is rendered, in a private
+    directory under out_dir; commit moves them all into place and then prints, and
+    discard removes whatever is still staged, so a failed run leaves out_dir as it was.
+    """
+
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self._stage = f"{out_dir}/.spincool-{os.getpid()}"
+        self._names: list[str] = []
+        self._stdout: list[str] = []
+
+    def write(self, name: str, text: str) -> None:
+        atomic_write_text(f"{self._stage}/{name}", text)
+        self._names.append(name)
+
+    def print(self, text: str) -> None:
+        self._stdout.append(text)
+
+    def commit(self) -> None:
+        for name in self._names:
+            os.replace(f"{self._stage}/{name}", f"{self.out_dir}/{name}")
+        print("".join(self._stdout), end="")
+
+    def discard(self) -> None:
+        """Remove the staging directory and whatever it still holds."""
+        try:
+            names = os.listdir(self._stage)
+        except FileNotFoundError:
+            return
+        for name in names:
+            os.unlink(f"{self._stage}/{name}")
+        os.rmdir(self._stage)
+
+
+def _write_sweep(out: _Outputs, stem: str, kind: str, cols, rows, records) -> None:
     """One sweep as {stem}.csv and {stem}.json; prints the CSV past its schema line."""
     text = _csv(kind, cols, rows)
-    atomic_write_text(f"{out_dir}/{stem}.csv", text)
-    atomic_write_text(f"{out_dir}/{stem}.json", _json(records))
-    print(text.split("\n", 1)[1], end="")
+    out.write(f"{stem}.csv", text)
+    out.write(f"{stem}.json", _json(records))
+    out.print(text.split("\n", 1)[1])
 
 
-def _write_points(out_dir: str, stem: str, key: str, rows) -> None:
+def _write_points(out: _Outputs, stem: str, key: str, rows) -> None:
     """A one-parameter sweep, one record per swept value."""
     cols = (key, "fidelity", "pop_perp", "pop_total")
     points = [(r.overrides[key], r.fidelity, r.pop_perp, r.notes["pop_total"])
               for r in rows]
-    _write_sweep(out_dir, stem, stem, cols, points,
+    _write_sweep(out, stem, stem, cols, points,
                  [dict(zip(cols, point)) for point in points])
 
 
@@ -96,7 +133,7 @@ def _dressed_summary(cfg: RunConfig) -> tuple[tuple[float, float] | None,
     return (pair.overlap_up, pair.overlap_down), *analysis.nu_or_imbalance(cfg.params)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
+def cmd_simulate(cfg: RunConfig, out: _Outputs, svg: bool) -> int:
     from . import analysis
 
     start = time.perf_counter()
@@ -120,8 +157,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
         "imbalance_mhz": imbalance,
         "tool_version": f"spincool {__version__}",
     }
-    atomic_write_text(f"{out_dir}/trajectory.csv", _trajectory_csv(times, series))
-    atomic_write_text(f"{out_dir}/summary.json", _json(payload))
+    out.write("trajectory.csv", _trajectory_csv(times, series))
+    out.write("summary.json", _json(payload))
     if svg:
         # one list of Python floats for the shared times, one per curve as it is plotted
         t = times.tolist()
@@ -134,16 +171,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
                                    ("6s", "pop_6s")),
                             xlabel="t (us)", ylabel="log10 population",
                             title="leakage populations", log_y=True)
-        atomic_write_text(f"{out_dir}/populations_log.svg", svg_doc)
+        out.write("populations_log.svg", svg_doc)
         svg_doc = line_plot(curves(("initial", "pop_psi0"), ("target", "pop_psif")),
                             xlabel="t (us)", ylabel="population", title="qubit transfer")
-        atomic_write_text(f"{out_dir}/transfer.svg", svg_doc)
-    print(f"fidelity at {cfg.t_final:g} us: {fidelity:.6f}  "
-          f"(outputs in {out_dir}, wall clock {time.perf_counter() - start:.3f} s)")
+        out.write("transfer.svg", svg_doc)
+    out.print(f"fidelity at {cfg.t_final:g} us: {fidelity:.6f}  (outputs in {out.out_dir}, "
+              f"wall clock {time.perf_counter() - start:.3f} s)\n")
     return 0
 
 
-def cmd_balance(cfg: RunConfig, out_dir: str, bracket: tuple[float, float]) -> int:
+def cmd_balance(cfg: RunConfig, out: _Outputs, bracket: tuple[float, float]) -> int:
     from . import analysis
 
     p = cfg.params
@@ -163,8 +200,8 @@ def cmd_balance(cfg: RunConfig, out_dir: str, bracket: tuple[float, float]) -> i
         "delta_recommendation_mhz": -nu,
     }
     text = _json(payload)
-    atomic_write_text(f"{out_dir}/balance.json", text)
-    print(text, end="")
+    out.write("balance.json", text)
+    out.print(text)
     return 0
 
 
@@ -182,57 +219,56 @@ def cmd_dressed(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_levels(out_dir: str) -> int:
+def cmd_levels(out: _Outputs) -> int:
     c = HyperfineConstants(-194.0, -75.0)
     I, J = HalfInt(9), HalfInt(4)
     rows = [(str(twice_f), f_level_energy(c, I, J, HalfInt(twice_f)))
             for twice_f in (13, 11, 9, 7, 5)]
     text = _csv("levels", ("twice_F", "energy_mhz"), rows)
-    atomic_write_text(f"{out_dir}/levels.csv", text)
-    print(text, end="")
+    out.write("levels.csv", text)
+    out.print(text)
     return 0
 
 
-def cmd_lasercalc(out_dir: str) -> int:
+def cmd_lasercalc(out: _Outputs) -> int:
     from .lasercalc import sr_laser_budget
 
     records = sr_laser_budget()
     text = _json(records)
-    atomic_write_text(f"{out_dir}/laser_budget.json", text)
-    print(text, end="")
+    out.write("laser_budget.json", text)
+    out.print(text)
     return 0
 
 
-def cmd_reproduce(which: str, cfg: RunConfig, out_dir: str) -> int:
+def cmd_reproduce(which: str, cfg: RunConfig, out: _Outputs) -> int:
     """The targets that compute; main runs appendixA and levels as lasercalc and levels."""
     from . import analysis
 
     p = cfg.params
     if which == "fig3":
         result = analysis.cool(1.0, 1.0, p, t_final=cfg.t_final, samples=cfg.samples)
-        atomic_write_text(f"{out_dir}/fig3.csv",
-                          _trajectory_csv(result.trajectory.times, result.series))
-        print(f"fig3: fidelity {result.fidelity:.5f}, perp {result.pop_perp:.2e}, "
-              f"reservoir {result.pop_reservoir:.2e}")
+        out.write("fig3.csv", _trajectory_csv(result.trajectory.times, result.series))
+        out.print(f"fig3: fidelity {result.fidelity:.5f}, perp {result.pop_perp:.2e}, "
+                  f"reservoir {result.pop_reservoir:.2e}\n")
     elif which == "table1":
-        _write_points(out_dir, "table1", "alpha_over_beta",
+        _write_points(out, "table1", "alpha_over_beta",
                       analysis.table1_sweep(p, t_final=cfg.t_final))
     elif which == "sensitivity":
         rows = analysis.sensitivity_suite(p)
         notes = ("fidelity_30us", "pop_perp_30us", "imbalance_mhz")
         cells = [(r.name, r.t_us, r.fidelity, r.pop_perp,
                   *(r.notes.get(k, "") for k in notes)) for r in rows]
-        _write_sweep(out_dir, "sensitivity", "sweep",
+        _write_sweep(out, "sensitivity", "sweep",
                      ("name", "t_us", "fidelity", "pop_perp", *notes), cells,
                      [r._asdict() for r in rows])
     elif which == "impurity":
-        _write_points(out_dir, "impurity", "chi",
+        _write_points(out, "impurity", "chi",
                       analysis.impurity_sweep(p, t_final=cfg.t_final))
     elif which == "isotopes":
         table = analysis.isotope_table()
         text = _json(table)
-        atomic_write_text(f"{out_dir}/isotopes.json", text)
-        print(text, end="")
+        out.write("isotopes.json", text)
+        out.print(text)
     return 0
 
 
@@ -296,11 +332,17 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = _Outputs(args.out)
     try:
-        return _run(args, cfg)
+        code = _run(args, cfg, out)
+        if code == 0:
+            out.commit()
+        return code
     except OSError as exc:  # a write that fails: full disk, no permission
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        out.discard()
 
 
 def _freeze_imports() -> None:
@@ -317,29 +359,29 @@ def _freeze_imports() -> None:
         gc.freeze()
 
 
-def _run(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
     """The command's exit code; a numerical failure is reported here as EXIT_NUMERICAL."""
     # scalar arithmetic only: these run without numpy
     name = args.target if args.command == "reproduce" else args.command
     if name == "levels":
         _freeze_imports()
-        return cmd_levels(args.out)
+        return cmd_levels(out)
     if name in ("lasercalc", "appendixA"):
         from . import lasercalc  # noqa: F401  (loaded before the freeze)
         _freeze_imports()
-        return cmd_lasercalc(args.out)
+        return cmd_lasercalc(out)
     import numpy as np
     from .analysis import AmbiguousOverlapError
     from .lindblad import DensityMatrixError, IntegrationError
     _freeze_imports()
     try:
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.svg)
+            return cmd_simulate(cfg, out, args.svg)
         if args.command == "balance":
-            return cmd_balance(cfg, args.out, tuple(args.bracket))
+            return cmd_balance(cfg, out, tuple(args.bracket))
         if args.command == "dressed":
             return cmd_dressed(cfg)
-        return cmd_reproduce(args.target, cfg, args.out)
+        return cmd_reproduce(args.target, cfg, out)
     except (IntegrationError, DensityMatrixError, np.linalg.LinAlgError,
             AmbiguousOverlapError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -23,14 +23,12 @@ later one from the sample 8 steps earlier with P^8, 8 samples per matrix
 product.  A Hermitian stack becomes checked coordinates in one function: the
 initial states are checked for hermiticity as matrices and then converted and
 checked on the plan's basis, and check_density_matrix does the same on a basis
-of every entry; the samples are stepped and checked in runs of up to 4096
-states (one run for every grid of the artifact commands), each run for finite
-coordinates, unit trace and, block by block, positivity, and stepping stops at
-the first failing run.  Positivity reads the real coordinates: blocks of 1 and 2
-levels in closed form, larger ones by a Cholesky test of conj(rho_block) +
-tol*I taken into its lower triangle, 64 states at a time.  The results stay in
-coordinates: populations and projections are read from them directly, and no
-full density matrix is built.
+of every entry; once every sample is stepped, all of them are checked in one
+pass for finite coordinates, unit trace and, block by block, positivity.
+Positivity reads the real coordinates: blocks of 1 and 2 levels in closed form,
+larger ones by a Cholesky test of conj(rho_block) + tol*I taken into its lower
+triangle, 64 states at a time.  The results stay in coordinates: populations and
+projections are read from them directly, and no full density matrix is built.
 
 Sign convention of the master equation:
 
@@ -56,7 +54,6 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
-_CHECK_STATES = 4096  # states stepped and checked per run in evolve
 _CHOLESKY_STATES = 64  # states per Cholesky test of a block of 3 or more levels
 _LADDER = 8  # evolve steps samples from 8 steps earlier by P^8
 
@@ -562,12 +559,9 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     states, each part's columns stepped by its own propagator: samples 1 to 7 with the
     grid-step propagator P, and each later one from the sample 8 earlier with P^8,
     eight samples (8k rows) in one product.
-    Samples are stepped and checked in runs of about _CHECK_STATES states, one run for
-    the grids of the artifact commands, and stepping stops at the first failing run: the
-    check's precedence (finiteness, then trace, then positivity, then stack order) holds
-    within a run, so a positivity failure in an earlier run is reported before a trace
-    failure in a later one.  A sample that overflows in the stepping fails the check as
-    non-finite.
+    Every sample is stepped, then all are checked in one pass, whose precedence is
+    finiteness, then trace, then positivity, then stack order.  A sample that overflows
+    in the stepping fails the check as non-finite.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
@@ -580,26 +574,21 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     k, m = u0.shape
     U = _allocate(np.empty, (samples, k, m))
     U[0] = u0
-    steps = [(part, P.T, np.linalg.matrix_power(P, _LADDER).T) for part, P in propagators]
-    # runs bound the check's temporaries; every grid of the artifact commands is one run
-    rows = max(1, _CHECK_STATES // k)
-    for start in range(0, samples, rows):
-        stop = min(start + rows, samples)
-        # an overflow is reported by the check below, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for part, step, ladder in steps:
-                for i in range(max(start, 1), min(stop, _LADDER)):
-                    np.matmul(U[i - 1][:, part], step, out=U[i][:, part])
-                for i in range(max(start, _LADDER), stop, _LADDER):
-                    j = min(i + _LADDER, stop)
-                    np.matmul(U[i - _LADDER:j - _LADDER].reshape(-1, m)[:, part], ladder,
-                              out=U[i:j].reshape(-1, m)[:, part])
-        try:
-            basis.check(U[start:stop], 10 * TRACE_TOL, 10 * POSITIVITY_TOL)
-        except DensityMatrixError as exc:
-            index = (start + exc.index[0], *exc.index[1:])
-            raise IntegrationError(f"state invariants violated at t={t_grid[index[0]]:g} us: "
-                                   f"{exc.reason} at stack index {index}") from exc
+    # an overflow is reported by the check below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part, P in propagators:
+            step, ladder = P.T, np.linalg.matrix_power(P, _LADDER).T
+            for i in range(1, min(samples, _LADDER)):
+                np.matmul(U[i - 1][:, part], step, out=U[i][:, part])
+            for i in range(_LADDER, samples, _LADDER):
+                j = min(i + _LADDER, samples)
+                np.matmul(U[i - _LADDER:j - _LADDER].reshape(-1, m)[:, part], ladder,
+                          out=U[i:j].reshape(-1, m)[:, part])
+    try:
+        basis.check(U, 10 * TRACE_TOL, 10 * POSITIVITY_TOL)
+    except DensityMatrixError as exc:
+        raise IntegrationError(f"state invariants violated at t={t_grid[exc.index[0]]:g} us: "
+                               f"{exc.reason} at stack index {exc.index}") from exc
     coords = U.transpose(1, 0, 2).reshape(*rho0.shape[:-2], samples, m)
     return Trajectory(times=t_grid, coords=coords, basis=basis)
 

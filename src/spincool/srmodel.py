@@ -280,6 +280,13 @@ def qubit_vectors(alpha: complex, beta: complex) -> tuple[np.ndarray, np.ndarray
     """
     import numpy as np
 
+    # hypot overflows near the largest floats and loses bits among the subnormals, so
+    # both amplitudes are first divided by the power of two just above their largest part;
+    # in two halves (2^1074 is no float) this is exact, and ordinary values keep their bits
+    top = max(abs(part) for z in (complex(alpha), complex(beta)) for part in (z.real, z.imag))
+    shift = math.frexp(top)[1]
+    for half in (shift // 2, shift - shift // 2):
+        alpha, beta = alpha / 2.0 ** half, beta / 2.0 ** half
     norm = math.hypot(abs(alpha), abs(beta))
     if norm == 0:
         raise ValueError("qubit amplitudes must not both be zero")

@@ -19,10 +19,9 @@ FAST = ["--set", "t_final=2.0", "--set", "samples=9"]
 
 # the artifact commands, kept here only, and the files each writes; the 777- and
 # 3-sample commands use grid steps that no artifact uses, and their exponentials and
-# the 10-sample one take 10 and 13 squarings, the most; samples=4097 is one state's
-# run of 4096 samples (lindblad._CHECK_STATES) plus a trailing run of one, and
-# samples=10 ends two samples into the first P^8 product; with the clock drive off
-# evolve propagates three parts
+# the 10-sample one take 10 and 13 squarings, the most; samples=4097 ends in a P^8
+# product of one sample, and samples=10 two samples into the first; with the clock
+# drive off evolve propagates three parts
 RUN_FILES = ["summary.json", "trajectory.csv"]
 ARTIFACT_COMMANDS = {
     "simulate": RUN_FILES,
@@ -148,9 +147,8 @@ class TestSimulate:
         assert summary["config_sha"]
         assert summary["config"]["t_final"] == "2.0"
 
-    # grid edges of evolve's stepping for one state: a run of 4096 samples
-    # (lindblad._CHECK_STATES) plus a trailing run of one, and a grid that ends
-    # two samples into the first P^8 product
+    # grid edges of evolve's stepping for one state: grids that end one sample
+    # into a P^8 product late in the grid and two samples into the first
     @pytest.mark.parametrize("samples", [4097, 10])
     def test_grid_edges_rerun_identical_bytes(self, tmp_path, samples):
         names = assert_reruns_identical(tmp_path, ["--set", f"samples={samples}", "simulate"])
@@ -260,6 +258,17 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert 0 <= summary["fidelity"] <= 1
 
+    # equal amplitudes whose norm overflows, or that are subnormal, are the state of 1, 1
+    @pytest.mark.parametrize("amplitude", ["1.5e308", "1e-320"])
+    def test_extreme_equal_amplitudes_match_unit_ones(self, tmp_path, amplitude):
+        fidelity = []
+        for value in ("1", amplitude):
+            out = tmp_path / value
+            assert main(["--out", str(out), "--set", f"alpha={value}", "--set", f"beta={value}",
+                         *FAST, "simulate"]) == 0
+            fidelity.append(json.loads((out / "summary.json").read_text())["fidelity"])
+        assert abs(fidelity[1] - fidelity[0]) <= 1e-12
+
     # each value is finite, but delta_pd + e_hf on the 1D2 F=11/2 diagonal
     # is not after 2 pi scaling; in the second case delta keeps the configured
     # diagonal finite, and only the delta = 0 Hamiltonian that compute_nu and
@@ -299,6 +308,32 @@ class TestSimulate:
         assert capsys.readouterr().err == (f"error: cannot write outputs: [Errno {errno.ENOSPC}] "
                                            f"{os.strerror(errno.ENOSPC)}\n")
         assert list(out.iterdir()) == []
+
+    def test_failed_write_keeps_the_earlier_files(self, tmp_path, capsys, monkeypatch):
+        # a rerun that fails at any of its four writes leaves the files of an earlier
+        # run with other values as they were, next to nothing of its own, and prints
+        # only the error
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--set", "t_final=1.0", "--set", "samples=5",
+                     "--svg", "simulate"]) == 0
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(earlier) == 4
+        capsys.readouterr()
+        replace = os.replace
+        for failing in range(4):
+            calls = []
+
+            def flaky(src, dst, failing=failing, calls=calls):
+                calls.append(dst)
+                if len(calls) == failing + 1:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", flaky)
+            assert main(["--out", str(out), *FAST, "--svg", "simulate"]) == 2
+            assert capsys.readouterr() == ("", f"error: cannot write outputs: [Errno "
+                                               f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         self._assert_fails(tmp_path, capsys, ["bogus=1"], 2, "config error")
@@ -549,28 +584,6 @@ class TestImports:
                 "cool(1.0, 1.0, ModelParams(), t_final=2.0, samples=9)\n"
                 "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n")
         assert _run_python(code).strip() == "True False"
-
-    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
-        # numpy is the only runtime dependency: with scipy unimportable every
-        # command and reproduce target still succeeds
-        targets = ["fig3", "table1", "sensitivity", "impurity", "appendixA",
-                   "levels", "isotopes"]
-        commands = [["--svg", "simulate"], ["balance"], ["dressed"], ["levels"],
-                    ["lasercalc"], *(["reproduce", t] for t in targets)]
-        code = ("import json, sys\n"
-                "sys.modules['scipy'] = None\n"
-                "from spincool.cli import main\n"
-                "codes = {}\n"
-                f"for cmd in {commands!r}:\n"
-                "    try:\n"
-                f"        codes[' '.join(cmd)] = main(['--out', {str(tmp_path)!r}, *cmd])\n"
-                "    except Exception as exc:\n"
-                "        codes[' '.join(cmd)] = repr(exc)\n"
-                "print(json.dumps(codes))\n")
-        codes = json.loads(_run_python(code).splitlines()[-1])
-        assert codes == {" ".join(cmd): 0 for cmd in commands}
-        assert (tmp_path / "transfer.svg").exists()
-        assert (tmp_path / "isotopes.json").exists()
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

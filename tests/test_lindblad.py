@@ -685,7 +685,7 @@ class TestRealBasis:
 
 
 class TestStreamedCheck:
-    """evolve steps and checks its samples in runs of about _CHECK_STATES states."""
+    """evolve steps every sample, then checks all of them in one pass."""
 
     RATIOS = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 
@@ -693,42 +693,35 @@ class TestStreamedCheck:
         rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in self.RATIOS])
         return rho0, hamiltonian(p), collapse_matrices(p)
 
-    def test_failure_names_the_absolute_sample_and_stops_stepping(self, monkeypatch):
-        # a 5 THz drive fails the trace check first at sample 59, in the second
-        # run of 42 samples: t and the stack index must count from the grid's start;
-        # runs of 256 states, since at the default every grid here is one run
-        monkeypatch.setattr(lindblad, "_CHECK_STATES", 256)
-        calls = []
-        check = RealBasis.check
-
-        def spy(self, u, *args):
-            if u.ndim == 3:  # a run of samples, not the initial states
-                calls.append(u.shape[0])
-            return check(self, u, *args)
-
-        monkeypatch.setattr(RealBasis, "check", spy)
-        rows = max(1, lindblad._CHECK_STATES // len(self.RATIOS))
-        with pytest.raises(IntegrationError) as info:
-            evolve(*self._stack(ModelParams(omega_ps=5e12)), 2.0, 4001)
-        assert str(info.value) == ("state invariants violated at t=0.0295 us: trace deviation "
-                                   "1.005e-08 > 1e-08 at stack index (59, 0)")
-        assert len(calls) == 59 // rows + 1
-        assert calls == [rows] * len(calls)
-
-    @pytest.mark.parametrize("states, samples", [(6, 401), (1, 4001)],
-                             ids=["table1", "simulate-4001"])
-    def test_artifact_grids_are_one_run(self, monkeypatch, states, samples):
+    def _spy_checks(self, monkeypatch) -> list:
+        """The shapes of the stacks that RealBasis.check is given from now on."""
         calls = []
         check = RealBasis.check
         monkeypatch.setattr(RealBasis, "check",
                             lambda self, u, *args: calls.append(u.shape) or check(self, u, *args))
+        return calls
+
+    def test_failure_names_the_absolute_sample(self, monkeypatch):
+        # a 5 THz drive fails the trace check first at sample 59 of 4001
+        calls = self._spy_checks(monkeypatch)
+        with pytest.raises(IntegrationError) as info:
+            evolve(*self._stack(ModelParams(omega_ps=5e12)), 2.0, 4001)
+        assert str(info.value) == ("state invariants violated at t=0.0295 us: trace deviation "
+                                   "1.005e-08 > 1e-08 at stack index (59, 0)")
+        assert calls == [(6, 87), (4001, 6, 87)]
+
+    # 4097 samples end in a P^8 product of one sample
+    @pytest.mark.parametrize("states, samples", [(6, 401), (1, 4001), (1, 4097)],
+                             ids=["table1", "simulate-4001", "simulate-4097"])
+    def test_artifact_grids_are_one_run(self, monkeypatch, states, samples):
+        calls = self._spy_checks(monkeypatch)
         rho0, H, cs = self._stack(ModelParams())
         evolve(rho0[:states], H, cs, 20.0, samples)
         assert calls == [(states, 87), (samples, states, 87)]
 
     def test_overflow_inside_a_run_is_a_failed_check(self, monkeypatch):
-        # a propagator scaled by 1e3 overflows at sample 103, inside the one run: the
-        # check names the first non-finite sample, and the stepping warns of nothing
+        # a propagator scaled by 1e3 overflows at sample 103: the check names the
+        # first non-finite sample, and the stepping warns of nothing
         monkeypatch.setattr(lindblad, "expm", lambda A: 1e3 * expm(A))
         rho0, H, cs = self._stack(ModelParams())
         with warnings.catch_warnings():
@@ -739,14 +732,12 @@ class TestStreamedCheck:
                                    "at stack index (103, 0)")
 
     # samples 1-7 are stepped with P, later ones from 8 earlier with P^8; the picks
-    # cover the ladder's start, block edges and the edges of runs of 256 states (42
-    # samples for 6 states, 256 for one)
+    # cover the ladder's start, the edges of its products and the grids' last samples
     @pytest.mark.parametrize("states, t_final, samples, picks", [
         (6, 20.0, 401, [0, 1, 7, 8, 9, 16, 41, 42, 43, 84, 400]),
         (1, 30.0, 600, [255, 256, 257, 511, 599]),
     ], ids=["six-states", "one-state"])
-    def test_ladder_matches_one_shot_oracle(self, monkeypatch, states, t_final, samples, picks):
-        monkeypatch.setattr(lindblad, "_CHECK_STATES", 256)
+    def test_ladder_matches_one_shot_oracle(self, states, t_final, samples, picks):
         rho0, H, cs = self._stack(ModelParams())
         rho0 = rho0 if states > 1 else rho0[2]
         traj = evolve(rho0, H, cs, t_final, samples)
@@ -760,7 +751,7 @@ class TestStreamedCheck:
         assert np.abs(got - want).max() <= 1e-12
 
     def test_table1_sweep_peak_memory(self):
-        # U (401 x 6 x 87 doubles, 1.6 MiB) and one run's check temporaries; the
+        # U (401 x 6 x 87 doubles, 1.6 MiB) and the check's temporaries; the
         # bound keeps the ratio_sweep benchmark's resident memory at its parent's
         import tracemalloc
 

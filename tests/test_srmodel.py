@@ -228,6 +228,15 @@ class TestQubitVectors:
         with pytest.raises(ValueError):
             qubit_vectors(0.0, 0.0)
 
+    # amplitudes whose norm overflows, or that are subnormal, still give unit vectors
+    @pytest.mark.parametrize("alpha, beta", [(1.5e308, 1.5e308), (1e-320, 1e-320),
+                                             (5e-324, 5e-324), (1.5e308 + 1.5e308j, 1)])
+    def test_extreme_amplitudes_give_unit_vectors(self, alpha, beta):
+        psi0, psi_f, psi_perp = qubit_vectors(alpha, beta)
+        for psi in (psi0, psi_f, psi_perp):
+            assert abs(np.linalg.norm(psi) - 1) <= 1e-15
+        assert abs(np.vdot(psi_f, psi_perp)) <= 1e-15
+
 
 class TestCollapseOpType:
     def test_single_builder(self):
