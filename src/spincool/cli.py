@@ -27,6 +27,7 @@ they built are frozen out of garbage collection (gc.freeze).
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -90,6 +91,12 @@ class _Outputs:
         self._stdout.append(text)
 
     def commit(self) -> None:
+        """Move the staged files into place, then print; a directory in a file's place
+        raises before the first move, so that no file is replaced."""
+        for name in self._names:
+            target = f"{self.out_dir}/{name}"
+            if os.path.isdir(target) and not os.path.islink(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
         for name in self._names:
             os.replace(f"{self._stage}/{name}", f"{self.out_dir}/{name}")
         print("".join(self._stdout), end="")

@@ -18,9 +18,9 @@ generator must be real, as it is when it preserves hermiticity, it is block
 diagonal over the parts, and each part's block is exponentiated once for the
 grid step (Pade scaling and squaring in numpy, Higham 2005, with the
 squarings chosen from ||A||_1) and applied to that part's columns of a stack
-of states.  The first 8 samples are stepped with the propagator P, every
-later one from the sample 8 steps earlier with P^8, 8 samples per matrix
-product.  A Hermitian stack becomes checked coordinates in one function: the
+of states.  Sample i in [2^k, 2^(k+1)) is sample i - 2^k through P^(2^k), P the
+grid-step propagator: one matrix product per level, and one squaring between
+levels.  A Hermitian stack becomes checked coordinates in one function: the
 initial states are checked for hermiticity as matrices and then converted and
 checked on the plan's basis, and check_density_matrix does the same on a basis
 of every entry; once every sample is stepped, all of them are checked in one
@@ -55,7 +55,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
 _CHOLESKY_STATES = 64  # states per Cholesky test of a block of 3 or more levels
-_LADDER = 8  # evolve steps samples from 8 steps earlier by P^8
 
 
 class DensityMatrixError(ValueError):
@@ -556,9 +555,9 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     so is a sample that is not finite, or off unit trace or positivity by 10x tolerance,
     named by its time and stack index, and so is a time grid or coordinate array too
     large to allocate.  The coordinates are laid out (samples, k, m) for k initial
-    states, each part's columns stepped by its own propagator: samples 1 to 7 with the
-    grid-step propagator P, and each later one from the sample 8 earlier with P^8,
-    eight samples (8k rows) in one product.
+    states, each part's columns stepped by its own grid-step propagator P in levels of
+    n = 1, 2, 4, ...: one product takes samples [0, n) through P^n to [n, 2n), the
+    last level cut at the grid's end, and P^2n is P^n squared.
     Every sample is stepped, then all are checked in one pass, whose precedence is
     finiteness, then trace, then positivity, then stack order.  A sample that overflows
     in the stepping fails the check as non-finite.
@@ -577,13 +576,12 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     # an overflow is reported by the check below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for part, P in propagators:
-            step, ladder = P.T, np.linalg.matrix_power(P, _LADDER).T
-            for i in range(1, min(samples, _LADDER)):
-                np.matmul(U[i - 1][:, part], step, out=U[i][:, part])
-            for i in range(_LADDER, samples, _LADDER):
-                j = min(i + _LADDER, samples)
-                np.matmul(U[i - _LADDER:j - _LADDER].reshape(-1, m)[:, part], ladder,
-                          out=U[i:j].reshape(-1, m)[:, part])
+            power, n = P.T, 1  # (P^n)^T
+            while n < samples:
+                hi = min(2 * n, samples)
+                np.matmul(U[:hi - n].reshape(-1, m)[:, part], power,
+                          out=U[n:hi].reshape(-1, m)[:, part])
+                n, power = hi, (power @ power if hi < samples else None)
     try:
         basis.check(U, 10 * TRACE_TOL, 10 * POSITIVITY_TOL)
     except DensityMatrixError as exc:

@@ -19,9 +19,10 @@ FAST = ["--set", "t_final=2.0", "--set", "samples=9"]
 
 # the artifact commands, kept here only, and the files each writes; the 777- and
 # 3-sample commands use grid steps that no artifact uses, and their exponentials and
-# the 10-sample one take 10 and 13 squarings, the most; samples=4097 ends in a P^8
-# product of one sample, and samples=10 two samples into the first; with the clock
-# drive off evolve propagates three parts
+# the 10-sample one take 10 and 13 squarings, the most; evolve fills samples
+# [2^k, 2^(k+1)) through P^(2^k), so samples=4097 ends in a level of one sample
+# (sample 0 through P^4096) and samples=10 two samples into the level of P^8; with
+# the clock drive off evolve propagates three parts
 RUN_FILES = ["summary.json", "trajectory.csv"]
 ARTIFACT_COMMANDS = {
     "simulate": RUN_FILES,
@@ -55,14 +56,6 @@ def assert_same_files(a: Path, b: Path) -> list[str]:
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
     return names
-
-
-def assert_reruns_identical(tmp_path: Path, args: list[str]) -> list[str]:
-    """Run `spincool --out DIR *args` twice; both runs write the same files, byte for byte."""
-    runs = [tmp_path / "a", tmp_path / "b"]
-    for out in runs:
-        assert main(["--out", str(out), *args]) == 0
-    return assert_same_files(*runs)
 
 
 class TestConfig:
@@ -146,13 +139,6 @@ class TestSimulate:
         assert 0 <= summary["fidelity"] <= 1
         assert summary["config_sha"]
         assert summary["config"]["t_final"] == "2.0"
-
-    # grid edges of evolve's stepping for one state: grids that end one sample
-    # into a P^8 product late in the grid and two samples into the first
-    @pytest.mark.parametrize("samples", [4097, 10])
-    def test_grid_edges_rerun_identical_bytes(self, tmp_path, samples):
-        names = assert_reruns_identical(tmp_path, ["--set", f"samples={samples}", "simulate"])
-        assert names == ["summary.json", "trajectory.csv"]
 
     def test_peak_memory_is_the_engine_run(self, tmp_path):
         # the command keeps the series, not the trajectory, while it diagonalises,
@@ -335,6 +321,22 @@ class TestSimulate:
                                                f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
             assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
 
+    def test_directory_in_a_files_place_replaces_no_file(self, tmp_path, capsys):
+        # the commit checks every target before its first move: trajectory.csv, moved
+        # before summary.json, keeps the earlier run's bytes
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--set", "samples=5", "simulate"]) == 0
+        earlier = (out / "trajectory.csv").read_bytes()
+        (out / "summary.json").unlink()
+        (out / "summary.json").mkdir()
+        capsys.readouterr()
+        assert main(["--out", str(out), "--set", "samples=7", "simulate"]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write outputs: [Errno {errno.EISDIR}] "
+                                           f"{os.strerror(errno.EISDIR)}: "
+                                           f"'{out / 'summary.json'}'\n")
+        assert (out / "trajectory.csv").read_bytes() == earlier
+        assert sorted(path.name for path in out.iterdir()) == ["summary.json", "trajectory.csv"]
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         self._assert_fails(tmp_path, capsys, ["bogus=1"], 2, "config error")
 
@@ -456,18 +458,6 @@ class TestReproduce:
     def test_levels_target(self, tmp_path):
         assert main(["--out", str(tmp_path), "reproduce", "levels"]) == 0
         assert (tmp_path / "levels.csv").exists()
-
-    # the engine commands at full length; at omega_eff=0 evolve propagates three parts
-    @pytest.mark.parametrize("args, names", [
-        (["reproduce", "table1"], ["table1.csv", "table1.json"]),
-        (["reproduce", "fig3"], ["fig3.csv"]),
-        (["reproduce", "sensitivity"], ["sensitivity.csv", "sensitivity.json"]),
-        (["reproduce", "impurity"], ["impurity.csv", "impurity.json"]),
-        (["--set", "omega_eff=0", "--set", "samples=41", "simulate"],
-         ["summary.json", "trajectory.csv"]),
-    ], ids=["table1", "fig3", "sensitivity", "impurity", "omega_eff=0"])
-    def test_engine_commands_rerun_identical_bytes(self, tmp_path, args, names):
-        assert assert_reruns_identical(tmp_path, args) == names
 
     @pytest.mark.parametrize("target, key, values", [
         ("table1", "alpha_over_beta", [0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0]),

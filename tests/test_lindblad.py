@@ -710,7 +710,7 @@ class TestStreamedCheck:
                                    "1.005e-08 > 1e-08 at stack index (59, 0)")
         assert calls == [(6, 87), (4001, 6, 87)]
 
-    # 4097 samples end in a P^8 product of one sample
+    # 4097 samples end in a level of one sample: sample 4096 is sample 0 through P^4096
     @pytest.mark.parametrize("states, samples", [(6, 401), (1, 4001), (1, 4097)],
                              ids=["table1", "simulate-4001", "simulate-4097"])
     def test_artifact_grids_are_one_run(self, monkeypatch, states, samples):
@@ -731,13 +731,13 @@ class TestStreamedCheck:
         assert str(info.value) == ("state invariants violated at t=5.15 us: non-finite state "
                                    "at stack index (103, 0)")
 
-    # samples 1-7 are stepped with P, later ones from 8 earlier with P^8; the picks
-    # cover the ladder's start, the edges of its products and the grids' last samples
-    @pytest.mark.parametrize("states, t_final, samples, picks", [
-        (6, 20.0, 401, [0, 1, 7, 8, 9, 16, 41, 42, 43, 84, 400]),
-        (1, 30.0, 600, [255, 256, 257, 511, 599]),
-    ], ids=["six-states", "one-state"])
-    def test_ladder_matches_one_shot_oracle(self, states, t_final, samples, picks):
+    # sample i in [2^k, 2^(k+1)) is sample i - 2^k through P^(2^k); the picks sit at the
+    # edges of these levels, and the last of 4097 samples is sample 0 through P^4096
+    @pytest.mark.parametrize("states, t_final, samples", [
+        (6, 20.0, 401), (1, 30.0, 600), (1, 20.0, 4097),
+    ], ids=["six-states", "one-state", "one-state-4097"])
+    def test_stepping_matches_one_shot_oracle(self, states, t_final, samples):
+        picks = [1, 2, 3, 4, 7, 8, 15, 16, 17, 128, 255, 256, 257, samples - 1]
         rho0, H, cs = self._stack(ModelParams())
         rho0 = rho0 if states > 1 else rho0[2]
         traj = evolve(rho0, H, cs, t_final, samples)
