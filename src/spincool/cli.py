@@ -49,15 +49,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _csv(kind: str, cols, rows) -> str:
-    """CSV text under a `# spincool {kind} csv v1` schema line.
+def _csv(kind: str, cols, lines) -> str:
+    """CSV text under a `# spincool {kind} csv v1` schema line: the header cols, then
+    the formatted lines."""
+    return "\n".join([f"# spincool {kind} csv v1", ",".join(cols), *lines]) + "\n"
 
-    A str cell is written as is; any other cell is a Python float, written as
-    its repr so that it reads back bit for bit.
-    """
-    lines = [f"# spincool {kind} csv v1", ",".join(cols)]
-    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+
+def _csv_line(cells) -> str:
+    """One CSV line.  A str cell is written as is; any other cell is a Python float,
+    written as its repr so that it reads back bit for bit."""
+    return ",".join(v if isinstance(v, str) else repr(v) for v in cells)
 
 
 def _json(payload) -> str:
@@ -65,8 +66,9 @@ def _json(payload) -> str:
 
 
 def _trajectory_csv(times, series: dict) -> str:
-    columns = [times.tolist(), *(values.tolist() for values in series.values())]
-    return _csv("trajectory", ("t_us", *series), zip(*columns))
+    # every cell is a float, so each column goes through repr by map, with no per-cell test
+    columns = [map(repr, values.tolist()) for values in (times, *series.values())]
+    return _csv("trajectory", ("t_us", *series), map(",".join, zip(*columns)))
 
 
 class _Outputs:
@@ -114,7 +116,7 @@ class _Outputs:
 
 def _write_sweep(out: _Outputs, stem: str, kind: str, cols, rows, records) -> None:
     """One sweep as {stem}.csv and {stem}.json; prints the CSV past its schema line."""
-    text = _csv(kind, cols, rows)
+    text = _csv(kind, cols, map(_csv_line, rows))
     out.write(f"{stem}.csv", text)
     out.write(f"{stem}.json", _json(records))
     out.print(text.split("\n", 1)[1])
@@ -231,7 +233,7 @@ def cmd_levels(out: _Outputs) -> int:
     I, J = HalfInt(9), HalfInt(4)
     rows = [(str(twice_f), f_level_energy(c, I, J, HalfInt(twice_f)))
             for twice_f in (13, 11, 9, 7, 5)]
-    text = _csv("levels", ("twice_F", "energy_mhz"), rows)
+    text = _csv("levels", ("twice_F", "energy_mhz"), map(_csv_line, rows))
     out.write("levels.csv", text)
     out.print(text)
     return 0

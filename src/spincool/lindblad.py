@@ -11,23 +11,24 @@ coherences inside one nuclear-spin sector, and the cross-sector coherences
 that carry the qubit).  All of this structure depends only on sparsity
 patterns, so it is analysed once per pattern, as the symbolic phase of a
 sparse direct solver is: the plan (reachable entries, parts, summation keys,
-real basis and its block plans) is cached under the nonzero patterns of the
+real basis and its block plans, each part's basis) is cached under the nonzero patterns of the
 Hamiltonian and jump terms and of the initial states, and a call only
 gathers the term values into it.  In real coordinates (RealBasis), where the
 generator must be real, as it is when it preserves hermiticity, it is block
-diagonal over the parts, and each part's block is exponentiated once for the
-grid step (Pade scaling and squaring in numpy, Higham 2005, with the
-squarings chosen from ||A||_1) and applied to that part's columns of a stack
-of states.  Sample i in [2^k, 2^(k+1)) is sample i - 2^k through P^(2^k), P the
-grid-step propagator: one matrix product per level, and one squaring between
-levels.  A Hermitian stack becomes checked coordinates in one function: the
+diagonal over the parts.  A part holds every entry with its transpose, so its
+real block is formed from its own block of L on a RealBasis of its entries,
+exponentiated once for the grid step (Pade scaling and squaring in numpy,
+Higham 2005, with the squarings chosen from ||A||_1) and applied to that part's
+columns of a stack of states.  Sample i in [2^k, 2^(k+1)) is sample i - 2^k
+through P^(2^k), P the grid-step propagator: one matrix product per level, and
+one squaring between levels.  A Hermitian stack becomes checked coordinates in one function: the
 initial states are checked for hermiticity as matrices and then converted and
 checked on the plan's basis, and check_density_matrix does the same on a basis
 of every entry; once every sample is stepped, all of them are checked in one
 pass for finite coordinates, unit trace and, block by block, positivity.
 Positivity reads the real coordinates: blocks of 1 and 2 levels in closed form,
 larger ones by a Cholesky test of conj(rho_block) + tol*I taken into its lower
-triangle, 64 states at a time.  The results stay in coordinates: populations and
+triangle, 128 states at a time.  The results stay in coordinates: populations and
 projections are read from them directly, and no full density matrix is built.
 
 Sign convention of the master equation:
@@ -54,7 +55,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
-_CHOLESKY_STATES = 64  # states per Cholesky test of a block of 3 or more levels
+_CHOLESKY_STATES = 128  # states per Cholesky test of a block of 3 or more levels
 
 
 class DensityMatrixError(ValueError):
@@ -151,6 +152,9 @@ def _check_positivity(u: np.ndarray, plans: tuple, tol: float, where: str) -> No
     block is tested in chunks of _CHOLESKY_STATES states: a chunk passes when every
     conj(rho_block) + tol*I has a Cholesky factor, and only a failing chunk pays for
     eigvalsh.  Conjugation keeps the spectrum, and both read only the lower triangle.
+    Each call costs several times one 9x9 factor, which a larger chunk spreads; a
+    chunk of 9-level blocks holds about 0.3 MiB of temporaries, a fifth of the
+    coordinates of six states over 401 samples.
     """
     flat = u.reshape(-1, u.shape[-1])
     low = np.full(len(flat), np.inf)
@@ -401,15 +405,17 @@ def _reachable_subspace(rows: np.ndarray, cols: np.ndarray, support: np.ndarray)
 class _Plan(NamedTuple):
     """What the generator on the reachable entries takes from its sparsity pattern alone.
 
-    basis is the RealBasis of the reachable entries, ordered part by part, and parts
-    are its slices that L never couples.  The terms inside the basis take their
-    values from hamiltonian (flat positions in A and, offset by n*n, in B) and, for
-    the jump terms, C.flat[jump_a] * conj(C.flat[jump_b]); term e adds into entry
-    keys[e] of the bincount that builds L, the Hamiltonian terms' sums first.
+    basis is the RealBasis of the reachable entries, ordered part by part, parts are
+    its slices that L never couples, and part_bases the RealBasis of each part's
+    entries.  The terms inside the basis take their values from hamiltonian (flat
+    positions in A and, offset by n*n, in B) and, for the jump terms,
+    C.flat[jump_a] * conj(C.flat[jump_b]); term e adds into entry keys[e] of the
+    bincount that builds L, the Hamiltonian terms' sums first.
     """
 
     basis: RealBasis
     parts: tuple
+    part_bases: tuple
     hamiltonian: np.ndarray
     jump_a: np.ndarray
     jump_b: np.ndarray
@@ -465,9 +471,10 @@ def _generator_plan(key: tuple) -> _Plan:
     # the Hamiltonian terms' sums, then the jump terms' sums, added as the dense L adds them
     keys = rank[e] * m + rank[f] + m * m * (np.flatnonzero(inside) >= len(hamiltonian))
     jumps = inside[len(hamiltonian):]
-    plan = _Plan(RealBasis(idx[order], n), parts, hamiltonian[inside[:len(hamiltonian)]],
-                 jump_a[jumps], jump_b[jumps], keys)
-    _read_only(plan, *vars(plan.basis).values())
+    basis = RealBasis(idx[order], n)
+    plan = _Plan(basis, parts, tuple(RealBasis(basis.idx[part], n) for part in parts),
+                 hamiltonian[inside[:len(hamiltonian)]], jump_a[jumps], jump_b[jumps], keys)
+    _read_only(plan, *(x for b in (basis, *plan.part_bases) for x in vars(b).values()))
     return plan
 
 
@@ -495,6 +502,16 @@ def _reachable_generator(H: np.ndarray, cs: list[np.ndarray], support: np.ndarra
     return plan, L
 
 
+def _real_blocks(plan: _Plan, L: np.ndarray) -> list[np.ndarray]:
+    """T L T_inv on each part, from the part's own block of L and its part basis.
+
+    A part holds every entry with its transpose, so T and T_inv act within it: each
+    block equals that part's block of plan.basis.T_dot(plan.basis.dot_T_inv(L)) bit for
+    bit, and that transform is zero outside the parts.
+    """
+    return [b.T_dot(b.dot_T_inv(L[part, part])) for part, b in zip(plan.parts, plan.part_bases)]
+
+
 def _allocate(make, *args) -> np.ndarray:
     """make(*args), with an array too large to allocate an IntegrationError."""
     try:
@@ -510,10 +527,12 @@ def _start(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], dt: float,
 
     rho0 is checked for hermiticity on its matrices, then on the basis for finite
     coordinates, unit trace and positivity, before the generator is exponentiated.
-    P is the grid-step propagator of the part's coordinates, a slice of the basis.
-    The generator and its real form are freed on return, before evolve allocates the
-    samples: a lower peak lets malloc keep the freed pages for the next call instead
-    of returning them and faulting them in again.
+    P is the grid-step propagator of the part's coordinates, a slice of the basis,
+    exponentiated from the part's real block (_real_blocks); every part's P is formed
+    before the blocks are tested for hermiticity.  The generator and its real blocks
+    are freed on return, before evolve allocates the samples: a lower peak lets
+    malloc keep the freed pages for the next call instead of returning them and
+    faulting them in again.
     """
     where = " (initial state)"
     _check_hermitian(rho0, where)
@@ -525,14 +544,14 @@ def _start(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], dt: float,
     basis = plan.basis
     u0 = _coordinates(rho0, basis, where).reshape(-1, len(basis.idx))
     with np.errstate(over="ignore", invalid="ignore"):
-        # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones,
-        # and block diagonal over the parts
-        Lr = basis.T_dot(basis.dot_T_inv(L))
+        # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones
+        blocks = _real_blocks(plan, L)
         try:
-            steps = [(part, expm(Lr.real[part, part] * dt)) for part in plan.parts]
+            steps = [(part, expm(Lr.real * dt)) for part, Lr in zip(plan.parts, blocks)]
         except FloatingPointError as exc:
             raise IntegrationError(f"propagation failed: {exc}") from exc
-        drift = np.abs(Lr.imag).max() * t_final
+        # np.max keeps a NaN that Python's max would drop
+        drift = np.max([np.abs(Lr.imag).max() for Lr in blocks]) * t_final
     if not drift <= HERMITICITY_TOL:
         raise IntegrationError(f"generator breaks hermiticity: |Im L| t_final = "
                                f"{drift:.3e} > {HERMITICITY_TOL:.0e}")
@@ -545,7 +564,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
 
     The generator is built on the entries of vec(rho) reachable from rho0 and
     exponentiated once per part of them that it never couples with another.  Its
-    structure (the reachable entries, the parts, the real basis and its block plans)
+    structure (the reachable entries, the parts, their real bases and the block plans)
     depends only on the nonzero patterns of H's and the collapse matrices' terms and of
     rho0, and is analysed once per pattern (_generator_plan); a call gathers only the
     values.  rho0 must be Hermitian to HERMITICITY_TOL, and its coordinates in that

@@ -82,10 +82,14 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
         parts.append(f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                      f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{ylabel}</text>')
 
+    # the pixel columns of each distinct x list, formatted once however many series share it
+    columns = {}
     for k, (name, xs, ys) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{ml + pw * (x - x_lo) / x_span:.2f},"
-                       f"{mt + ph * (1 - (y - y_lo) / y_span):.2f}" for x, y in zip(xs, ys))
+        if id(xs) not in columns:
+            columns[id(xs)] = [f"{ml + pw * (x - x_lo) / x_span:.2f}" for x in xs]
+        pts = " ".join(f"{x},{mt + ph * (1 - (y - y_lo) / y_span):.2f}"
+                       for x, y in zip(columns[id(xs)], ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>')
         ly = mt + 14 + 14 * k
         parts.append(f'<line x1="{ml + pw - 118}" y1="{ly - 4}" x2="{ml + pw - 98}" y2="{ly - 4}" '

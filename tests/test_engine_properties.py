@@ -106,7 +106,9 @@ def check_reachable_generator(p: ModelParams) -> list[int]:
 
     The index set is the dense reachable set, the generator equals the dense
     one on it bit for bit (+0.0 folds -0.0 into 0.0), and in real coordinates
-    it has no entry outside the parts, which tile the index set in order.
+    it has no entry outside the parts, which tile the index set in order.  Each
+    part's real block, formed from that part alone, equals the part's block of the
+    whole real form bit for bit.
     """
     H, cs = hamiltonian(p), [c.matrix() for c in collapse_ops(p)]
     rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in TABLE1_RATIOS])
@@ -122,7 +124,13 @@ def check_reachable_generator(p: ModelParams) -> list[int]:
     outside = np.ones(L.shape, dtype=bool)
     for part in parts:
         outside[part, part] = False
-    assert np.all(basis.T_dot(basis.dot_T_inv(L))[outside] == 0)
+    real = basis.T_dot(basis.dot_T_inv(L))
+    assert np.all(real[outside] == 0)
+    # the blocks that evolve exponentiates, each formed from its part alone
+    blocks = lindblad._real_blocks(plan, L)
+    assert len(blocks) == len(parts)
+    for part, block in zip(parts, blocks):
+        assert block.tobytes() == real[part, part].tobytes()
     return [part.stop - part.start for part in parts]
 
 

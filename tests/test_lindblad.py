@@ -342,6 +342,23 @@ class TestEvolve:
         with pytest.raises(IntegrationError, match="hermiticity"):
             evolve(rho0, H, [], 1.0, 3)
 
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_nan_in_one_parts_imaginary_block_detected(self, monkeypatch, part):
+        # the drift test reads every part's |Im| maximum and keeps a NaN in any of them,
+        # also in a part after one whose maximum is finite
+        real_blocks = lindblad._real_blocks
+
+        def poisoned(plan, L):
+            blocks = real_blocks(plan, L)
+            blocks[part].imag[0, 0] = np.nan
+            return blocks
+
+        monkeypatch.setattr(lindblad, "_real_blocks", poisoned)
+        p = ModelParams()
+        rho0 = pure_density(qubit_vectors(1.0, 1.0)[0])
+        with pytest.raises(IntegrationError, match=r"hermiticity: \|Im L\| t_final = nan"):
+            evolve(rho0, hamiltonian(p), collapse_matrices(p), 1.0, 3)
+
     def test_expm_step_size_independence(self):
         p = ModelParams()
         psi0, _, _ = qubit_vectors(1.0, 1.0)
@@ -449,7 +466,9 @@ class TestGeneratorPlan:
         basis = plan.basis
         nb, take, zero = next(q for q in basis._plans if len(q) == 3)
         assert nb == 9
-        for array in (plan.keys, plan.hamiltonian, basis.idx, basis.blocks[0], take):
+        part_basis = plan.part_bases[-1]
+        for array in (plan.keys, plan.hamiltonian, basis.idx, basis.blocks[0], take,
+                      part_basis.idx, part_basis._fwd_k, part_basis._inv_t):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
         assert not zero.flags.writeable
@@ -569,19 +588,41 @@ class TestRealBasis:
         u[2, 1] = coordinates(basis, bad)
         return u
 
-    def test_negative_eigenvalue_inside_nine_level_block(self):
-        _, basis = reference_basis(ModelParams())
+    @staticmethod
+    def _nine_level_defect(basis: RealBasis, x: float) -> np.ndarray:
+        """A unit-trace state whose 9-level block has the eigenvalue -x."""
         block = next(f for f in basis.blocks if len(f) == 9)
         a, b = block[0, 0] // 13, block[-1, -1] // 13
         bad = np.diag(np.full(13, 1 / 13)).astype(complex)
-        # eigenvalues 1/13 -+ |x| on levels a, b: x = 1/13 + 0.1 leaves one at -0.1
-        bad[a, b] = (1 / 13 + 0.1) * (0.6 + 0.8j)
+        # eigenvalues 1/13 -+ |rho_ab| on levels a, b: |rho_ab| = 1/13 + x leaves one at -x
+        bad[a, b] = (1 / 13 + x) * (0.6 + 0.8j)
         bad[b, a] = np.conj(bad[a, b])
-        u = self._stack(basis, bad)
+        return bad
+
+    def test_negative_eigenvalue_inside_nine_level_block(self):
+        _, basis = reference_basis(ModelParams())
+        u = self._stack(basis, self._nine_level_defect(basis, 0.1))
         basis.check(u[:2], 1e-8, 1e-7)
         with pytest.raises(DensityMatrixError, match="negative eigenvalue -1.000e-01") as exc:
             basis.check(u, 1e-8, 1e-7)
         assert exc.value.index == (2, 1)
+
+    @pytest.mark.parametrize("defects, index, value", [
+        ({200: 0.1, 290: 0.2}, 200, "-1.000e-01"),
+        ({299: 0.3}, 299, "-3.000e-01"),
+    ], ids=["two-past-the-first-chunk", "last-partial-chunk"])
+    def test_nine_level_failure_beyond_the_first_chunk(self, defects, index, value):
+        # 300 states span more than two Cholesky chunks of any size below 150: each
+        # failure lies past the first chunk, and state 299 in the last, a partial one
+        # at 64 and 128 states
+        _, basis = reference_basis(ModelParams())
+        u = np.tile(coordinates(basis, np.diag(np.full(13, 1 / 13))), (300, 1))
+        basis.check(u, 1e-8, 1e-7)
+        for at, x in defects.items():
+            u[at] = coordinates(basis, self._nine_level_defect(basis, x))
+        with pytest.raises(DensityMatrixError, match=f"negative eigenvalue {value}") as exc:
+            basis.check(u, 1e-8, 1e-7)
+        assert exc.value.index == (index,)
 
     def test_negative_eigenvalue_in_one_level_block(self):
         _, basis = reference_basis(ModelParams())
