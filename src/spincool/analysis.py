@@ -5,18 +5,22 @@ frequency-unresolved only when those two dressed levels are degenerate.
 This module locates the dressed pair, finds the dressing Rabi frequency
 that balances them, runs the master-equation cooling dynamics, and carries
 the parameter-sensitivity and cross-isotope estimates.
+
+Only the cooling runs (cool and the sweeps built on it) propagate, and
+they import the master-equation engine, lindblad, when they run.  The
+dressed-state functions need eigendecompositions alone, so a process that
+only diagonalizes never compiles or executes lindblad.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .angmom import HalfInt
 from .hyperfine import HyperfineConstants, SpinSpace, hf_matrix
-from .lindblad import DensityMatrixError, Trajectory, evolve, population, pure_density
 from .srmodel import (
     TWO_PI,
     BasisState,
@@ -28,6 +32,9 @@ from .srmodel import (
     qubit_vectors,
     with_polarization_impurity,
 )
+
+if TYPE_CHECKING:
+    from .lindblad import Trajectory
 
 __all__ = [
     "DressedPair",
@@ -214,6 +221,8 @@ _SERIES_TOL = 1e-8
 def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
                t_final: float, samples: int) -> list[CoolingResult]:
     """One cooling run per (alpha, beta), all propagated in one evolve call."""
+    from .lindblad import DensityMatrixError, Trajectory, evolve, population, pure_density
+
     psi0, psi_f, psi_perp = (np.array(v) for v in
                              zip(*(qubit_vectors(a, b) for a, b in amplitudes)))
     rho0 = np.array([pure_density(v) for v in psi0])

@@ -13,11 +13,14 @@ Subcommands:
 Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
 
 Importing this module loads only the stdlib and the pure-Python model
-modules (config, srmodel, hyperfine, angmom, constants, svgplot); lasercalc
-loads in lasercalc and reproduce appendixA.  numpy, analysis and lindblad
-load in the commands that compute (simulate, balance, dressed, reproduce
-fig3/table1/sensitivity/impurity/isotopes), so levels, lasercalc, reproduce
-appendixA/levels, --help and every configuration error run without numpy.
+modules (config, srmodel, hyperfine, angmom, constants); lasercalc loads in
+lasercalc and reproduce appendixA, and svgplot only with --svg.  numpy and
+analysis load in the commands that compute (simulate, balance, dressed,
+reproduce fig3/table1/sensitivity/impurity/isotopes), so levels, lasercalc,
+reproduce appendixA/levels, --help and every configuration error run without
+numpy.  Of the commands that compute, only those that evolve the master
+equation (simulate, reproduce fig3/table1/sensitivity/impurity) load its
+engine, lindblad; balance, dressed and reproduce isotopes diagonalize only.
 
 Two settings hold for the CLI's own process, not for the library: BLAS
 threads default to one, and once a command's imports are done the objects
@@ -38,7 +41,6 @@ from . import __version__
 from .angmom import HalfInt
 from .config import ConfigError, RunConfig, atomic_write_text, config_hash, load_run_config
 from .hyperfine import HyperfineConstants, f_level_energy
-from .svgplot import line_plot
 
 # at most 169-wide matrices gain nothing from more BLAS threads but CPU time;
 # the pool is sized when numpy loads, so default it to one before, unless set
@@ -47,6 +49,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# the commands that evolve the master equation, the only ones that load lindblad
+_EVOLVING = ("simulate", "fig3", "table1", "sensitivity", "impurity")
 
 
 def _csv(kind: str, cols, lines) -> str:
@@ -169,6 +174,8 @@ def cmd_simulate(cfg: RunConfig, out: _Outputs, svg: bool) -> int:
     out.write("trajectory.csv", _trajectory_csv(times, series))
     out.write("summary.json", _json(payload))
     if svg:
+        from .svgplot import line_plot
+
         # one list of Python floats for the shared times, one per curve as it is plotted
         t = times.tolist()
 
@@ -381,7 +388,10 @@ def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
         return cmd_lasercalc(out)
     import numpy as np
     from .analysis import AmbiguousOverlapError
-    from .lindblad import DensityMatrixError, IntegrationError
+    failures = (np.linalg.LinAlgError, AmbiguousOverlapError)
+    if name in _EVOLVING:
+        from .lindblad import DensityMatrixError, IntegrationError
+        failures += (IntegrationError, DensityMatrixError)
     _freeze_imports()
     try:
         if args.command == "simulate":
@@ -391,8 +401,7 @@ def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
         if args.command == "dressed":
             return cmd_dressed(cfg)
         return cmd_reproduce(args.target, cfg, out)
-    except (IntegrationError, DensityMatrixError, np.linalg.LinAlgError,
-            AmbiguousOverlapError) as exc:
+    except failures as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

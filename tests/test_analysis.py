@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spincool import analysis
+from spincool import analysis, lindblad
 from spincool.analysis import (
     BALANCE_TOL_MHZ,
     TABLE1_RATIOS,
@@ -203,8 +203,8 @@ class TestSweeps:
     def test_sensitivity_one_run_per_generator(self, reference_params, monkeypatch):
         # delta = 0 and omega_pd = 140 are each read twice from one run
         calls = []
-        evolve = analysis.evolve
-        monkeypatch.setattr(analysis, "evolve", lambda *args: calls.append(1) or evolve(*args))
+        evolve = lindblad.evolve
+        monkeypatch.setattr(lindblad, "evolve", lambda *args: calls.append(1) or evolve(*args))
         sensitivity_suite(reference_params)
         assert len(calls) == 7
 

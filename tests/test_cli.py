@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spincool
@@ -185,7 +186,7 @@ class TestSimulate:
     def _assert_fails(tmp_path, capsys, overrides, code, message, command="simulate"):
         out = tmp_path / "fail"
         args = [a for kv in overrides for a in ("--set", kv)]
-        assert main(["--out", str(out), *args, command]) == code
+        assert main(["--out", str(out), *args, *command.split()]) == code
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
@@ -196,6 +197,12 @@ class TestSimulate:
         self._assert_fails(tmp_path, capsys,
                            ["omega_ps=1e13", "t_final=2.0", "samples=3"],
                            3, "numerical failure: state invariants violated")
+
+    @pytest.mark.parametrize("target", ["fig3", "table1", "sensitivity", "impurity"])
+    def test_evolving_targets_numerical_failure_exit_3(self, tmp_path, capsys, target):
+        # every command that evolves reports the engine's failures, as simulate does
+        self._assert_fails(tmp_path, capsys, ["omega_ps=1e13"], 3,
+                           "numerical failure: state invariants violated", f"reproduce {target}")
 
     def test_series_outside_unit_interval_exit_3(self, tmp_path, capsys, monkeypatch):
         # evolve passes samples down to -10x the positivity tolerance, but the
@@ -208,13 +215,14 @@ class TestSimulate:
             # pop_psi0 starts at 1 and is the first series checked
             run.coords[..., 0, :] *= 1 + 5e-8
 
+        run_evolve = lindblad.evolve
         for perturb, name in ((reservoir_below_0, "pop_reservoir"), (psi0_above_1, "pop_psi0")):
             def evolve(*args, perturb=perturb):
-                run = lindblad.evolve(*args)
+                run = run_evolve(*args)
                 perturb(run)
                 return run
 
-            monkeypatch.setattr(analysis, "evolve", evolve)
+            monkeypatch.setattr(lindblad, "evolve", evolve)
             self._assert_fails(tmp_path, capsys, ["t_final=2.0", "samples=9"], 3,
                                f"numerical failure: series {name!r} outside [0, 1]")
 
@@ -235,6 +243,16 @@ class TestSimulate:
         self._assert_fails(tmp_path, capsys, ["omega_ps=0", "omega_pd=0",
                                               "b_field=7.753104246619223"],
                            3, "numerical failure: overlap tie", command)
+
+    @pytest.mark.parametrize("command", ["dressed", "balance"])
+    @pytest.mark.parametrize("error", [analysis.AmbiguousOverlapError, np.linalg.LinAlgError])
+    def test_diagonalization_failure_exit_3(self, tmp_path, capsys, monkeypatch, command, error):
+        # the dressed-state commands load no lindblad: these two are their numerical failures
+        def dressed_pair(p):
+            raise error("eigh failed")
+
+        monkeypatch.setattr(analysis, "dressed_pair", dressed_pair)
+        self._assert_fails(tmp_path, capsys, [], 3, "numerical failure: eigh failed", command)
 
     @pytest.mark.filterwarnings("error")
     def test_huge_amplitude_normalized(self, tmp_path):
@@ -566,6 +584,21 @@ class TestImports:
                 "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
         assert _run_python(code).splitlines()[-1] == "[]"
         assert json.loads((tmp_path / "summary.json").read_text())["config_sha"]
+
+    def test_commands_load_the_engine_and_plotter_only_to_use_them(self, tmp_path):
+        # one interpreter, in this order: the dressed-state commands diagonalize without
+        # lindblad, and simulate loads svgplot only with --svg
+        commands = [["dressed"], ["balance"], ["reproduce", "isotopes"],
+                    [*FAST, "simulate"], [*FAST, "--svg", "simulate"]]
+        code = ("import sys\n"
+                "from spincool.cli import main\n"
+                f"for cmd in {commands!r}:\n"
+                f"    assert main(['--out', {str(tmp_path)!r}, *cmd]) == 0, cmd\n"
+                "    print('loaded', sorted({'spincool.lindblad', 'spincool.svgplot'} "
+                "& set(sys.modules)))\n")
+        loaded = [line for line in _run_python(code).splitlines() if line.startswith("loaded")]
+        assert loaded == ["loaded []"] * 3 + ["loaded ['spincool.lindblad']",
+                                              "loaded ['spincool.lindblad', 'spincool.svgplot']"]
 
     def test_engine_run_leaves_numpy_ma_unloaded(self):
         code = ("import sys\n"
