@@ -22,9 +22,11 @@ numpy.  Of the commands that compute, only those that evolve the master
 equation (simulate, reproduce fig3/table1/sensitivity/impurity) load its
 engine, lindblad; balance, dressed and reproduce isotopes diagonalize only.
 
-Two settings hold for the CLI's own process, not for the library: BLAS
-threads default to one, and once a command's imports are done the objects
-they built are frozen out of garbage collection (gc.freeze).
+Three settings hold for the CLI's own process, not for the library: BLAS
+threads default to one, the cyclic garbage collector is paused while a
+command imports, and once those imports are done the objects they built are
+frozen out of garbage collection (gc.freeze) and the collector resumes.
+main gives its caller back the collector's own on/off state on every exit.
 """
 
 from __future__ import annotations
@@ -331,6 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the imports run with the collector off, the first time in a process: what they
+    # build is frozen, not collected; _freeze_imports turns it on for the command's work
+    enabled = gc.isenabled()
+    if not gc.get_freeze_count():
+        gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        # the caller's own setting, also on the paths that never reach the freeze and
+        # for a caller that had the collector off
+        (gc.enable if enabled else gc.disable)()
+
+
+def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     if not args.out:
         # an empty directory would put every output at the filesystem root
@@ -362,17 +378,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _freeze_imports() -> None:
-    """Leave what the imports built out of every later garbage collection.
+    """Leave what the imports built out of every later garbage collection, then
+    turn the collector back on.
 
     Modules, classes, functions and numpy's tables live until the process exits,
     yet each full collection, the ones at exit included, would traverse them
-    again.  Frozen after the command's imports, and once per process: a caller
-    that runs main repeatedly would otherwise make each run's uncollected
-    garbage permanent.  Objects made later are collected as usual, and the
-    collector stays enabled.
+    again.  main pauses the collector until here, so the imports run without
+    the young-generation collections that would only traverse them.  Frozen
+    after the command's imports, and once per process: a caller that runs main
+    repeatedly would otherwise make each run's uncollected garbage permanent.
+    Objects made later are collected as usual.
     """
     if not gc.get_freeze_count():
         gc.freeze()
+        gc.enable()
 
 
 def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:

@@ -677,14 +677,53 @@ class TestBlasThreads:
 
 
 class TestGcFreeze:
-    # the CLI's other process-level setting: once its command's imports are done it
-    # freezes what they built, with the collector left on; the library freezes nothing
+    # the CLI's other process-level setting: the collector is paused while the command
+    # imports, then what the imports built is frozen and the collector resumes for the
+    # command's own work; main gives its caller back the collector's on/off state on
+    # every exit, and the library neither pauses nor freezes anything
     def test_cli_run_freezes_its_imports(self, tmp_path):
+        # young collections before the freeze, 31-32 for table1 with the collector on,
+        # and whether it is on while the command runs
         code = ("import gc\n"
+                "import spincool.cli as cli\n"
+                "before = []\n"
+                "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
+                "                    and not gc.get_freeze_count() and before.append(info))\n"
+                "run = cli.cmd_reproduce\n"
+                "def cmd_reproduce(*args):\n"
+                "    print('running', gc.isenabled())\n"
+                "    return run(*args)\n"
+                "cli.cmd_reproduce = cmd_reproduce\n"
+                f"assert cli.main(['--out', {str(tmp_path)!r}, 'reproduce', 'table1']) == 0\n"
+                "print(len(before), gc.get_freeze_count() > 0, gc.isenabled())\n")
+        lines = _run_python(code).splitlines()
+        assert lines[0] == "running True"
+        assert lines[-1] == "0 True True"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_gives_back_the_callers_collector_state(self, tmp_path, enabled):
+        # each call finds nothing frozen (gc.unfreeze), as the first call in a process
+        # does, so each one pauses the collector; --help and the unknown flag leave main
+        # by argparse's SystemExit, the others by their exit code
+        calls = [(["reproduce", "table1"], 0),
+                 (["--set", "samples=1", "simulate"], 2),
+                 (["--out", "", "simulate"], 2),
+                 (["--set", "omega_ps=1e13", "simulate"], 3),
+                 (["--help"], 0),
+                 (["--no-such-flag", "simulate"], 2)]
+        code = ("import contextlib, gc, io\n"
                 "from spincool.cli import main\n"
-                f"assert main(['--out', {str(tmp_path)!r}, 'reproduce', 'table1']) == 0\n"
-                "print(gc.get_freeze_count() > 0, gc.isenabled())\n")
-        assert _run_python(code).splitlines()[-1] == "True True"
+                f"for argv in {[argv for argv, _ in calls]!r}:\n"
+                "    gc.unfreeze()\n"
+                f"    {'gc.enable()' if enabled else 'gc.disable()'}\n"
+                "    try:\n"
+                "        with contextlib.redirect_stdout(io.StringIO()):  # --help's text\n"
+                f"            code = main(['--out', {str(tmp_path / 'out')!r}, *argv])\n"
+                "    except SystemExit as exc:\n"
+                "        code = exc.code\n"
+                "    print(code, gc.isenabled())\n")
+        assert _run_python(code).splitlines() == [f"{exit_code} {enabled}"
+                                                  for _, exit_code in calls]
 
     def test_library_run_leaves_nothing_frozen(self):
         code = ("import gc\n"
