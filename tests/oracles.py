@@ -3,7 +3,10 @@
 These deliberately share no code with the package: the Clebsch-Gordan
 oracle is the closed-form Racah factorial sum evaluated in exact rational
 arithmetic, the hyperfine oracle builds I.J and (I.J)^2 as explicit
-operator matrices from spin matrices, the right-hand-side oracle applies
+operator matrices from spin matrices, the 87Sr model oracle builds its
+Hamiltonian and jumps on the |mJ, mI> product space from those two and the
+Racah coefficients (taking only the frozen constants from the package), the
+right-hand-side oracle applies
 the master equation to rho by matrix products, the two propagation
 oracles exponentiate the full column-major Liouvillian once per sample
 time or integrate it with adaptive Runge-Kutta (DOP853), and the real-basis
@@ -17,6 +20,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from spincool.constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT
 
 
 def _fact(n: int) -> int:
@@ -91,6 +96,105 @@ def operator_hf_matrix(A: float, Q: float, I: float, J: float) -> np.ndarray:
                      - I * J * (I + 1) * (J + 1) * np.eye(dim)) \
             / (2 * I * J * (2 * I - 1) * (2 * J - 1))
     return H
+
+
+# The 13 states of the 87Sr model, in its basis order, as product-space labels:
+# (manifold, 2F, 2mF) for 1D2, (manifold, 2mJ, 2mI) for 1P1, (manifold, 2mI) for
+# the J = 0 manifolds, and the reservoir alone.
+SR87_STATES = (
+    ("1D2", 13, -13), ("1D2", 13, -11), ("1D2", 11, -11), ("6s", -9),
+    ("1P1", 0, -9), ("1P1", -2, -7), ("1P1", -2, -9), ("clock", -7), ("clock", -9),
+    ("ground", -7), ("ground", -9), ("reservoir",), ("1P1", 2, -9),
+)
+
+
+def sr87_product_model(p) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+    """(H, jumps, index of each SR87_STATES label) of 87Sr on the product space, rad/us.
+
+    p carries the model's fields (omega_eff, ..., e_hf) by attribute.  The space
+    is 1P1 |mJ, mI> (mJ then mI ascending), the 1D2 levels F = 13/2 and 11/2
+    that the dressing laser addresses as |F, mF> (F descending, mF ascending),
+    then |mI> of 6s, clock and ground, and one reservoir state; I = 9/2.
+
+    - 1P1: A I.J + quadrupole, gJ = 1 Zeeman with the nuclear term
+      -(mu/I) mu_N B Iz, and delta on the driven mJ = -1 and 0 levels.
+    - 1D2: delta_pd + delta, plus e_hf on F = 11/2; 6s: delta + delta_ps_extra.
+    - sigma-minus dressing 1P1 |mJ> -> 1D2 |mJ - 1> at omega_pd/2 times the
+      dipole coefficient <1 mJ; 1 -1|2 mJ-1> coupled to |F, mF>, relative to
+      the stretched line; omega_ps/2 between 6s and 1P1 mJ = 0 and
+      omega_eff/2 between clock and 1P1 mJ = -1, both at equal mI.
+    - Jumps: 1P1 mJ -> ground at sqrt(gamma_p) <1 mJ; 1 -mJ|0 0> for mJ = -1,
+      0, 1; 6s -> 1P1 mJ at sqrt(gamma_s) for mJ = 0, 1, -1; each 1D2 state to
+      the reservoir at sqrt(gamma_d).
+    """
+    I, n_i = 4.5, 10
+    eye_i = np.eye(n_i)
+    mis = np.arange(-I, I + 1)
+    d2 = [(F, mF) for F in (6.5, 5.5) for mF in np.arange(-F, F + 1)]
+    start = {"1P1": 0, "1D2": 3 * n_i, "6s": 3 * n_i + len(d2)}
+    start["clock"] = start["6s"] + n_i
+    start["ground"] = start["clock"] + n_i
+    start["reservoir"] = start["ground"] + n_i
+    n = start["reservoir"] + 1
+    P = slice(0, 3 * n_i)
+    D = slice(start["1D2"], start["6s"])
+
+    def block(name: str) -> slice:
+        return slice(start[name], start[name] + n_i)
+
+    def mj_row(mJ: int) -> np.ndarray:
+        """|mJ><mJ| picked out of J = 1 as a 1 x 3 row, mJ ascending."""
+        return np.eye(3)[[mJ + 1]]
+
+    def label_index(label) -> int:
+        manifold, *twice = label
+        if manifold == "1P1":
+            return (twice[0] // 2 + 1) * n_i + (twice[1] + 9) // 2
+        if manifold == "1D2":
+            return start["1D2"] + d2.index((twice[0] / 2, twice[1] / 2))
+        if manifold == "reservoir":
+            return start["reservoir"]
+        return start[manifold] + (twice[0] + 9) // 2
+
+    _, _, Jz = spin_matrices(1.0)
+    _, _, Iz = spin_matrices(I)
+    H = np.zeros((n, n))
+    H[P, P] = (operator_hf_matrix(p.a_1p1, p.q_1p1, I, 1.0).real
+               + p.b_field * MU_B_MHZ_PER_G * np.kron(Jz, eye_i)
+               - SR87_NUCLEAR_MOMENT / I * MU_N_MHZ_PER_G * p.b_field * np.kron(np.eye(3), Iz)
+               + np.kron(np.diag([p.delta, p.delta, 0.0]), eye_i))
+    H[D, D] = np.diag([p.delta_pd + p.delta + (p.e_hf if F == 5.5 else 0.0) for F, _ in d2])
+    H[block("6s"), block("6s")] = (p.delta + p.delta_ps_extra) * eye_i
+
+    # <J=2 mJ', mI | d- | J=1 mJ, mI>, then <F mF | mJ', mI> onto the coupled states
+    dipole = np.array([[racah_cg(1, mJ, 1, -1, 2, mJp) for mJ in (-1, 0, 1)]
+                       for mJp in range(-2, 3)])
+    to_f = np.array([[racah_cg(2, mJp, I, mI, F, mF) for mJp in range(-2, 3) for mI in mis]
+                     for F, mF in d2])
+    dressing = to_f @ np.kron(dipole, eye_i)
+    dressing /= dressing[label_index(("1D2", 13, -13)) - start["1D2"],
+                         label_index(("1P1", -2, -9))]
+    couplings = ((D, P, p.omega_pd * dressing),
+                 (block("6s"), P, p.omega_ps * np.kron(mj_row(0), eye_i)),
+                 (block("clock"), P, p.omega_eff * np.kron(mj_row(-1), eye_i)))
+    for rows, cols, omega in couplings:
+        H[rows, cols] = omega / 2
+        H[cols, rows] = omega.T / 2
+
+    def jump(rows: slice, cols: slice, amplitude: np.ndarray) -> np.ndarray:
+        out = np.zeros((n, n))
+        out[rows, cols] = amplitude
+        return out
+
+    jumps = [jump(block("ground"), P, math.sqrt(2 * math.pi * p.gamma_p)
+                  * racah_cg(1, mJ, 1, -mJ, 0, 0) * np.kron(mj_row(mJ), eye_i))
+             for mJ in (-1, 0, 1)]
+    jumps += [jump(P, block("6s"), math.sqrt(2 * math.pi * p.gamma_s)
+                   * np.kron(mj_row(mJ), eye_i).T) for mJ in (0, 1, -1)]
+    reservoir = slice(start["reservoir"], n)
+    jumps += [jump(reservoir, slice(start["1D2"] + k, start["1D2"] + k + 1),
+                   math.sqrt(2 * math.pi * p.gamma_d)) for k in range(len(d2))]
+    return 2 * math.pi * H, jumps, [label_index(label) for label in SR87_STATES]
 
 
 def half_values(j_max: float):

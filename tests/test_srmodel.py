@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from spincool.config import RunConfig, load_run_config
 from spincool.srmodel import (
@@ -18,7 +19,8 @@ from spincool.srmodel import (
     with_polarization_impurity,
 )
 
-from .oracles import operator_hf_matrix
+from .oracles import operator_hf_matrix, sr87_product_model
+from .test_engine_properties import PROPERTY, ZERO_FIELD, physical_params
 
 B = BasisState
 
@@ -171,6 +173,37 @@ class TestCollapseOps:
             assert total[s, s] == pytest.approx(TWO_PI * p.gamma_d, rel=1e-12)
         for s in (B.CLOCK_UP, B.CLOCK_DOWN, B.GROUND_UP, B.GROUND_DOWN, B.RESERVOIR):
             assert total[s, s] == 0.0
+
+
+class TestProductSpaceOracle:
+    """H and the jumps equal the product-space model restricted to the 13 states."""
+
+    @staticmethod
+    def check(p: ModelParams) -> None:
+        H, jumps, idx = sr87_product_model(p)
+        on_basis = np.ix_(idx, idx)
+        want_H = H[on_basis]
+        # jumps from 1D2 states outside the basis vanish on it
+        want_ops = [j[on_basis] for j in jumps if np.any(j[on_basis])]
+        got_H = hamiltonian(p)
+        assert np.all(np.abs(got_H - want_H) <= 1e-12 * np.maximum(np.abs(want_H), 1.0))
+        got_ops = [op.matrix() for op in collapse_ops(p)]
+        assert len(got_ops) == len(want_ops) == 9
+        for got, want in zip(got_ops, want_ops):
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_reference_point(self):
+        self.check(ModelParams())
+
+    def test_other_rates_constants_and_ladder(self):
+        self.check(ModelParams(gamma_p=11.0, gamma_s=0.7, gamma_d=2.5, a_1p1=5.1,
+                               q_1p1=-21.0, e_hf=900.0, b_field=30.0))
+
+    @PROPERTY
+    @given(p=physical_params)
+    @example(p=ZERO_FIELD)
+    def test_physical_draws(self, p):
+        self.check(p)
 
 
 class TestPolarizationImpurity:
