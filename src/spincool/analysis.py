@@ -200,9 +200,9 @@ def _bisect(passed: Callable[[float], bool], lo: float, hi: float,
     """Narrow [lo, hi] to width <= tol around the point where passed(x) turns true.
 
     passed(lo) is taken as false and passed(hi) as true; each step keeps that.
+    Where adjacent floats lie more than tol apart, it stops at two of them.
     """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if passed(mid):
             hi = mid
         else:

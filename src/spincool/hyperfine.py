@@ -24,6 +24,7 @@ __all__ = [
     "SpinSpace",
     "ZeemanParams",
     "hf_element",
+    "hf_block",
     "hf_matrix",
     "f_level_energy",
     "f_splitting",
@@ -131,6 +132,25 @@ def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
     return val
 
 
+def hf_block(c: HyperfineConstants, s: SpinSpace, states: list[tuple[HalfInt, HalfInt]],
+             zeeman: ZeemanParams | None = None) -> list[list[float]]:
+    """Hyperfine (+ Zeeman, if given, on the diagonal) over |mJ, mI> states: MHz, nested lists.
+
+    Pairs of unequal mF = mJ + mI are zero and skipped; the upper triangle is
+    mirrored, as transpose pairs of the ladder terms differ by 1 ulp if computed apart.
+    """
+    n = len(states)
+    out = [[0.0] * n for _ in range(n)]
+    for i, (mJp, mIp) in enumerate(states):
+        for k in range(i, n):
+            mJ, mI = states[k]
+            if mJp.twice + mIp.twice == mJ.twice + mI.twice:
+                out[i][k] = out[k][i] = hf_element(c, s, mJp, mIp, mJ, mI)
+        if zeeman is not None:
+            out[i][i] += zeeman_diag(zeeman, mJp, mIp)
+    return out
+
+
 def hf_matrix(c: HyperfineConstants, s: SpinSpace) -> np.ndarray:
     """Hyperfine matrix over the lexicographic |mJ, mI> basis, in MHz.
 
@@ -138,17 +158,7 @@ def hf_matrix(c: HyperfineConstants, s: SpinSpace) -> np.ndarray:
     """
     import numpy as np
 
-    basis = s.basis()
-    n = len(basis)
-    out = np.zeros((n, n))
-    # fill the upper triangle and mirror: transpose pairs of the ladder terms
-    # agree only to 1 ulp if computed independently
-    for i, (mJp, mIp) in enumerate(basis):
-        for k in range(i, n):
-            mJ, mI = basis[k]
-            out[i, k] = hf_element(c, s, mJp, mIp, mJ, mI)
-            out[k, i] = out[i, k]
-    return out
+    return np.array(hf_block(c, s, s.basis()))
 
 
 def f_level_energy(c: HyperfineConstants, I, J, F) -> float:

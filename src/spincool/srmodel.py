@@ -1,10 +1,10 @@
 """The concrete 13-level 87Sr cooling model.
 
-States, laser couplings, hyperfine and Zeeman structure, and the nine
-spontaneous-emission channels.  User-facing quantities are frequencies
-(value/2pi) in MHz and gauss, exactly as quoted in spectroscopy tables;
-assembly multiplies by 2pi so that Hamiltonians are in rad/us and time is
-in us.
+One table of states (STATES), and the laser couplings, 1P1 hyperfine and
+Zeeman block and nine jumps derived from it by selection rule.  User-facing
+quantities are frequencies (value/2pi) in MHz and gauss, exactly as quoted in
+spectroscopy tables; assembly multiplies by 2pi so that Hamiltonians are in
+rad/us and time is in us.
 
 The nuclear-spin qubit lives in the two lowest Zeeman substates of the
 I = 9/2 ground manifold: "up" is mI = -7/2 and "down" is mI = -9/2.
@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from enum import IntEnum
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import FrozenRecord
-from .angmom import HalfInt, xi_factors
+from .angmom import HalfInt, clebsch_gordan, dressing_amplitude
 from .constants import SR87_NUCLEAR_MOMENT, SR87_TWICE_I
-from .hyperfine import HyperfineConstants, SpinSpace, ZeemanParams, hf_element, zeeman_diag
+from .hyperfine import HyperfineConstants, SpinSpace, ZeemanParams, hf_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,63 +40,98 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-DIM = 13
-
-I_SR = HalfInt(SR87_TWICE_I)   # 9/2
-MI_UP = HalfInt(-7)            # mI = -7/2
-MI_DOWN = HalfInt(-9)          # mI = -9/2
-
-XI = xi_factors()  # relative strengths of the four weaker dressing couplings
+P1_SPACE = SpinSpace(HalfInt(SR87_TWICE_I), HalfInt(2))  # I = 9/2, J = 1
 
 
-class BasisState(IntEnum):
-    """The 13 basis states, in fixed order.
+class Level(NamedTuple):
+    """One basis state: its name, manifold, quantum numbers and diagonal detuning terms."""
 
-    ========  =============================================
-    index     state
-    ========  =============================================
-    0         |[5s15d 1D2] F=13/2, mF=-13/2>
-    1         |[5s15d 1D2] F=13/2, mF=-11/2>
-    2         |[5s15d 1D2] F=11/2, mF=-11/2>
-    3         |[5s6s 1S0] mJ=0, down>
-    4         |[5s5p 1P1] mJ=0, down>
-    5         |[5s5p 1P1] mJ=-1, up>
-    6         |[5s5p 1P1] mJ=-1, down>
-    7         |[5s5p 3P0] mJ=0, up>      (clock)
-    8         |[5s5p 3P0] mJ=0, down>    (clock)
-    9         |[5s2  1S0] mJ=0, up>      (ground)
-    10        |[5s2  1S0] mJ=0, down>    (ground)
-    11        reservoir (collects 1D2 decay)
-    12        |[5s5p 1P1] mJ=+1, down>
-    ========  =============================================
+    name: str
+    manifold: str              # "1D2", "6s", "1P1", "clock", "ground" or "reservoir"
+    twice: tuple[int, ...]     # (2mJ, 2mI), or (2F, 2mF) for 1D2; none for the reservoir
+    detuning: tuple[str, ...]  # ModelParams fields summed on the diagonal, in this order
+
+
+# The one place where the basis is written, in basis order: every coupling, the 1P1
+# hyperfine block and every jump below follow from these rows by selection rule.
+# mI = -7/2 is the qubit's "up", mI = -9/2 its "down".
+STATES = (
+    Level("D2_F13_STRETCH", "1D2", (13, -13), ("delta_pd", "delta")),
+    Level("D2_F13_M11", "1D2", (13, -11), ("delta_pd", "delta")),
+    Level("D2_F11_M11", "1D2", (11, -11), ("delta_pd", "e_hf", "delta")),
+    Level("S6_DOWN", "6s", (0, -9), ("delta", "delta_ps_extra")),
+    Level("P1_0_DOWN", "1P1", (0, -9), ("delta",)),
+    Level("P1_M1_UP", "1P1", (-2, -7), ("delta",)),
+    Level("P1_M1_DOWN", "1P1", (-2, -9), ("delta",)),
+    Level("CLOCK_UP", "clock", (0, -7), ()),
+    Level("CLOCK_DOWN", "clock", (0, -9), ()),
+    Level("GROUND_UP", "ground", (0, -7), ()),
+    Level("GROUND_DOWN", "ground", (0, -9), ()),
+    Level("RESERVOIR", "reservoir", (), ()),
+    Level("P1_P1_DOWN", "1P1", (2, -9), ()),
+)
+DIM = len(STATES)
+BasisState = IntEnum("BasisState", [(level.name, k) for k, level in enumerate(STATES)],
+                     module=__name__)
+BasisState.__doc__ = "The 13 basis states, named and ordered as in STATES."
+
+
+def _in(manifold: str) -> tuple[BasisState, ...]:
+    return tuple(s for s in BasisState if STATES[s].manifold == manifold)
+
+
+def _p1_at(twice_mj: int, s: BasisState) -> list[BasisState]:
+    """The 1P1 states of the given 2mJ whose mI is that of s."""
+    return [p1 for p1 in P1_STATES if STATES[p1].twice == (twice_mj, STATES[s].twice[1])]
+
+
+D2_STATES = _in("1D2")
+P1_STATES = _in("1P1")
+# (mJ, mI) of each 1P1 state, for its hyperfine plus Zeeman block
+_P1_MJ_MI = [tuple(map(HalfInt, STATES[s].twice)) for s in P1_STATES]
+
+
+def _couplings() -> list[tuple[BasisState, BasisState, str, float]]:
+    """(state, state, Rabi-frequency field, relative amplitude) of each laser coupling.
+
+    The sigma-minus dressing joins each 1P1 state to each 1D2 state its
+    dipole amplitude reaches, relative to the stretched line; omega_ps joins
+    6s to 1P1 mJ = 0, and omega_eff the clock to 1P1 mJ = -1, at equal mI.
     """
+    def dressing(d2: BasisState, p1: BasisState) -> float:
+        return dressing_amplitude(*map(HalfInt, STATES[d2].twice + STATES[p1].twice))
 
-    D2_F13_STRETCH = 0
-    D2_F13_M11 = 1
-    D2_F11_M11 = 2
-    S6_DOWN = 3
-    P1_0_DOWN = 4
-    P1_M1_UP = 5
-    P1_M1_DOWN = 6
-    CLOCK_UP = 7
-    CLOCK_DOWN = 8
-    GROUND_UP = 9
-    GROUND_DOWN = 10
-    RESERVOIR = 11
-    P1_P1_DOWN = 12
+    stretched = next(s for s in D2_STATES if STATES[s].twice[1] == -STATES[s].twice[0])
+    ref = next(a for s in P1_STATES if (a := dressing(stretched, s)))
+    out = [(d2, p1, "omega_pd", a / ref) for d2 in D2_STATES for p1 in P1_STATES
+           if (a := dressing(d2, p1))]
+    for manifold, twice_mj, field in (("6s", 0, "omega_ps"), ("clock", -2, "omega_eff")):
+        out += [(s, p1, field, 1.0) for s in _in(manifold) for p1 in _p1_at(twice_mj, s)]
+    return out
 
 
-# (mJ, mI) quantum numbers of the four 1P1 states
-P1_QUANTUM_NUMBERS: dict[BasisState, tuple[HalfInt, HalfInt]] = {
-    BasisState.P1_0_DOWN: (HalfInt(0), MI_DOWN),
-    BasisState.P1_M1_UP: (HalfInt(-2), MI_UP),
-    BasisState.P1_M1_DOWN: (HalfInt(-2), MI_DOWN),
-    BasisState.P1_P1_DOWN: (HalfInt(2), MI_DOWN),
-}
+def _jumps() -> list[tuple[str, int, tuple[tuple[float, BasisState, BasisState], ...]]]:
+    """(linewidth field, share of it, (sign, to, from) terms) of each jump operator.
 
-D2_STATES = (BasisState.D2_F13_STRETCH, BasisState.D2_F13_M11, BasisState.D2_F11_M11)
-P1_STATES = (BasisState.P1_0_DOWN, BasisState.P1_M1_UP, BasisState.P1_M1_DOWN,
-             BasisState.P1_P1_DOWN)
+    1P1 decays to the ground state of equal mI, one operator per mJ holding
+    every spin branch, signed by c = <1 mJ; 1 -mJ|0 0> at the share 1/c^2 = 3
+    of gamma_p; 6s decays to 1P1 mJ = 0, +1, -1 at equal mI, and each 1D2
+    state to the reservoir.
+    """
+    out = []
+    for twice_mj in (-2, 0, 2):
+        cg = clebsch_gordan(1, HalfInt(twice_mj), 1, HalfInt(-twice_mj), 0, 0)
+        out.append(("gamma_p", round(cg ** -2), tuple(
+            (math.copysign(1.0, cg), g, p1) for g in _in("ground") for p1 in _p1_at(twice_mj, g))))
+    out += [("gamma_s", 1, ((1.0, p1, s6),))
+            for s6 in _in("6s") for twice_mj in (0, 2, -2) for p1 in _p1_at(twice_mj, s6)]
+    out += [("gamma_d", 1, ((1.0, BasisState.RESERVOIR, d2),)) for d2 in D2_STATES]
+    return out
+
+
+# derived once per process, as plain data
+_COUPLINGS = _couplings()
+_JUMPS = _jumps()
 
 
 class ModelParams(FrozenRecord):
@@ -148,23 +185,18 @@ class ModelParams(FrozenRecord):
     @property
     def zeeman(self) -> ZeemanParams:
         # gJ = 1 for a pure singlet L=1, S=0 level
-        return ZeemanParams(B=self.b_field, gJ=1.0, mu_nuclear=SR87_NUCLEAR_MOMENT, I=I_SR)
+        return ZeemanParams(B=self.b_field, gJ=1.0, mu_nuclear=SR87_NUCLEAR_MOMENT, I=P1_SPACE.I)
 
 
 class CollapseOp(NamedTuple):
     """One spontaneous-emission jump operator, sum of amplitude |to><from| terms.
 
-    Most channels are single transitions; the spin-preserving 1P1 mJ=-1
-    decay is one operator with two simultaneous terms (both spin branches),
-    which is what preserves the qubit coherence through the jump.
-    Amplitudes are in sqrt(rad/us).
+    The 1P1 mJ=-1 decay holds both spin branches in one operator, which is
+    what preserves the qubit coherence through the jump.  Amplitudes are in
+    sqrt(rad/us).
     """
 
     terms: tuple[tuple[float, BasisState, BasisState], ...]  # (amplitude, to, from)
-
-    @classmethod
-    def single(cls, amplitude: float, to_state: BasisState, from_state: BasisState):
-        return cls(terms=((amplitude, to_state, from_state),))
 
     def matrix(self, dim: int = DIM) -> np.ndarray:
         import numpy as np
@@ -175,53 +207,25 @@ class CollapseOp(NamedTuple):
         return out
 
 
-def _p1_diagonal_mhz(p: ModelParams, state: BasisState) -> float:
-    mJ, mI = P1_QUANTUM_NUMBERS[state]
-    space = SpinSpace(I_SR, HalfInt(2))
-    return hf_element(p.hyperfine_1p1, space, mJ, mI, mJ, mI) + zeeman_diag(p.zeeman, mJ, mI)
-
-
 def hamiltonian_mhz(p: ModelParams) -> list[list[float]]:
-    """13x13 rotating-frame Hamiltonian in MHz (value/2pi), as nested lists.
+    """13x13 rotating-frame Hamiltonian in MHz (value/2pi), as plain nested lists (no numpy).
 
-    Laser couplings enter as Omega/2 off-diagonals; detunings sit on the
-    diagonals of the optically driven states (clock and ground rows stay
-    zero).  The four 1P1 states additionally carry their hyperfine plus
-    Zeeman diagonal, and the single spin-mixing hyperfine coupling
-    |1P1 0, down> <-> |1P1 -1, up> is kept explicitly.  Plain floats, so
-    that the configuration check needs no numpy.
+    Detuning terms on the diagonal, each coupling's relative amplitude times
+    Omega/2 off it, plus the 1P1 hyperfine and Zeeman block.
     """
-    B = BasisState
     H = [[0.0] * DIM for _ in range(DIM)]
-
-    H[B.D2_F13_STRETCH][B.D2_F13_STRETCH] = p.delta_pd + p.delta
-    H[B.D2_F13_M11][B.D2_F13_M11] = p.delta_pd + p.delta
-    H[B.D2_F11_M11][B.D2_F11_M11] = p.delta_pd + p.e_hf + p.delta
-    H[B.S6_DOWN][B.S6_DOWN] = p.delta + p.delta_ps_extra
-    for s in (B.P1_0_DOWN, B.P1_M1_UP, B.P1_M1_DOWN):
-        H[s][s] = p.delta
-
-    def couple(i: BasisState, j: BasisState, omega: float) -> None:
-        H[i][j] += omega / 2
-        H[j][i] += omega / 2
-
-    couple(B.D2_F13_STRETCH, B.P1_M1_DOWN, p.omega_pd)
-    couple(B.D2_F13_M11, B.P1_0_DOWN, XI.xi0 * p.omega_pd)
-    couple(B.D2_F13_M11, B.P1_M1_UP, XI.xi1 * p.omega_pd)
-    couple(B.D2_F11_M11, B.P1_0_DOWN, XI.xi2 * p.omega_pd)
-    couple(B.D2_F11_M11, B.P1_M1_UP, XI.xi3 * p.omega_pd)
-    couple(B.S6_DOWN, B.P1_0_DOWN, p.omega_ps)
-    couple(B.P1_M1_UP, B.CLOCK_UP, p.omega_eff)
-    couple(B.P1_M1_DOWN, B.CLOCK_DOWN, p.omega_eff)
-
-    for s in P1_STATES:
-        H[s][s] += _p1_diagonal_mhz(p, s)
-
-    space = SpinSpace(I_SR, HalfInt(2))
-    mix = hf_element(p.hyperfine_1p1, space, HalfInt(0), MI_DOWN, HalfInt(-2), MI_UP)
-    H[B.P1_0_DOWN][B.P1_M1_UP] += mix
-    H[B.P1_M1_UP][B.P1_0_DOWN] += mix
-
+    for i, level in enumerate(STATES):
+        if level.detuning:
+            # added left to right as listed; sum() compensates on Python 3.12+
+            H[i][i] = reduce(add, (getattr(p, name) for name in level.detuning))
+    for i, j, field, amplitude in _COUPLINGS:
+        w = amplitude * getattr(p, field) / 2
+        H[i][j] += w
+        H[j][i] += w
+    block = hf_block(p.hyperfine_1p1, P1_SPACE, _P1_MJ_MI, p.zeeman)
+    for i, row in zip(P1_STATES, block):
+        for j, value in zip(P1_STATES, row):
+            H[i][j] += value
     return H
 
 
@@ -235,29 +239,12 @@ def hamiltonian(p: ModelParams) -> np.ndarray:
 def collapse_ops(p: ModelParams) -> list[CollapseOp]:
     """The nine spontaneous-emission channels, amplitudes in sqrt(rad/us).
 
-    1P1 decays to ground at gamma_p/3 per mJ channel; the mJ=-1 channel is a
-    single two-term operator covering both nuclear-spin branches.  The 6s
-    state decays at gamma_s into each of the three 1P1 mJ states, and each
-    of the three 1D2 states drains into the reservoir at gamma_d.
+    Each channel's amplitude is sqrt(2pi gamma / share), signed per term.
     """
-    B = BasisState
-    amp_p = math.sqrt(TWO_PI * p.gamma_p / 3)
-    amp_s = math.sqrt(TWO_PI * p.gamma_s)
-    amp_d = math.sqrt(TWO_PI * p.gamma_d)
-    ops = [
-        CollapseOp(terms=(
-            (amp_p, B.GROUND_UP, B.P1_M1_UP),
-            (amp_p, B.GROUND_DOWN, B.P1_M1_DOWN),
-        )),
-        CollapseOp.single(-amp_p, B.GROUND_DOWN, B.P1_0_DOWN),
-        CollapseOp.single(amp_p, B.GROUND_DOWN, B.P1_P1_DOWN),
-        CollapseOp.single(amp_s, B.P1_0_DOWN, B.S6_DOWN),
-        CollapseOp.single(amp_s, B.P1_P1_DOWN, B.S6_DOWN),
-        CollapseOp.single(amp_s, B.P1_M1_DOWN, B.S6_DOWN),
-        CollapseOp.single(amp_d, B.RESERVOIR, B.D2_F13_STRETCH),
-        CollapseOp.single(amp_d, B.RESERVOIR, B.D2_F13_M11),
-        CollapseOp.single(amp_d, B.RESERVOIR, B.D2_F11_M11),
-    ]
+    ops = []
+    for field, share, terms in _JUMPS:
+        amp = math.sqrt(TWO_PI * getattr(p, field) / share)
+        ops.append(CollapseOp(tuple([(sign * amp, to, frm) for sign, to, frm in terms])))
     return ops
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,13 @@ class TestBalanceOmegaPd:
         p = reference_params.replace(omega_ps=0.0, delta_pd=0.0, b_field=1.0)
         with pytest.raises(BracketError, match="jumps across 0"):
             balance_omega_pd(p, bracket=(36.03, 38.53))
+
+    def test_bracket_of_floats_wider_apart_than_tol_ends(self, reference_params):
+        # near 2e13 MHz adjacent floats lie 0.004 MHz apart, above the 1e-6 MHz
+        # tolerance: bisection stops at two of them and the residual check decides
+        p = reference_params.replace(delta_pd=-1.7e14)
+        with pytest.raises(BracketError, match="jumps across 0"):
+            balance_omega_pd(p, bracket=(1.78e13, 3.16e13))
 
     @pytest.mark.parametrize("delta_pd", [None, -1500.0])
     def test_matches_brentq(self, reference_params, delta_pd):
@@ -252,6 +261,25 @@ class TestScaledConstants:
         up, down = scaled_constants_overlaps(4.0, reference_params)
         assert up == pytest.approx(0.984, abs=2e-3)
         assert down == pytest.approx(0.999, abs=2e-3)
+
+
+class TestBisect:
+    def test_adjacent_floats_are_not_split(self):
+        lo = 2e13
+        hi = math.nextafter(lo, math.inf)
+        probes = []
+        assert analysis._bisect(lambda x: probes.append(x) or True, lo, hi, 1e-6) == (lo, hi)
+        assert probes == []
+
+    def test_ends_at_adjacent_floats_around_the_switch(self):
+        switch = 3.0e13 + 0.001
+        lo, hi = analysis._bisect(lambda x: x >= switch, 1.78e13, 3.16e13, 1e-6)
+        assert hi == math.nextafter(lo, math.inf)
+        assert lo < switch <= hi
+
+    def test_reaches_tol_where_floats_are_dense(self):
+        lo, hi = analysis._bisect(lambda x: x >= math.pi, 0.0, 10.0, 1e-6)
+        assert hi - lo <= 1e-6 and lo < math.pi <= hi
 
 
 class TestMinOmegaPs:

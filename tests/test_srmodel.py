@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
+from spincool.angmom import xi_factors
 from spincool.config import RunConfig, load_run_config
 from spincool.srmodel import (
     TWO_PI,
-    XI,
     BasisState,
     CollapseOp,
     ModelParams,
@@ -216,6 +216,7 @@ class TestPolarizationImpurity:
         p = with_polarization_impurity(base, 0.01)
         assert p.omega_pd == pytest.approx(0.9 * base.omega_pd)
         H, H0 = hamiltonian(p), hamiltonian(base)
+        XI = xi_factors()
         for (i, j), xi in (((B.D2_F13_M11, B.P1_0_DOWN), XI.xi0),
                            ((B.D2_F13_M11, B.P1_M1_UP), XI.xi1),
                            ((B.D2_F11_M11, B.P1_0_DOWN), XI.xi2),
@@ -272,8 +273,8 @@ class TestQubitVectors:
 
 
 class TestCollapseOpType:
-    def test_single_builder(self):
-        op = CollapseOp.single(2.0, B.GROUND_DOWN, B.P1_0_DOWN)
+    def test_one_term_matrix(self):
+        op = CollapseOp(terms=((2.0, B.GROUND_DOWN, B.P1_0_DOWN),))
         m = op.matrix()
         assert m[B.GROUND_DOWN, B.P1_0_DOWN] == 2.0
         assert np.count_nonzero(m) == 1
