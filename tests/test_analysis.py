@@ -277,10 +277,6 @@ class TestBisect:
         assert hi == math.nextafter(lo, math.inf)
         assert lo < switch <= hi
 
-    def test_reaches_tol_where_floats_are_dense(self):
-        lo, hi = analysis._bisect(lambda x: x >= math.pi, 0.0, 10.0, 1e-6)
-        assert hi - lo <= 1e-6 and lo < math.pi <= hi
-
 
 class TestMinOmegaPs:
     def test_threshold_validation(self):

@@ -415,14 +415,6 @@ class TestBalance:
         assert err.startswith("error: no root on [36.03, 38.53]") and err.count("\n") == 1
         assert not (tmp_path / "balance.json").exists()
 
-    def test_bracket_beyond_float_resolution_exit_2(self, tmp_path, capsys):
-        # adjacent floats in this bracket lie farther apart than the bisection's tolerance
-        rc = main(["--out", str(tmp_path), "--set", "delta_pd=-1.7e14", "balance",
-                   "--bracket", "1.78e13", "3.16e13"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: no root on [17800000000000.0, ")
-        assert not (tmp_path / "balance.json").exists()
-
 
 class TestDressed:
     def test_prints_overlaps(self, capsys):
