@@ -52,7 +52,6 @@ __all__ = [
     "TABLE1_RATIOS",
     "sensitivity_suite",
     "impurity_sweep",
-    "scaled_constants_overlaps",
     "min_omega_ps",
     "ISOTOPE_CASES",
     "isotope_table",
@@ -170,12 +169,18 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
     Bisection of the level difference to 1e-6 MHz; the result depends on
     delta_pd (a different detuning balances at a different Rabi frequency).
     A bracket that is not finite with lo < hi is a BracketError, and so is one
-    whose sign change is a jump (the dressed pair changes states) rather than a
-    root: the levels at the result differ by more than BALANCE_TOL_MHZ.
+    with an end that is not a valid omega_pd, or whose sign change is a jump
+    (the dressed pair changes states) rather than a root: the levels at the
+    result differ by more than BALANCE_TOL_MHZ.
     """
     lo, hi = bracket
     if not (np.isfinite(bracket).all() and lo < hi):
         raise BracketError(f"bracket [{lo}, {hi}] is not finite with lo < hi")
+    for end in bracket:
+        try:
+            p.replace(omega_pd=end)
+        except ValueError as exc:
+            raise BracketError(f"bracket end {end} is not a valid omega_pd: {exc}") from exc
 
     def imbalance(omega_pd: float) -> float:
         pair = dressed_pair(p.replace(omega_pd=omega_pd, delta=0.0))
@@ -344,16 +349,6 @@ def impurity_sweep(p: ModelParams, t_final: float = 20.0) -> list[SweepRow]:
     return [_row(f"chi={chi:g}", {"chi": chi},
                  cool(1.0, 1.0, with_polarization_impurity(p, chi), t_final=t_final))
             for chi in _IMPURITY_CHIS]
-
-
-def scaled_constants_overlaps(scale: float, p: ModelParams) -> tuple[float, float]:
-    """Dressed overlaps when the 1P1 hyperfine constants are scaled by `scale`.
-
-    Gauges how the reference laser set copes with a stronger hyperfine
-    interaction (heavier species with the same level scheme).
-    """
-    pair = dressed_pair(p.replace(a_1p1=scale * p.a_1p1, q_1p1=scale * p.q_1p1))
-    return pair.overlap_up, pair.overlap_down
 
 
 def _reduced_overlap(I: HalfInt, A: float, Q: float) -> Callable[[float], float]:

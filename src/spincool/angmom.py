@@ -1,7 +1,7 @@
 """Exact angular-momentum algebra.
 
 Clebsch-Gordan coefficients (Condon-Shortley convention), the hyperfine
-ladder factors a/b, and the angular factors of the sigma-minus dressing
+ladder factors a/b, and the sigma-minus dipole amplitude of the dressing
 laser used in the 87Sr cooling model.
 
 Quantum numbers are carried as :class:`HalfInt` (twice-value integers), so
@@ -14,17 +14,15 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import NamedTuple
 
 from ._record import FrozenRecord
 
 __all__ = [
     "HalfInt",
-    "XiFactors",
     "clebsch_gordan",
+    "dressing_amplitude",
     "ladder_a",
     "ladder_b",
-    "xi_factors",
 ]
 
 
@@ -189,19 +187,6 @@ def ladder_b(I, J, mJ, mI) -> float:
     return math.sqrt((iv + miv) * (iv - miv + 1)) * math.sqrt((jv - mjv) * (jv + mjv + 1))
 
 
-class XiFactors(NamedTuple):
-    """Relative amplitudes of the four weaker sigma-minus dressing couplings.
-
-    Normalized so the stretched transition
-    |[1P1] mJ=-1, mI=-9/2>  ->  |[1D2] F=13/2, mF=-13/2>  has amplitude 1.
-    """
-
-    xi0: float  # F=13/2, mF=-11/2  <-  mJ=0,  spin down
-    xi1: float  # F=13/2, mF=-11/2  <-  mJ=-1, spin up
-    xi2: float  # F=11/2, mF=-11/2  <-  mJ=0,  spin down
-    xi3: float  # F=11/2, mF=-11/2  <-  mJ=-1, spin up
-
-
 def dressing_amplitude(F, mF, mJ, mI) -> float:
     """Un-normalized sigma-minus dipole amplitude <F mF | d_{-} | mJ mI> in 87Sr.
 
@@ -214,16 +199,3 @@ def dressing_amplitude(F, mF, mJ, mI) -> float:
     I, J = HalfInt(9), HalfInt(4)
     mJp = mJ - HalfInt(2)  # mJ - 1
     return clebsch_gordan(1, mJ, 1, -1, J, mJp) * clebsch_gordan(J, mJp, I, mI, F, mF)
-
-
-def xi_factors() -> XiFactors:
-    """Angular factors for the 87Sr dressing laser (I=9/2, J=1 -> J'=2, sigma-minus)."""
-    up = HalfInt(-7)    # mI = -7/2
-    down = HalfInt(-9)  # mI = -9/2
-    ref = dressing_amplitude(HalfInt(13), HalfInt(-13), HalfInt(-2), down)
-    return XiFactors(
-        xi0=dressing_amplitude(HalfInt(13), HalfInt(-11), HalfInt(0), down) / ref,
-        xi1=dressing_amplitude(HalfInt(13), HalfInt(-11), HalfInt(-2), up) / ref,
-        xi2=dressing_amplitude(HalfInt(11), HalfInt(-11), HalfInt(0), down) / ref,
-        xi3=dressing_amplitude(HalfInt(11), HalfInt(-11), HalfInt(-2), up) / ref,
-    )

@@ -93,9 +93,10 @@ def load_run_config(path: str | None = None,
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        values.update(parse_config_text(item, source="--set"))
+        parsed = parse_config_text(item, source="--set")
+        if len(parsed) != 1:
+            raise ConfigError(f"--set expects exactly one key=value, got {item!r}")
+        values.update(parsed)
 
     model_kwargs = {k: v for k, v in values.items() if k in _MODEL_KEYS}
     run_kwargs = {k: v for k, v in values.items() if k in _RUN_KEYS}

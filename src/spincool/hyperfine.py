@@ -27,7 +27,6 @@ __all__ = [
     "hf_block",
     "hf_matrix",
     "f_level_energy",
-    "f_splitting",
     "zeeman_diag",
 ]
 
@@ -177,11 +176,6 @@ def f_level_energy(c: HyperfineConstants, I, J, F) -> float:
         e += c.Q * (1.5 * K * (K + 1) - 2 * iv * (iv + 1) * jv * (jv + 1)) \
             / (2 * iv * (2 * iv - 1) * 2 * jv * (2 * jv - 1))
     return e
-
-
-def f_splitting(c: HyperfineConstants, I, J, F1, F2) -> float:
-    """f_level_energy(F2) - f_level_energy(F1), in MHz."""
-    return f_level_energy(c, I, J, F2) - f_level_energy(c, I, J, F1)
 
 
 def zeeman_diag(z: ZeemanParams, mJ, mI) -> float:

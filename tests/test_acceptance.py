@@ -16,15 +16,13 @@ from spincool.analysis import (
     cool,
     dressed_pair,
     min_omega_ps,
-    scaled_constants_overlaps,
 )
-from spincool.angmom import HalfInt, clebsch_gordan, xi_factors
+from spincool.angmom import HalfInt, clebsch_gordan
 from spincool.hyperfine import (
     HyperfineConstants,
     SpinSpace,
     ZeemanParams,
     f_level_energy,
-    f_splitting,
     hf_element,
     hf_matrix,
     zeeman_diag,
@@ -38,7 +36,13 @@ from spincool.lasercalc import (
     rdme_from_linewidth,
 )
 from spincool.lindblad import evolve, pure_density
-from spincool.srmodel import collapse_ops, hamiltonian, qubit_vectors
+from spincool.srmodel import (
+    BasisState,
+    collapse_ops,
+    hamiltonian,
+    hamiltonian_mhz,
+    qubit_vectors,
+)
 
 from .oracles import full_states, half_values, operator_hf_matrix, racah_cg
 
@@ -78,8 +82,7 @@ class TestCriterion02FLevels:
         targets = {13: -1765.0, 11: -463.0, 9: 604.0, 7: 1453.0, 5: 2100.0}
         levels = {tf: f_level_energy(c, I, J, HalfInt(tf)) for tf in targets}
         ok = all(within(levels[tf], targets[tf], 1.0) for tf in targets)
-        s1 = f_splitting(c, I, J, HalfInt(13), HalfInt(11))
-        s2 = f_splitting(c, I, J, HalfInt(11), HalfInt(9))
+        s1, s2 = levels[11] - levels[13], levels[9] - levels[11]
         ok = ok and 1250.0 <= s1 <= 1350.0 and 1050.0 <= s2 <= 1150.0
         check("2 1D2 F-level energies and ~1.3/1.1 GHz splittings", ok,
               f"levels={[round(levels[tf], 2) for tf in (13, 11, 9, 7, 5)]}, "
@@ -87,11 +90,17 @@ class TestCriterion02FLevels:
 
 
 class TestCriterion03XiFactors:
-    def test_values(self):
-        xi = xi_factors()
+    def test_values(self, reference_params):
+        # the model's own dressing couplings, each relative to the stretched line
+        B = BasisState
+        H = hamiltonian_mhz(reference_params)
+        ref = H[B.D2_F13_STRETCH][B.P1_M1_DOWN]
+        got = tuple(H[d2][p1] / ref for d2, p1 in ((B.D2_F13_M11, B.P1_0_DOWN),
+                                                   (B.D2_F13_M11, B.P1_M1_UP),
+                                                   (B.D2_F11_M11, B.P1_0_DOWN),
+                                                   (B.D2_F11_M11, B.P1_M1_UP)))
         expected = (math.sqrt(2 / 13), 3 / math.sqrt(13), 3 / math.sqrt(26),
                     -2 / math.sqrt(13))
-        got = (xi.xi0, xi.xi1, xi.xi2, xi.xi3)
         ok = all(abs(g - e) <= 1e-12 for g, e in zip(got, expected))
         check("3 dressing angular factors to 1e-12", ok,
               f"got {tuple(round(g, 6) for g in got)}")
@@ -201,7 +210,9 @@ class TestCriterion09Impurity:
 
 class TestCriterion10ScaledConstants:
     def test_fourfold(self, reference_params):
-        up, down = scaled_constants_overlaps(4.0, reference_params)
+        p = reference_params
+        pair = dressed_pair(p.replace(a_1p1=4 * p.a_1p1, q_1p1=4 * p.q_1p1))
+        up, down = pair.overlap_up, pair.overlap_down
         ok = within(up, 0.984, 0.002) and within(down, 0.999, 0.002)
         check("10 fourfold hyperfine constants -> overlaps (0.984, 0.999)", ok,
               f"got ({up:.4f}, {down:.4f})")

@@ -17,7 +17,6 @@ from spincool.analysis import (
     dressed_pair,
     min_omega_ps,
     nu_or_imbalance,
-    scaled_constants_overlaps,
     sensitivity_suite,
 )
 from spincool.lindblad import pure_density
@@ -117,6 +116,12 @@ class TestBalanceOmegaPd:
     def test_bad_bracket(self, reference_params):
         with pytest.raises(BracketError):
             balance_omega_pd(reference_params, bracket=(140.0, 141.0))
+
+    @pytest.mark.parametrize("bracket", [(1e308, 1.7e308), (50.0, 1.7e308)])
+    def test_bracket_end_not_a_valid_omega_pd(self, reference_params, bracket):
+        # finite, but 2 pi times it overflows, which ModelParams rejects as omega_pd
+        with pytest.raises(BracketError, match="is not a valid omega_pd"):
+            balance_omega_pd(reference_params, bracket=bracket)
 
     def test_jump_is_not_a_root(self, reference_params):
         # the dressed pair changes states inside the bracket, so bisection would
@@ -241,24 +246,23 @@ class TestSweeps:
 
 
 class TestScaledConstants:
-    def test_scale_one_is_reference(self, reference_params):
-        up, down = scaled_constants_overlaps(1.0, reference_params)
-        pair = dressed_pair(reference_params)
-        assert up == pytest.approx(pair.overlap_up, abs=1e-12)
-        assert down == pytest.approx(pair.overlap_down, abs=1e-12)
+    @staticmethod
+    def overlaps(scale, p):
+        pair = dressed_pair(p.replace(a_1p1=scale * p.a_1p1, q_1p1=scale * p.q_1p1))
+        return pair.overlap_up, pair.overlap_down
 
     def test_scale_zero_removes_spin_mixing_loss(self, reference_params):
         # scale 0 keeps only the dressing admixture; overlaps rise to the
         # pure-dressing ceiling and are monotone in the scale
-        up0, down0 = scaled_constants_overlaps(0.0, reference_params)
-        up1, down1 = scaled_constants_overlaps(1.0, reference_params)
-        up4, down4 = scaled_constants_overlaps(4.0, reference_params)
+        up0, down0 = self.overlaps(0.0, reference_params)
+        up1, down1 = self.overlaps(1.0, reference_params)
+        up4, down4 = self.overlaps(4.0, reference_params)
         assert up0 > up1 > up4
         assert down0 >= down1 >= down4 - 1e-9
         assert up0 > 0.99 and down0 > 0.999
 
     def test_scale_four(self, reference_params):
-        up, down = scaled_constants_overlaps(4.0, reference_params)
+        up, down = self.overlaps(4.0, reference_params)
         assert up == pytest.approx(0.984, abs=2e-3)
         assert down == pytest.approx(0.999, abs=2e-3)
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spincool.angmom import (HalfInt, clebsch_gordan, dressing_amplitude, ladder_a, ladder_b,
-                             xi_factors)
+from spincool.angmom import HalfInt, clebsch_gordan, dressing_amplitude, ladder_a, ladder_b
 
 from .oracles import half_values, racah_cg
 
@@ -167,13 +166,6 @@ class TestLadderFactors:
 
 
 class TestXiFactors:
-    def test_reference_values(self):
-        xi = xi_factors()
-        assert xi.xi0 == pytest.approx(math.sqrt(2 / 13), abs=1e-12)
-        assert xi.xi1 == pytest.approx(3 / math.sqrt(13), abs=1e-12)
-        assert xi.xi2 == pytest.approx(3 / math.sqrt(26), abs=1e-12)
-        assert xi.xi3 == pytest.approx(-2 / math.sqrt(13), abs=1e-12)
-
     def test_dressing_amplitude_rejects_mj_outside_j1(self):
         with pytest.raises(ValueError):
             dressing_amplitude(HalfInt(13), HalfInt(-13), -2, HalfInt(-9))

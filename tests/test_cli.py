@@ -96,6 +96,27 @@ class TestConfig:
         assert main(["--config", str(path), "--out", str(tmp_path / "out"), "dressed"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_line_without_equals_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("delta = 1.0\nomega_pd 140\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "dressed"]) == 2
+        assert f"{path}:2: expected key = value" in capsys.readouterr().err
+
+    # a comment, an empty string and two lines parse to a number of keys other than one
+    @pytest.mark.parametrize("item", ["#alpha=2", "", "alpha=2\nbeta=3"],
+                             ids=["comment", "empty", "two_lines"])
+    def test_override_sets_exactly_one_key(self, item):
+        with pytest.raises(ConfigError, match="--set expects exactly one key=value"):
+            load_run_config(None, [item])
+
+    def test_commented_override_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--set", "#alpha=2", "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --set expects exactly one key=value")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_overrides_apply(self):
         cfg = load_run_config(None, ["omega_eff=2.0", "beta=0.5"])
         assert cfg.params.omega_eff == 2.0
@@ -243,6 +264,17 @@ class TestSimulate:
         self._assert_fails(tmp_path, capsys, ["omega_ps=0", "omega_pd=0",
                                               "b_field=7.753104246619223"],
                            3, "numerical failure: overlap tie", command)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overlap_tie_simulate_writes_null_dressed_summary(self, tmp_path):
+        # at the overlap tie above the run itself is sound: simulate writes its files
+        # and reports the dressed pair it cannot pick as null
+        out = tmp_path / "tie"
+        assert main(["--out", str(out), "--set", "omega_ps=0", "--set", "omega_pd=0",
+                     "--set", "b_field=7.753104246619223", *FAST, "simulate"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["dressed_overlaps"] is None
+        assert summary["nu_mhz"] is None and summary["imbalance_mhz"] is None
 
     @pytest.mark.parametrize("command", ["dressed", "balance"])
     @pytest.mark.parametrize("error", [analysis.AmbiguousOverlapError, np.linalg.LinAlgError])
@@ -405,6 +437,15 @@ class TestBalance:
         assert rc == 2
         assert "not finite with lo < hi" in capsys.readouterr().err
         assert not (tmp_path / "balance.json").exists()
+
+    def test_bracket_beyond_valid_omega_pd_exit_2(self, tmp_path, capsys):
+        # finite ends whose 2 pi multiple overflows: no valid omega_pd
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "balance", "--bracket", "1e308", "1.7e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bracket end 1e+308 is not a valid omega_pd")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_jump_in_bracket_exit_2(self, tmp_path, capsys):
         # the dressed pair changes states inside this bracket: a sign change, no root
@@ -739,6 +780,12 @@ class TestSvgPlot:
         from spincool.svgplot import line_plot
         doc = line_plot([("a", [0, 1, 2], [0.0, 1e-3, 1.0])], log_y=True)
         assert "polyline" in doc
+
+    def test_flat_log_series(self):
+        # every value at or below the 1e-12 floor: a zero y span, widened before the ticks
+        from spincool.svgplot import line_plot
+        doc = line_plot([("a", [0, 1, 2], [0.0, 1e-13, 1e-12])], log_y=True)
+        assert doc.count("<polyline") == 1
 
     def test_rejects_empty(self):
         from spincool.svgplot import line_plot

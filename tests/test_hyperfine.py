@@ -9,7 +9,6 @@ from spincool.hyperfine import (
     SpinSpace,
     ZeemanParams,
     f_level_energy,
-    f_splitting,
     hf_element,
     hf_matrix,
     zeeman_diag,
@@ -128,12 +127,6 @@ class TestFLevels:
         assert f_level_energy(D2_CONSTANTS, I, J, HalfInt(9)) == pytest.approx(603.875, abs=1e-9)
         assert f_level_energy(D2_CONSTANTS, I, J, HalfInt(7)) == pytest.approx(1453.4375, abs=1e-9)
         assert f_level_energy(D2_CONSTANTS, I, J, HalfInt(5)) == pytest.approx(2099.625, abs=1e-9)
-
-    def test_splittings(self):
-        I, J = HalfInt(9), HalfInt(4)
-        assert f_splitting(D2_CONSTANTS, I, J, HalfInt(13), HalfInt(11)) == pytest.approx(1301.625)
-        assert f_splitting(D2_CONSTANTS, I, J, HalfInt(11), HalfInt(9)) == pytest.approx(1067.0)
-        assert f_splitting(D2_CONSTANTS, I, J, HalfInt(11), HalfInt(11)) == 0.0
 
     def test_out_of_range_f_raises(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from spincool.angmom import xi_factors
 from spincool.config import RunConfig, load_run_config
 from spincool.srmodel import (
     TWO_PI,
@@ -216,11 +215,11 @@ class TestPolarizationImpurity:
         p = with_polarization_impurity(base, 0.01)
         assert p.omega_pd == pytest.approx(0.9 * base.omega_pd)
         H, H0 = hamiltonian(p), hamiltonian(base)
-        XI = xi_factors()
-        for (i, j), xi in (((B.D2_F13_M11, B.P1_0_DOWN), XI.xi0),
-                           ((B.D2_F13_M11, B.P1_M1_UP), XI.xi1),
-                           ((B.D2_F11_M11, B.P1_0_DOWN), XI.xi2),
-                           ((B.D2_F11_M11, B.P1_M1_UP), XI.xi3)):
+        # the closed-form angular factors xi_0 ... xi_3
+        for (i, j), xi in (((B.D2_F13_M11, B.P1_0_DOWN), math.sqrt(2 / 13)),
+                           ((B.D2_F13_M11, B.P1_M1_UP), 3 / math.sqrt(13)),
+                           ((B.D2_F11_M11, B.P1_0_DOWN), 3 / math.sqrt(26)),
+                           ((B.D2_F11_M11, B.P1_M1_UP), -2 / math.sqrt(13))):
             assert H[i, j] == pytest.approx(TWO_PI * xi * p.omega_pd / 2)
             assert H[i, j] == pytest.approx(0.9 * H0[i, j])
 
