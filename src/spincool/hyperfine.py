@@ -1,4 +1,4 @@
-"""Hyperfine and Zeeman energies in the decoupled |mJ, mI> basis.
+"""Hyperfine energies in the decoupled |mJ, mI> basis.
 
 Implements the magnetic-dipole (A) plus electric-quadrupole (Q) interaction
 as explicit matrix elements: a diagonal part, the Delta mJ = -+1 /
@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
 from .angmom import HalfInt, ladder_a, ladder_b
-from .constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,12 +21,10 @@ if TYPE_CHECKING:
 __all__ = [
     "HyperfineConstants",
     "SpinSpace",
-    "ZeemanParams",
     "hf_element",
     "hf_block",
     "hf_matrix",
     "f_level_energy",
-    "zeeman_diag",
 ]
 
 
@@ -65,24 +62,6 @@ class SpinSpace(FrozenRecord):
     def has_quadrupole(self) -> bool:
         # the quadrupole denominator 2IJ(2I-1)(2J-1) vanishes for I or J < 1
         return self.I.twice >= 2 and self.J.twice >= 2
-
-
-class ZeemanParams(FrozenRecord):
-    """Magnetic field B (gauss), electronic g-factor, and nuclear moment (units of mu_N).
-
-    The nuclear moment is the measured total moment of the nucleus; the
-    nuclear Zeeman energy is modelled as -(moment/I) mu_N B mI.
-    """
-
-    __slots__ = _fields = ("B", "gJ", "mu_nuclear", "I")
-
-    def __init__(self, B: float, gJ: float, mu_nuclear: float, I: HalfInt):
-        I = HalfInt.coerce(I)
-        self._assign(locals())
-        if B < 0:
-            raise ValueError("B must be >= 0")
-        if not math.isfinite(gJ):
-            raise ValueError("gJ must be finite")
 
 
 def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
@@ -131,9 +110,9 @@ def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
     return val
 
 
-def hf_block(c: HyperfineConstants, s: SpinSpace, states: list[tuple[HalfInt, HalfInt]],
-             zeeman: ZeemanParams | None = None) -> list[list[float]]:
-    """Hyperfine (+ Zeeman, if given, on the diagonal) over |mJ, mI> states: MHz, nested lists.
+def hf_block(c: HyperfineConstants, s: SpinSpace,
+             states: list[tuple[HalfInt, HalfInt]]) -> list[list[float]]:
+    """Hyperfine interaction over |mJ, mI> states: MHz, nested lists.
 
     Pairs of unequal mF = mJ + mI are zero and skipped; the upper triangle is
     mirrored, as transpose pairs of the ladder terms differ by 1 ulp if computed apart.
@@ -145,8 +124,6 @@ def hf_block(c: HyperfineConstants, s: SpinSpace, states: list[tuple[HalfInt, Ha
             mJ, mI = states[k]
             if mJp.twice + mIp.twice == mJ.twice + mI.twice:
                 out[i][k] = out[k][i] = hf_element(c, s, mJp, mIp, mJ, mI)
-        if zeeman is not None:
-            out[i][i] += zeeman_diag(zeeman, mJp, mIp)
     return out
 
 
@@ -177,12 +154,3 @@ def f_level_energy(c: HyperfineConstants, I, J, F) -> float:
             / (2 * iv * (2 * iv - 1) * 2 * jv * (2 * jv - 1))
     return e
 
-
-def zeeman_diag(z: ZeemanParams, mJ, mI) -> float:
-    """Diagonal Zeeman energy gJ mu_B B mJ - (mu/I) mu_N B mI, in MHz."""
-    mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
-    electronic = z.gJ * MU_B_MHZ_PER_G * z.B * mJ.value
-    nuclear = 0.0
-    if z.I.twice > 0:
-        nuclear = -(z.mu_nuclear / z.I.value) * MU_N_MHZ_PER_G * z.B * mI.value
-    return electronic + nuclear

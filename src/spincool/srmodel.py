@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import FrozenRecord
 from .angmom import HalfInt, clebsch_gordan, dressing_amplitude
-from .constants import SR87_NUCLEAR_MOMENT, SR87_TWICE_I
-from .hyperfine import HyperfineConstants, SpinSpace, ZeemanParams, hf_block
+from .constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT, SR87_TWICE_I
+from .hyperfine import HyperfineConstants, SpinSpace, hf_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,7 +87,7 @@ def _p1_at(twice_mj: int, s: BasisState) -> list[BasisState]:
 
 D2_STATES = _in("1D2")
 P1_STATES = _in("1P1")
-# (mJ, mI) of each 1P1 state, for its hyperfine plus Zeeman block
+# (mJ, mI) of each 1P1 state, for its hyperfine block and Zeeman diagonal
 _P1_MJ_MI = [tuple(map(HalfInt, STATES[s].twice)) for s in P1_STATES]
 
 
@@ -182,11 +182,6 @@ class ModelParams(FrozenRecord):
     def hyperfine_1p1(self) -> HyperfineConstants:
         return HyperfineConstants(self.a_1p1, self.q_1p1)
 
-    @property
-    def zeeman(self) -> ZeemanParams:
-        # gJ = 1 for a pure singlet L=1, S=0 level
-        return ZeemanParams(B=self.b_field, gJ=1.0, mu_nuclear=SR87_NUCLEAR_MOMENT, I=P1_SPACE.I)
-
 
 class CollapseOp(NamedTuple):
     """One spontaneous-emission jump operator, sum of amplitude |to><from| terms.
@@ -222,7 +217,12 @@ def hamiltonian_mhz(p: ModelParams) -> list[list[float]]:
         w = amplitude * getattr(p, field) / 2
         H[i][j] += w
         H[j][i] += w
-    block = hf_block(p.hyperfine_1p1, P1_SPACE, _P1_MJ_MI, p.zeeman)
+    block = hf_block(p.hyperfine_1p1, P1_SPACE, _P1_MJ_MI)
+    for n, (mJ, mI) in enumerate(_P1_MJ_MI):
+        # Zeeman: gJ = 1 for the pure singlet L = 1, S = 0, and the nuclear moment
+        # spread over mI in steps of moment/I
+        block[n][n] += MU_B_MHZ_PER_G * p.b_field * mJ.value \
+            - SR87_NUCLEAR_MOMENT / P1_SPACE.I.value * MU_N_MHZ_PER_G * p.b_field * mI.value
     for i, row in zip(P1_STATES, block):
         for j, value in zip(P1_STATES, row):
             H[i][j] += value

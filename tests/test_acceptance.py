@@ -21,11 +21,9 @@ from spincool.angmom import HalfInt, clebsch_gordan
 from spincool.hyperfine import (
     HyperfineConstants,
     SpinSpace,
-    ZeemanParams,
     f_level_energy,
     hf_element,
     hf_matrix,
-    zeeman_diag,
 )
 from spincool.lasercalc import (
     BeamSpec,
@@ -61,14 +59,15 @@ def within(value: float, target: float, tol: float) -> bool:
 
 
 class TestCriterion01HyperfineGoldenValues:
-    def test_diagonals(self):
+    def test_diagonals(self, reference_params):
         c = HyperfineConstants(-3.4, 39.0)
         s = SpinSpace(HalfInt(9), HalfInt(2))
-        z = ZeemanParams(B=1.0, gJ=1.0, mu_nuclear=-1.0924, I=HalfInt(9))
         hf_up = hf_element(c, s, -1, -3.5, -1, -3.5)
         hf_down = hf_element(c, s, -1, -4.5, -1, -4.5)
-        full_up = hf_up + zeeman_diag(z, -1, -3.5)
-        full_down = hf_down + zeeman_diag(z, -1, -4.5)
+        # the model's own 1P1 diagonals at 1 G, without the common shift delta
+        H = hamiltonian_mhz(reference_params.replace(delta=0.0))
+        full_up = H[BasisState.P1_M1_UP][BasisState.P1_M1_UP]
+        full_down = H[BasisState.P1_M1_DOWN][BasisState.P1_M1_DOWN]
         ok = (within(hf_up, -8.65, 0.01) and within(hf_down, -5.55, 0.01)
               and within(full_up, -10.05, 0.01) and within(full_down, -6.95, 0.01))
         check("1 hyperfine diagonals (-8.65, -5.55) and with field (-10.05, -6.95) MHz",

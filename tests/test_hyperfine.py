@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from spincool.angmom import HalfInt
+from spincool.constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT
 from spincool.hyperfine import (
     HyperfineConstants,
     SpinSpace,
-    ZeemanParams,
     f_level_energy,
     hf_element,
     hf_matrix,
-    zeeman_diag,
 )
+from spincool.srmodel import BasisState, ModelParams, hamiltonian_mhz
 
 from .oracles import half_values, operator_hf_matrix
 
@@ -136,25 +136,40 @@ class TestFLevels:
 
 
 class TestZeeman:
-    Z = ZeemanParams(B=1.0, gJ=1.0, mu_nuclear=-1.0924, I=HalfInt(9))
+    """The field's part of the model's four 1P1 diagonals, read between B = 0 and B = 1."""
+
+    MJ_MI = {BasisState.P1_0_DOWN: (0, -4.5), BasisState.P1_M1_UP: (-1, -3.5),
+             BasisState.P1_M1_DOWN: (-1, -4.5), BasisState.P1_P1_DOWN: (1, -4.5)}
+
+    @staticmethod
+    def field_part() -> list[list[float]]:
+        H0 = hamiltonian_mhz(ModelParams(b_field=0.0))
+        H1 = hamiltonian_mhz(ModelParams(b_field=1.0))
+        return [[a - b for a, b in zip(r1, r0)] for r1, r0 in zip(H1, H0)]
+
+    def test_b_linear_part(self):
+        # gJ = 1, and the 87Sr moment over I = 9/2 per unit of mI
+        shift = self.field_part()
+        for s, (mJ, mI) in self.MJ_MI.items():
+            want = MU_B_MHZ_PER_G * mJ - SR87_NUCLEAR_MOMENT / 4.5 * MU_N_MHZ_PER_G * mI
+            assert shift[s][s] == pytest.approx(want, abs=1e-12)
 
     def test_electronic_part(self):
-        val = zeeman_diag(self.Z, -1, 0.5)
-        # nuclear part at mI = 1/2 is ~ 9e-5 MHz, electronic dominates
-        assert val == pytest.approx(-1.3996, abs=2e-4)
+        # one unit of mJ at equal mI is mu_B B, 1.3996 MHz at 1 G
+        shift = self.field_part()
+        B = BasisState
+        for lo, hi in ((B.P1_M1_DOWN, B.P1_0_DOWN), (B.P1_0_DOWN, B.P1_P1_DOWN)):
+            assert shift[hi][hi] - shift[lo][lo] == pytest.approx(1.3996, abs=2e-4)
 
     def test_zero_field(self):
-        z0 = ZeemanParams(B=0.0, gJ=1.0, mu_nuclear=-1.0924, I=HalfInt(9))
-        assert zeeman_diag(z0, -1, -4.5) == 0.0
+        # the field moves the four 1P1 diagonals and nothing else
+        shift = self.field_part()
+        for i, row in enumerate(shift):
+            for k, value in enumerate(row):
+                if not (i == k and i in self.MJ_MI):
+                    assert value == 0.0
 
     def test_full_p1_diagonal_with_field(self):
-        up = hf_element(P1_CONSTANTS, P1_SPACE, -1, -3.5, -1, -3.5) \
-            + zeeman_diag(self.Z, -1, -3.5)
-        down = hf_element(P1_CONSTANTS, P1_SPACE, -1, -4.5, -1, -4.5) \
-            + zeeman_diag(self.Z, -1, -4.5)
-        assert up == pytest.approx(-10.05, abs=0.01)
-        assert down == pytest.approx(-6.95, abs=0.01)
-
-    def test_negative_field_rejected(self):
-        with pytest.raises(ValueError):
-            ZeemanParams(B=-1.0, gJ=1.0, mu_nuclear=-1.0924, I=HalfInt(9))
+        H = hamiltonian_mhz(ModelParams(delta=0.0))
+        assert H[BasisState.P1_M1_UP][BasisState.P1_M1_UP] == pytest.approx(-10.05, abs=0.01)
+        assert H[BasisState.P1_M1_DOWN][BasisState.P1_M1_DOWN] == pytest.approx(-6.95, abs=0.01)
