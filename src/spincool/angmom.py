@@ -1,8 +1,8 @@
 """Exact angular-momentum algebra.
 
-Clebsch-Gordan coefficients (Condon-Shortley convention), the hyperfine
-ladder factors a/b, and the sigma-minus dipole amplitude of the dressing
-laser used in the 87Sr cooling model.
+Clebsch-Gordan coefficients (Condon-Shortley convention), which also build
+the hyperfine matrix elements from the F-level energies, and the sigma-minus
+dipole amplitude of the dressing laser used in the 87Sr cooling model.
 
 Quantum numbers are carried as :class:`HalfInt` (twice-value integers), so
 half-integer arithmetic is exact; floating point appears only in returned
@@ -21,8 +21,6 @@ __all__ = [
     "HalfInt",
     "clebsch_gordan",
     "dressing_amplitude",
-    "ladder_a",
-    "ladder_b",
 ]
 
 
@@ -162,29 +160,6 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
         raise ValueError(f"negative total angular momentum J={J}")
     table = _coupled_basis(j1.twice, j2.twice)
     return table.get((J.twice, M.twice), {}).get((m1.twice, m2.twice), 0.0)
-
-
-def ladder_a(I, J, mJ, mI) -> float:
-    """Raising-nuclear / lowering-electron factor sqrt((I-mI)(I+mI+1)) sqrt((J+mJ)(J-mJ+1)).
-
-    Vanishes at the boundaries mI = I or mJ = -J.
-    """
-    I, J = HalfInt.coerce(I), HalfInt.coerce(J)
-    mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
-    _check_jm(I, mI, "I: ")
-    _check_jm(J, mJ, "J: ")
-    iv, jv, mjv, miv = I.value, J.value, mJ.value, mI.value
-    return math.sqrt((iv - miv) * (iv + miv + 1)) * math.sqrt((jv + mjv) * (jv - mjv + 1))
-
-
-def ladder_b(I, J, mJ, mI) -> float:
-    """Lowering-nuclear / raising-electron factor sqrt((I+mI)(I-mI+1)) sqrt((J-mJ)(J+mJ+1))."""
-    I, J = HalfInt.coerce(I), HalfInt.coerce(J)
-    mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
-    _check_jm(I, mI, "I: ")
-    _check_jm(J, mJ, "J: ")
-    iv, jv, mjv, miv = I.value, J.value, mJ.value, mI.value
-    return math.sqrt((iv + miv) * (iv - miv + 1)) * math.sqrt((jv - mjv) * (jv + mjv + 1))
 
 
 def dressing_amplitude(F, mF, mJ, mI) -> float:

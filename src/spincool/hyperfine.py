@@ -1,10 +1,11 @@
 """Hyperfine energies in the decoupled |mJ, mI> basis.
 
-Implements the magnetic-dipole (A) plus electric-quadrupole (Q) interaction
-as explicit matrix elements: a diagonal part, the Delta mJ = -+1 /
-Delta mI = +-1 ladder terms, and the Delta mJ = -+2 / Delta mI = +-2
-quadrupole terms.  Only states with equal mJ + mI are coupled.  Energies are
-frequencies (value/2pi) in MHz throughout.
+The magnetic-dipole (A) plus electric-quadrupole (Q) interaction is diagonal
+in F, with the Casimir energies E_F of f_level_energy.  Over |mJ, mI> it is
+sum_F E_F |F mF><F mF|, so each matrix element is E_F weighted by the
+Clebsch-Gordan overlaps of the two states with |F mF>, and only states of
+equal mF = mJ + mI are coupled.  Energies are frequencies (value/2pi) in MHz
+throughout; the 1P1 Zeeman shift is added by the model (srmodel).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
-from .angmom import HalfInt, ladder_a, ladder_b
+from .angmom import HalfInt, clebsch_gordan
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,16 +59,12 @@ class SpinSpace(FrozenRecord):
             for tmi in range(-self.I.twice, self.I.twice + 1, 2)
         ]
 
-    @property
-    def has_quadrupole(self) -> bool:
-        # the quadrupole denominator 2IJ(2I-1)(2J-1) vanishes for I or J < 1
-        return self.I.twice >= 2 and self.J.twice >= 2
-
 
 def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
     """<mJ', mI' | A I.J + quadrupole | mJ, mI> in MHz.
 
-    Structurally zero unless mJ' + mI' = mJ + mI.
+    sum over F of E_F <J mJ'; I mI'|F mF> <J mJ; I mI|F mF>, F from
+    max(|I-J|, |mF|) to I+J.  Structurally zero unless mJ' + mI' = mJ + mI.
     """
     mJp, mIp = HalfInt.coerce(mJp), HalfInt.coerce(mIp)
     mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
@@ -76,46 +73,23 @@ def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
             raise ValueError(f"{name}={m} out of range for j={j}")
     if mJp.twice + mIp.twice != mJ.twice + mI.twice:
         return 0.0
-
-    iv, jv = s.I.value, s.J.value
-    mjv, miv = mJ.value, mI.value
-    quad = s.has_quadrupole
-    den = 2 * iv * jv * (2 * iv - 1) * (2 * jv - 1)
-
-    dmj = (mJp.twice - mJ.twice) // 2
+    I, J, mF = s.I, s.J, mJ + mI
     val = 0.0
-    if dmj == 0:
-        val = c.A * miv * mjv
-        if quad:
-            val += c.Q * (3 * miv**2 * mjv**2 + 1.5 * miv * mjv
-                          - iv * jv * (iv + 1) * (jv + 1)) / den
-            val += c.Q * 3 * (iv + miv) * (iv - miv + 1) * (jv - mjv) * (jv + mjv + 1) / (4 * den)
-            val += c.Q * 3 * (iv - miv) * (iv + miv + 1) * (jv + mjv) * (jv - mjv + 1) / (4 * den)
-    elif dmj == -1:
-        a = ladder_a(s.I, s.J, mJ, mI)
-        val = 0.5 * c.A * a
-        if quad:
-            val += c.Q * (1.5 * (miv * mjv + (miv + 1) * (mjv - 1)) * a + 0.75 * a) / den
-    elif dmj == 1:
-        b = ladder_b(s.I, s.J, mJ, mI)
-        val = 0.5 * c.A * b
-        if quad:
-            val += c.Q * (1.5 * (miv * mjv + (miv - 1) * (mjv + 1)) * b + 0.75 * b) / den
-    elif dmj == -2 and quad:
-        val = c.Q * 3 * ladder_a(s.I, s.J, mJ, mI) \
-            * ladder_a(s.I, s.J, mJ - HalfInt(2), mI + HalfInt(2)) / (4 * den)
-    elif dmj == 2 and quad:
-        val = c.Q * 3 * ladder_b(s.I, s.J, mJ, mI) \
-            * ladder_b(s.I, s.J, mJ + HalfInt(2), mI - HalfInt(2)) / (4 * den)
+    for twice_f in range(max(abs(I.twice - J.twice), abs(mF.twice)), I.twice + J.twice + 1, 2):
+        F = HalfInt(twice_f)
+        # the product of the two overlaps first, so that the element is symmetric to the bit
+        val += f_level_energy(c, I, J, F) * (clebsch_gordan(J, mJp, I, mIp, F, mF)
+                                             * clebsch_gordan(J, mJ, I, mI, F, mF))
     return val
 
 
 def hf_block(c: HyperfineConstants, s: SpinSpace,
              states: list[tuple[HalfInt, HalfInt]]) -> list[list[float]]:
-    """Hyperfine interaction over |mJ, mI> states: MHz, nested lists.
+    """Hyperfine interaction over |mJ, mI> states, without the Zeeman term: MHz, nested lists.
 
-    Pairs of unequal mF = mJ + mI are zero and skipped; the upper triangle is
-    mirrored, as transpose pairs of the ladder terms differ by 1 ulp if computed apart.
+    Pairs of unequal mF = mJ + mI are zero and skipped.  hf_element is
+    symmetric in its two states, so the upper triangle is mirrored: the lower
+    one would repeat its calls for the same values.
     """
     n = len(states)
     out = [[0.0] * n for _ in range(n)]

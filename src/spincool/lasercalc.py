@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import math
 
-from ._record import FrozenRecord
 from .constants import BOHR_RADIUS, DIPOLE_EA0, ELEMENTARY_CHARGE, EPSILON_0, HBAR, SPEED_OF_LIGHT
 
 __all__ = [
-    "TransitionSpec",
-    "BeamSpec",
     "angular_frequency",
     "rdme_from_linewidth",
     "field_for_rabi",
@@ -29,34 +26,6 @@ __all__ = [
     "power_from_intensity",
     "sr_laser_budget",
 ]
-
-
-class TransitionSpec(FrozenRecord):
-    """One electric-dipole transition: wavelength (nm), decay rate (1/s), multiplicity."""
-
-    __slots__ = _fields = ("wavelength_nm", "linewidth", "multiplicity")
-
-    def __init__(self, wavelength_nm: float, linewidth: float, multiplicity: int = 1):
-        self._assign(locals())
-        if wavelength_nm <= 0:
-            raise ValueError("wavelength must be positive")
-        if multiplicity not in (1, 9):
-            raise ValueError("multiplicity factor must be 1 or 9")
-
-    @property
-    def omega0(self) -> float:
-        return angular_frequency(self.wavelength_nm)
-
-
-class BeamSpec(FrozenRecord):
-    """Gaussian-ish beam described by its spot radius at the atom, in um."""
-
-    __slots__ = _fields = ("spot_radius_um",)
-
-    def __init__(self, spot_radius_um: float):
-        self._assign(locals())
-        if spot_radius_um <= 0:
-            raise ValueError("spot radius must be positive")
 
 
 def angular_frequency(wavelength_nm: float) -> float:
@@ -68,6 +37,8 @@ def rdme_from_linewidth(gamma: float, omega0: float, mult: int) -> float:
     """Reduced dipole matrix element in units of e*a0, from a decay rate in 1/s."""
     if gamma < 0 or omega0 <= 0:
         raise ValueError("need gamma >= 0 and omega0 > 0")
+    if mult not in (1, 9):
+        raise ValueError("multiplicity factor must be 1 or 9")
     d_si = math.sqrt(mult * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT ** 3 * gamma
                      / omega0 ** 3)
     return d_si / DIPOLE_EA0
@@ -86,9 +57,11 @@ def intensity_from_field(field_v_per_m: float) -> float:
     return 0.5 * EPSILON_0 * SPEED_OF_LIGHT * field_v_per_m ** 2
 
 
-def power_from_intensity(intensity_w_m2: float, beam: BeamSpec) -> float:
-    """Power in W through a disk of the beam's spot radius."""
-    radius_m = beam.spot_radius_um * 1e-6
+def power_from_intensity(intensity_w_m2: float, spot_radius_um: float) -> float:
+    """Power in W through a disk of the beam's spot radius, in um."""
+    if spot_radius_um <= 0:
+        raise ValueError("spot radius must be positive")
+    radius_m = spot_radius_um * 1e-6
     return intensity_w_m2 * math.pi * radius_m ** 2
 
 
@@ -100,22 +73,22 @@ def sr_laser_budget() -> list[dict]:
     and power for a 300 MHz coupling on a 20 um spot, and the 424 nm
     dressing line using the literature 0.092 e*a0 estimate at 144.27 MHz.
     """
-    spot = BeamSpec(spot_radius_um=20.0)
+    spot_um = 20.0
     records = []
 
     d_main = rdme_from_linewidth(2.0e8, 2 * math.pi * 6.51e14, mult=9)
     records.append({"transition": "1P1 -> ground (461 nm)",
                     "linewidth_per_s": 2.0e8, "rdme_ea0": d_main})
 
-    ir = TransitionSpec(wavelength_nm=1124.232, linewidth=1.86e7, multiplicity=1)
-    d_ir = rdme_from_linewidth(ir.linewidth, ir.omega0, ir.multiplicity)
+    linewidth_ir = 1.86e7
+    d_ir = rdme_from_linewidth(linewidth_ir, angular_frequency(1124.232), mult=1)
     field_ir = field_for_rabi(300.0, d_ir)
     intensity_ir = intensity_from_field(field_ir)
     records.append({"transition": "1P1 <-> 6s 1S0 (1124 nm)",
-                    "linewidth_per_s": ir.linewidth, "rdme_ea0": d_ir,
+                    "linewidth_per_s": linewidth_ir, "rdme_ea0": d_ir,
                     "rabi_mhz": 300.0, "field_v_per_m": field_ir,
                     "intensity_w_cm2": intensity_ir / 1e4,
-                    "power_mw": power_from_intensity(intensity_ir, spot) * 1e3})
+                    "power_mw": power_from_intensity(intensity_ir, spot_um) * 1e3})
 
     d_uv = 0.092  # e*a0, literature radial-integral estimate for the 424 nm line
     field_uv = field_for_rabi(144.27, d_uv)
@@ -124,5 +97,5 @@ def sr_laser_budget() -> list[dict]:
                     "rdme_ea0": d_uv, "rabi_mhz": 144.27,
                     "field_v_per_m": field_uv,
                     "intensity_w_cm2": intensity_uv / 1e4,
-                    "power_mw": power_from_intensity(intensity_uv, spot) * 1e3})
+                    "power_mw": power_from_intensity(intensity_uv, spot_um) * 1e3})
     return records

@@ -47,10 +47,11 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
     x_lo, x_hi = min(map(min, xs_nonempty)), max(map(max, xs_nonempty))
     y_lo = min(min(ys) for _, _, ys in series if ys)
     y_hi = max(max(ys) for _, _, ys in series if ys)
+    # a flat axis is widened by at least its value: adding 1.0 leaves |v| >= 2^53 unchanged
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, abs(x_lo))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, abs(y_lo))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     # a point maps to ml + pw (x - x_lo) / x_span and mt + ph (1 - (y - y_lo) / y_span)

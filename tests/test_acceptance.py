@@ -26,7 +26,6 @@ from spincool.hyperfine import (
     hf_matrix,
 )
 from spincool.lasercalc import (
-    BeamSpec,
     angular_frequency,
     field_for_rabi,
     intensity_from_field,
@@ -240,11 +239,9 @@ class TestCriterion12LaserBudget:
         d_ir = rdme_from_linewidth(1.86e7, angular_frequency(1124.232), 1)
         field_ir = field_for_rabi(300.0, d_ir)
         intensity_ir = intensity_from_field(field_ir) / 1e4
-        power_ir = power_from_intensity(intensity_from_field(field_ir),
-                                        BeamSpec(20.0)) * 1e3
+        power_ir = power_from_intensity(intensity_from_field(field_ir), 20.0) * 1e3
         field_uv = field_for_rabi(144.27, 0.092)
-        power_uv = power_from_intensity(intensity_from_field(field_uv),
-                                        BeamSpec(20.0)) * 1e3
+        power_uv = power_from_intensity(intensity_from_field(field_uv), 20.0) * 1e3
         values = [(d_main, 5.38), (d_ir, 2.09), (field_ir, 1.12e4),
                   (intensity_ir, 16.7), (power_ir, 0.21), (field_uv, 1.23e5),
                   (power_uv, 25.1)]

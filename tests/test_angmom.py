@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spincool.angmom import HalfInt, clebsch_gordan, dressing_amplitude, ladder_a, ladder_b
+from spincool.angmom import HalfInt, clebsch_gordan, dressing_amplitude
 
 from .oracles import half_values, racah_cg
-
-SQ2 = math.sqrt(2.0)
 
 
 class TestHalfInt:
@@ -142,27 +140,6 @@ class TestClebschGordan:
                                   * clebsch_gordan(j1, tm1 / 2, j2, tm2 / 2, tJp / 2, tMp / 2))
                     expected = 1.0 if (tJ, tM) == (tJp, tMp) else 0.0
                     assert total == pytest.approx(expected, abs=1e-12)
-
-
-class TestLadderFactors:
-    def test_vanishes_at_ceiling(self):
-        assert ladder_a(4.5, 1, -1, 4.5) == 0.0      # mI at +I
-        assert ladder_a(4.5, 1, -1, -4.5) == 0.0     # mJ at -J
-        assert ladder_b(4.5, 1, 1, -4.5) == 0.0      # mJ at +J
-        assert ladder_b(4.5, 1, 0, -4.5) == 0.0      # mI at -I
-
-    def test_hand_evaluated_values(self):
-        assert ladder_a(4.5, 1, 0, -4.5) == pytest.approx(3 * SQ2, abs=1e-12)
-        assert ladder_a(0.5, 0.5, 0.5, -0.5) == pytest.approx(1.0, abs=1e-12)
-        assert ladder_b(4.5, 1, -1, -3.5) == pytest.approx(3 * SQ2, abs=1e-12)
-
-    def test_a_b_symmetry(self):
-        # b(I, J, mJ, mI) = a(J, I, mI, mJ)
-        for tmj in (-2, 0, 2):
-            for tmi in range(-9, 10, 2):
-                a = ladder_b(HalfInt(9), HalfInt(2), HalfInt(tmj), HalfInt(tmi))
-                b = ladder_a(HalfInt(2), HalfInt(9), HalfInt(tmi), HalfInt(tmj))
-                assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestXiFactors:

@@ -787,6 +787,14 @@ class TestSvgPlot:
         doc = line_plot([("a", [0, 1, 2], [0.0, 1e-13, 1e-12])], log_y=True)
         assert doc.count("<polyline") == 1
 
+    @pytest.mark.parametrize("xs, ys", [([0, 1], [1e17, 1e17]), ([1e17, 1e17], [0, 1])],
+                             ids=["flat_y", "flat_x"])
+    def test_flat_axis_beyond_2_53(self, xs, ys):
+        # 1e17 + 1.0 == 1e17: the widening must still open a span
+        from spincool.svgplot import line_plot
+        doc = line_plot([("a", xs, ys)])
+        assert doc.count("<polyline") == 1
+
     def test_rejects_empty(self):
         from spincool.svgplot import line_plot
         with pytest.raises(ValueError):

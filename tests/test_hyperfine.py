@@ -51,12 +51,10 @@ class TestHfElement:
             hf_element(P1_CONSTANTS, P1_SPACE, 0, -5.5, 1, -4.5)
 
     def test_step_function_boundaries(self):
-        # at mI = -I the (I + mI) quadrupole correction must vanish exactly,
-        # and at mJ = J / mI = I the mirror term must: with A = 0 the
-        # diagonal reduces to the bare K-like term for an F eigenstate
+        # the stretched states |J, I> and |-J, -I> are F = I + J eigenstates:
+        # with A = 0 each diagonal is that level's quadrupole energy
         c = HyperfineConstants(A=0.0, Q=1.0)
         s = SpinSpace(I=HalfInt(3), J=HalfInt(2))
-        # stretched state: |mJ=J, mI=I> is the F = I+J eigenstate
         stretched = hf_element(c, s, 1, 1.5, 1, 1.5)
         assert stretched == pytest.approx(f_level_energy(c, 1.5, 1.0, 2.5), abs=1e-12)
         bottom = hf_element(c, s, -1, -1.5, -1, -1.5)
@@ -68,16 +66,18 @@ class TestHfMatrix:
         z = hf_matrix(HyperfineConstants(0.0, 0.0), P1_SPACE)
         assert np.all(z == 0)
 
-    def test_matches_operator_oracle_over_spin_grid(self):
+    # H is linear in (A, Q): the two unit pairs check every pair of constants
+    @pytest.mark.parametrize("A, Q", [(-3.4, 39.0), (1.0, 0.0), (0.0, 1.0)])
+    def test_matches_operator_oracle_over_spin_grid(self, A, Q):
         worst = 0.0
         for I in half_values(4.5):
             for J in half_values(2.0):
                 s = SpinSpace(I=HalfInt.coerce(I), J=HalfInt.coerce(J))
-                got = hf_matrix(HyperfineConstants(-3.4, 39.0), s)
-                want = operator_hf_matrix(-3.4, 39.0, I, J)
+                got = hf_matrix(HyperfineConstants(A, Q), s)
+                want = operator_hf_matrix(A, Q, I, J)
                 assert np.abs(want.imag).max() < 1e-12
                 worst = max(worst, np.abs(got - want.real).max())
-        assert worst < 1e-9
+        assert worst < 1e-12
 
     def test_hermitian_and_block_structure(self):
         m = hf_matrix(P1_CONSTANTS, P1_SPACE)

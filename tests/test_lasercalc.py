@@ -4,8 +4,6 @@ import pytest
 
 from spincool.constants import DIPOLE_EA0, EPSILON_0, HBAR, SPEED_OF_LIGHT
 from spincool.lasercalc import (
-    BeamSpec,
-    TransitionSpec,
     angular_frequency,
     field_for_rabi,
     intensity_from_field,
@@ -41,9 +39,9 @@ class TestDipoleConversions:
         with pytest.raises(ValueError):
             rdme_from_linewidth(1.0, -1.0, 1)
         with pytest.raises(ValueError):
-            TransitionSpec(wavelength_nm=-5.0, linewidth=1.0)
+            rdme_from_linewidth(1.0, angular_frequency(-5.0), 1)
         with pytest.raises(ValueError):
-            TransitionSpec(wavelength_nm=461.0, linewidth=1.0, multiplicity=3)
+            rdme_from_linewidth(1.0, angular_frequency(461.0), 3)
 
 
 class TestFieldIntensityPower:
@@ -53,20 +51,19 @@ class TestFieldIntensityPower:
         assert field == pytest.approx(1.12e4, rel=0.02)
         intensity = intensity_from_field(field)
         assert intensity / 1e4 == pytest.approx(16.7, rel=0.02)
-        power = power_from_intensity(intensity, BeamSpec(spot_radius_um=20.0))
+        power = power_from_intensity(intensity, 20.0)
         assert power * 1e3 == pytest.approx(0.21, rel=0.02)
 
     def test_uv_chain(self):
         field = field_for_rabi(144.27, 0.092)
         assert field == pytest.approx(1.23e5, rel=0.02)
-        power = power_from_intensity(intensity_from_field(field),
-                                     BeamSpec(spot_radius_um=20.0))
+        power = power_from_intensity(intensity_from_field(field), 20.0)
         assert power * 1e3 == pytest.approx(25.1, rel=0.02)
 
     def test_zero_rabi_zero_field(self):
         assert field_for_rabi(0.0, 2.09) == 0.0
         assert intensity_from_field(0.0) == 0.0
-        assert power_from_intensity(0.0, BeamSpec(spot_radius_um=20.0)) == 0.0
+        assert power_from_intensity(0.0, 20.0) == 0.0
 
     def test_quadratic_intensity_law(self):
         assert intensity_from_field(2.0) == pytest.approx(4 * intensity_from_field(1.0))
@@ -79,8 +76,9 @@ class TestFieldIntensityPower:
         assert fields == sorted(fields)
 
     def test_bad_beam(self):
-        with pytest.raises(ValueError):
-            BeamSpec(spot_radius_um=0.0)
+        for radius in (0.0, -20.0):
+            with pytest.raises(ValueError):
+                power_from_intensity(1.0, radius)
         with pytest.raises(ValueError):
             field_for_rabi(100.0, 0.0)
 
