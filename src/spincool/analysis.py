@@ -40,11 +40,9 @@ __all__ = [
     "DressedPair",
     "CoolingResult",
     "AmbiguousOverlapError",
-    "UnbalancedError",
     "BracketError",
     "SaturationError",
     "dressed_pair",
-    "compute_nu",
     "nu_or_imbalance",
     "balance_omega_pd",
     "cool",
@@ -60,14 +58,6 @@ __all__ = [
 
 class AmbiguousOverlapError(RuntimeError):
     """Two eigenvectors overlap the target spin state equally well."""
-
-
-class UnbalancedError(RuntimeError):
-    """The two dressed levels are not degenerate."""
-
-    def __init__(self, imbalance_mhz: float):
-        self.imbalance_mhz = imbalance_mhz
-        super().__init__(f"dressed levels differ by {imbalance_mhz:.4f} MHz")
 
 
 class BracketError(ValueError):
@@ -141,26 +131,18 @@ def dressed_pair(p: ModelParams) -> DressedPair:
 BALANCE_TOL_MHZ = 1e-4
 
 
-def compute_nu(p: ModelParams) -> float:
-    """Common dressed energy nu (MHz) evaluated at delta = 0.
+def nu_or_imbalance(p: ModelParams) -> tuple[float | None, float | None]:
+    """(nu, None) when the dressed pair is balanced at delta = 0, else (None, |imbalance|), in MHz.
 
-    Tuning the clock drive onto the dressed pair requires delta = -nu.
-    Raises UnbalancedError (carrying the level separation) when the pair is
-    not degenerate to within 1e-4 MHz.
+    nu is the common dressed energy: tuning the clock drive onto the pair
+    requires delta = -nu.  The pair is balanced when its levels differ by at
+    most BALANCE_TOL_MHZ.
     """
     pair = dressed_pair(p.replace(delta=0.0))
     imbalance = pair.energy_up - pair.energy_down
     if abs(imbalance) > BALANCE_TOL_MHZ:
-        raise UnbalancedError(imbalance)
-    return 0.5 * (pair.energy_up + pair.energy_down)
-
-
-def nu_or_imbalance(p: ModelParams) -> tuple[float | None, float | None]:
-    """(nu, None) when the dressed pair is balanced, else (None, |imbalance|), in MHz."""
-    try:
-        return compute_nu(p), None
-    except UnbalancedError as exc:
-        return None, abs(exc.imbalance_mhz)
+        return None, abs(imbalance)
+    return 0.5 * (pair.energy_up + pair.energy_down), None
 
 
 def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0)) -> float:
@@ -287,10 +269,12 @@ def _row(name: str, overrides: dict[str, float], res: CoolingResult, i: int = -1
     the state trace (1) when the series cover the full space, the clock
     complement of the initial superposition being the only state they omit.
     """
-    series = res.series
+    series, run = res.series, res.trajectory
     named = sum(values[i] for values in series.values())
-    clock = res.trajectory.level_sum([BasisState.CLOCK_UP, BasisState.CLOCK_DOWN])[i]
-    return SweepRow(name=name, overrides=overrides, t_us=float(res.trajectory.times[i]),
+    # summed over the one-sample trajectory of sample i, not over every sample
+    clock = run._replace(times=run.times[[i]], coords=run.coords[[i]]).level_sum(
+        [BasisState.CLOCK_UP, BasisState.CLOCK_DOWN])[0]
+    return SweepRow(name=name, overrides=overrides, t_us=float(run.times[i]),
                     fidelity=float(series["pop_psif"][i]), pop_perp=float(series["pop_perp"][i]),
                     notes={**notes,
                            "pop_total": float(named + (clock - series["pop_psi0"][i]))})

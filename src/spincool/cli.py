@@ -205,7 +205,8 @@ def cmd_balance(cfg: RunConfig, out: _Outputs, bracket: tuple[float, float]) -> 
     try:
         nu_input, imbalance_input = analysis.nu_or_imbalance(p)
         balanced = analysis.balance_omega_pd(p, bracket=bracket)
-        nu = analysis.compute_nu(p.replace(omega_pd=balanced))
+        # the root is balanced to BALANCE_TOL_MHZ, so nu is a number here
+        nu = analysis.nu_or_imbalance(p.replace(omega_pd=balanced))[0]
     except analysis.BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

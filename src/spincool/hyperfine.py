@@ -61,43 +61,49 @@ class SpinSpace(FrozenRecord):
 
 
 def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
-    """<mJ', mI' | A I.J + quadrupole | mJ, mI> in MHz.
+    """<mJ', mI' | A I.J + quadrupole | mJ, mI> in MHz: the one-pair case of hf_block.
 
-    sum over F of E_F <J mJ'; I mI'|F mF> <J mJ; I mI|F mF>, F from
-    max(|I-J|, |mF|) to I+J.  Structurally zero unless mJ' + mI' = mJ + mI.
+    Exactly 0.0 unless mJ' + mI' = mJ + mI; a ValueError for a projection
+    outside its J or I.
     """
-    mJp, mIp = HalfInt.coerce(mJp), HalfInt.coerce(mIp)
-    mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
-    for m, j, name in ((mJp, s.J, "mJ'"), (mJ, s.J, "mJ"), (mIp, s.I, "mI'"), (mI, s.I, "mI")):
-        if abs(m.twice) > j.twice or (j.twice - m.twice) % 2 != 0:
-            raise ValueError(f"{name}={m} out of range for j={j}")
-    if mJp.twice + mIp.twice != mJ.twice + mI.twice:
-        return 0.0
-    I, J, mF = s.I, s.J, mJ + mI
-    val = 0.0
-    for twice_f in range(max(abs(I.twice - J.twice), abs(mF.twice)), I.twice + J.twice + 1, 2):
-        F = HalfInt(twice_f)
-        # the product of the two overlaps first, so that the element is symmetric to the bit
-        val += f_level_energy(c, I, J, F) * (clebsch_gordan(J, mJp, I, mIp, F, mF)
-                                             * clebsch_gordan(J, mJ, I, mI, F, mF))
-    return val
+    states = [(HalfInt.coerce(mJp), HalfInt.coerce(mIp)), (HalfInt.coerce(mJ), HalfInt.coerce(mI))]
+    return hf_block(c, s, states)[0][1]
 
 
 def hf_block(c: HyperfineConstants, s: SpinSpace,
              states: list[tuple[HalfInt, HalfInt]]) -> list[list[float]]:
     """Hyperfine interaction over |mJ, mI> states, without the Zeeman term: MHz, nested lists.
 
-    Pairs of unequal mF = mJ + mI are zero and skipped.  hf_element is
-    symmetric in its two states, so the upper triangle is mirrored: the lower
-    one would repeat its calls for the same values.
+    Each element is sum over F of E_F <J mJ'; I mI'|F mF> <J mJ; I mI|F mF>,
+    F ascending from max(|I-J|, |mF|) to I+J.  One pass: E_F once per F, each
+    state's overlaps once per F >= |mF|, and each pair of equal mF = mJ + mI
+    summed with its two overlaps multiplied first, so the block is symmetric
+    to the bit.  Pairs of unequal mF are exactly 0.0.  A projection outside its
+    J or I is a ValueError.
     """
+    I, J = s.I, s.J
+    f_lo, f_hi = abs(I.twice - J.twice), I.twice + J.twice
+    energies = [f_level_energy(c, I, J, HalfInt(tf)) for tf in range(f_lo, f_hi + 1, 2)]
+    # per state: twice mF, and its overlaps with |F mF> for F from max(f_lo, |mF|) up
+    overlaps = []
+    for mJ, mI in states:
+        for m, j, name in ((mJ, J, "mJ"), (mI, I, "mI")):
+            if abs(m.twice) > j.twice or (j.twice - m.twice) % 2 != 0:
+                raise ValueError(f"{name}={m} out of range for j={j}")
+        mF = mJ + mI
+        overlaps.append((mF.twice, [clebsch_gordan(J, mJ, I, mI, HalfInt(tf), mF)
+                                    for tf in range(max(f_lo, abs(mF.twice)), f_hi + 1, 2)]))
     n = len(states)
     out = [[0.0] * n for _ in range(n)]
-    for i, (mJp, mIp) in enumerate(states):
+    for i, (tmf, row) in enumerate(overlaps):
+        e_f = energies[len(energies) - len(row):]  # the E_F of the F in row
         for k in range(i, n):
-            mJ, mI = states[k]
-            if mJp.twice + mIp.twice == mJ.twice + mI.twice:
-                out[i][k] = out[k][i] = hf_element(c, s, mJp, mIp, mJ, mI)
+            tmf_k, col = overlaps[k]
+            if tmf_k == tmf:
+                val = 0.0
+                for e, a, b in zip(e_f, row, col):
+                    val += e * (a * b)
+                out[i][k] = out[k][i] = val
     return out
 
 

@@ -16,13 +16,21 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
         if span / (step * mult) <= n:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        out.append(round(t, 12))
-        t += step
-    return out
+    # by integer index: on a span of a few ulps, adding step to a tick can leave it
+    # unchanged, and k * step rounds once, so 0 is exact and no tick needs rounding
+    return [k * step
+            for k in range(math.ceil(lo / step), math.floor((hi + 1e-12 * span) / step) + 1)]
+
+
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """A flat axis widened by at least its value (adding 1.0 leaves |v| >= 2^53 unchanged).
+
+    Upward, or downward where upward would overflow.
+    """
+    if hi != lo:
+        return lo, hi
+    width = max(1.0, abs(lo))
+    return (lo, lo + width) if lo + width < math.inf else (lo - width, lo)
 
 
 def line_plot(series: list[tuple[str, list[float], list[float]]], *,
@@ -47,11 +55,8 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
     x_lo, x_hi = min(map(min, xs_nonempty)), max(map(max, xs_nonempty))
     y_lo = min(min(ys) for _, _, ys in series if ys)
     y_hi = max(max(ys) for _, _, ys in series if ys)
-    # a flat axis is widened by at least its value: adding 1.0 leaves |v| >= 2^53 unchanged
-    if x_hi == x_lo:
-        x_hi = x_lo + max(1.0, abs(x_lo))
-    if y_hi == y_lo:
-        y_hi = y_lo + max(1.0, abs(y_lo))
+    x_lo, x_hi = _widen(x_lo, x_hi)
+    y_lo, y_hi = _widen(y_lo, y_hi)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     # a point maps to ml + pw (x - x_lo) / x_span and mt + ph (1 - (y - y_lo) / y_span)

@@ -12,10 +12,10 @@ import numpy as np
 
 from spincool.analysis import (
     balance_omega_pd,
-    compute_nu,
     cool,
     dressed_pair,
     min_omega_ps,
+    nu_or_imbalance,
 )
 from spincool.angmom import HalfInt, clebsch_gordan
 from spincool.hyperfine import (
@@ -107,12 +107,14 @@ class TestCriterion03XiFactors:
 class TestCriterion04DressedPair:
     def test_overlaps_and_energy(self, reference_params):
         pair = dressed_pair(reference_params)
-        nu = compute_nu(reference_params)
-        ok = (within(pair.overlap_up, 0.99409, 5e-4)
+        nu, imbalance = nu_or_imbalance(reference_params)
+        ok = (imbalance is None
+              and within(pair.overlap_up, 0.99409, 5e-4)
               and within(pair.overlap_down, 0.99910, 5e-4)
               and within(nu, -3.8826, 0.01))
         check("4 dressed overlaps (0.99409, 0.99910), common energy -3.8826 MHz",
-              ok, f"got ({pair.overlap_up:.5f}, {pair.overlap_down:.5f}), nu={nu:.4f}")
+              ok, f"got ({pair.overlap_up:.5f}, {pair.overlap_down:.5f}), "
+                  f"nu={nu}, imbalance={imbalance}")
 
 
 class TestCriterion05Balancing:

@@ -10,9 +10,7 @@ from spincool.analysis import (
     AmbiguousOverlapError,
     BracketError,
     SaturationError,
-    UnbalancedError,
     balance_omega_pd,
-    compute_nu,
     cool,
     dressed_pair,
     min_omega_ps,
@@ -70,23 +68,18 @@ class TestDressedPair:
             dressed_pair(p)
 
 
-class TestComputeNu:
+class TestNuOrImbalance:
     def test_reference_value(self, reference_params):
-        nu = compute_nu(reference_params)
-        assert nu == pytest.approx(-3.8826, abs=1e-3)
+        nu, imbalance = nu_or_imbalance(reference_params)
+        assert nu == pytest.approx(-3.8826, abs=1e-3) and imbalance is None
 
     def test_trivial_zero(self, reference_params):
         p = reference_params.replace(omega_pd=0.0, omega_ps=0.0, a_1p1=0.0,
                                      q_1p1=0.0, b_field=0.0)
-        assert compute_nu(p) == pytest.approx(0.0, abs=1e-12)
+        nu, imbalance = nu_or_imbalance(p)
+        assert nu == pytest.approx(0.0, abs=1e-12) and imbalance is None
 
     def test_unbalanced_reports_imbalance(self, reference_params):
-        with pytest.raises(UnbalancedError) as err:
-            compute_nu(reference_params.replace(delta_pd=-1750.0))
-        assert abs(err.value.imbalance_mhz) == pytest.approx(0.42, abs=0.02)
-
-    def test_nu_or_imbalance(self, reference_params):
-        assert nu_or_imbalance(reference_params) == (compute_nu(reference_params), None)
         nu, imbalance = nu_or_imbalance(reference_params.replace(delta_pd=-1750.0))
         assert nu is None and imbalance == pytest.approx(0.42, abs=0.02)
 
@@ -109,7 +102,8 @@ class TestBalanceOmegaPd:
     def test_other_detuning_self_consistent(self, reference_params):
         p = reference_params.replace(delta_pd=-1500.0)
         root = balance_omega_pd(p, bracket=(50.0, 300.0))
-        nu = compute_nu(p.replace(omega_pd=root))
+        nu, imbalance = nu_or_imbalance(p.replace(omega_pd=root))
+        assert imbalance is None
         rerun = dressed_pair(p.replace(omega_pd=root, delta=-nu))
         assert rerun.energy_up == pytest.approx(rerun.energy_down, abs=1e-4)
 

@@ -307,7 +307,7 @@ class TestSimulate:
 
     # each value is finite, but delta_pd + e_hf on the 1D2 F=11/2 diagonal
     # is not after 2 pi scaling; in the second case delta keeps the configured
-    # diagonal finite, and only the delta = 0 Hamiltonian that compute_nu and
+    # diagonal finite, and only the delta = 0 Hamiltonian that nu_or_imbalance and
     # balance_omega_pd build overflows; in the third, 2 pi a_1p1 is finite but
     # the 1P1 hyperfine diagonal is not
     @pytest.mark.filterwarnings("error")
@@ -544,11 +544,16 @@ class TestReproduce:
         assert "unknown key 'jobs'" in capsys.readouterr().err
 
 
-def _python(*args: str, environ: dict[str, str] | None = None) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout with args; the finished process."""
+def _python(*args: str, environ: dict[str, str] | None = None,
+            timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout with args; the finished process.
+
+    A run longer than timeout seconds is killed and raises subprocess.TimeoutExpired.
+    """
     src = str(Path(spincool.__file__).resolve().parent.parent)
     env = {**(os.environ if environ is None else environ), "PYTHONPATH": src}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def _run_python(code: str, environ: dict[str, str] | None = None) -> str:
@@ -787,15 +792,29 @@ class TestSvgPlot:
         doc = line_plot([("a", [0, 1, 2], [0.0, 1e-13, 1e-12])], log_y=True)
         assert doc.count("<polyline") == 1
 
-    @pytest.mark.parametrize("xs, ys", [([0, 1], [1e17, 1e17]), ([1e17, 1e17], [0, 1])],
-                             ids=["flat_y", "flat_x"])
+    @pytest.mark.parametrize("xs, ys", [([0, 1], [1e17, 1e17]), ([1e17, 1e17], [0, 1]),
+                                        ([0, 1], [1e308, 1e308])],
+                             ids=["flat_y", "flat_x", "flat_y_1e308"])
     def test_flat_axis_beyond_2_53(self, xs, ys):
-        # 1e17 + 1.0 == 1e17: the widening must still open a span
+        # 1e17 + 1.0 == 1e17: the widening must still open a span; at 1e308 it
+        # must open it downward, since 1e308 + 1e308 overflows
         from spincool.svgplot import line_plot
         doc = line_plot([("a", xs, ys)])
-        assert doc.count("<polyline") == 1
+        assert doc.count("<polyline") == 1 and "inf" not in doc
 
     def test_rejects_empty(self):
         from spincool.svgplot import line_plot
         with pytest.raises(ValueError):
             line_plot([("a", [], [])])
+
+    @pytest.mark.parametrize("xs, ys", [([1.5, 1.5 + 2**-52], [0, 1]),
+                                        ([0, 1], [1.5, 1.5 + 2**-52])],
+                             ids=["narrow_x", "narrow_y"])
+    def test_axis_one_ulp_wide_returns(self, xs, ys):
+        # a tick step below the axis values' ulp: ticks counted by index, not by
+        # adding the step, so the plot returns; in a child, so that a hang fails
+        code = ("from spincool.svgplot import line_plot\n"
+                f"print(line_plot([('a', {xs!r}, {ys!r})]).count('<polyline'))\n")
+        proc = _python("-c", code, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"

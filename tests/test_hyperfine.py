@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from spincool.analysis import ISOTOPE_CASES
 from spincool.angmom import HalfInt
 from spincool.constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT
 from spincool.hyperfine import (
     HyperfineConstants,
     SpinSpace,
     f_level_energy,
+    hf_block,
     hf_element,
     hf_matrix,
 )
@@ -45,10 +47,16 @@ class TestHfElement:
         assert hf_element(P1_CONSTANTS, P1_SPACE, 0, -3.5, -1, -3.5) == 0.0
 
     def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            hf_element(P1_CONSTANTS, P1_SPACE, 2, -4.5, -1, -3.5)
-        with pytest.raises(ValueError):
-            hf_element(P1_CONSTANTS, P1_SPACE, 0, -5.5, 1, -4.5)
+        # each of mJ', mI', mJ, mI in turn, once beyond its j and once off its ladder,
+        # from the stretched pair: the bad state's |mF| exceeds I + J, so no
+        # Clebsch-Gordan lookup is made that could raise in the check's place
+        stretched = (1, 4.5, 1, 4.5)
+        for k, bad_values in enumerate(((2, 1.5), (5.5, 5), (2, 1.5), (5.5, 5))):
+            for bad in bad_values:
+                args = list(stretched)
+                args[k] = bad
+                with pytest.raises(ValueError, match="out of range"):
+                    hf_element(P1_CONSTANTS, P1_SPACE, *args)
 
     def test_step_function_boundaries(self):
         # the stretched states |J, I> and |-J, -I> are F = I + J eigenstates:
@@ -59,6 +67,26 @@ class TestHfElement:
         assert stretched == pytest.approx(f_level_energy(c, 1.5, 1.0, 2.5), abs=1e-12)
         bottom = hf_element(c, s, -1, -1.5, -1, -1.5)
         assert bottom == pytest.approx(f_level_energy(c, 1.5, 1.0, 2.5), abs=1e-12)
+
+
+# the model's four 1P1 states (mJ, mI)
+MODEL_P1_STATES = [(HalfInt.coerce(mJ), HalfInt.coerce(mI))
+                   for mJ, mI in ((0, -4.5), (-1, -3.5), (-1, -4.5), (1, -4.5))]
+
+
+class TestHfBlock:
+    @pytest.mark.parametrize("c, s, states", [
+        (P1_CONSTANTS, P1_SPACE, MODEL_P1_STATES),
+        *((HyperfineConstants(A, Q), SpinSpace(I, HalfInt(2)), SpinSpace(I, HalfInt(2)).basis())
+          for _, I, A, Q in ISOTOPE_CASES),
+    ], ids=["1P1_model", *(name for name, *_ in ISOTOPE_CASES)])
+    def test_symmetric_to_the_bit_and_zero_between_unequal_mf(self, c, s, states):
+        block = hf_block(c, s, states)
+        for i, (mJp, mIp) in enumerate(states):
+            for k, (mJ, mI) in enumerate(states):
+                assert block[i][k].hex() == block[k][i].hex()
+                if mJp.twice + mIp.twice != mJ.twice + mI.twice:
+                    assert block[i][k].hex() == (0.0).hex()
 
 
 class TestHfMatrix:
