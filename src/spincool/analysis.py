@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .angmom import HalfInt
-from .hyperfine import HyperfineConstants, SpinSpace, hf_matrix
+from .hyperfine import HyperfineConstants, SpinSpace, hf_block
 from .srmodel import (
     TWO_PI,
     BasisState,
@@ -338,23 +338,21 @@ def impurity_sweep(p: ModelParams, t_final: float = 20.0) -> list[SweepRow]:
 def _reduced_overlap(I: HalfInt, A: float, Q: float) -> Callable[[float], float]:
     """Overlap of the |mJ=-1, mI=1-I> dressed eigenstate in the reduced model, per omega_ps.
 
-    The reduced model is the full J=1 hyperfine manifold plus one auxiliary
-    level resonantly coupled to |mJ=0, mI=-I> at omega_ps/2, which is the
-    minimal description of the spin-mixing suppression for species where
-    only the lowest-1P1 hyperfine constants are known.  The hyperfine block
-    is built once; each call of the returned function sets the coupling.
+    The reduced model is the 1P1 pair |mJ=-1, mI=1-I>, |mJ=0, mI=-I> plus one
+    auxiliary level resonantly coupled to the second at omega_ps/2, which is
+    the minimal description of the spin-mixing suppression for species where
+    only the lowest-1P1 hyperfine constants are known.  Hyperfine and the
+    omega_ps coupling both conserve mF = mJ + mI, so no other 1P1 state of the
+    J=1 manifold mixes in.  The hyperfine block is built once; each call of
+    the returned function sets the coupling.
     """
-    space = SpinSpace(I, HalfInt(2))
-    basis = space.basis()
-    idx_up = basis.index((HalfInt(-2), HalfInt(-I.twice + 2)))
-    idx_target = basis.index((HalfInt(0), HalfInt(-I.twice)))
-    n = len(basis)
-    H = np.zeros((n + 1, n + 1))
-    H[:n, :n] = hf_matrix(HyperfineConstants(A, Q), space)
+    pair = [(HalfInt(-2), HalfInt(2 - I.twice)), (HalfInt(0), HalfInt(-I.twice))]
+    H = np.zeros((3, 3))
+    H[:2, :2] = hf_block(HyperfineConstants(A, Q), SpinSpace(I, HalfInt(2)), pair)
 
     def overlap(omega_ps: float) -> float:
-        H[n, idx_target] = H[idx_target, n] = omega_ps / 2
-        return float(np.abs(np.linalg.eigh(H)[1][idx_up]).max())
+        H[2, 1] = H[1, 2] = omega_ps / 2
+        return float(np.abs(np.linalg.eigh(H)[1][0]).max())
 
     return overlap
 
@@ -365,10 +363,13 @@ def min_omega_ps(I, A: float, Q: float, threshold: float = 0.99,
 
     Bisects the reduced-model overlap, which grows monotonically with the
     dressing strength.  Raises SaturationError when even cap_mhz is not
-    enough, and ValueError for I < 1/2, which has no |mI=1-I> state.
+    enough, and ValueError for I < 1/2, which has no |mI=1-I> state, or for a
+    cap_mhz that is not finite and > 0.
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
+    if not 0 < cap_mhz < np.inf:  # also nan
+        raise ValueError(f"cap_mhz must be finite and > 0, got {cap_mhz}")
     I = HalfInt.coerce(I)
     if I.twice < 1:
         raise ValueError(f"the reduced model needs nuclear spin I >= 1/2, got I = {I}")

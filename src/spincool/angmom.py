@@ -1,8 +1,8 @@
 """Exact angular-momentum algebra.
 
-Clebsch-Gordan coefficients (Condon-Shortley convention), which also build
-the hyperfine matrix elements from the F-level energies, and the sigma-minus
-dipole amplitude of the dressing laser used in the 87Sr cooling model.
+Clebsch-Gordan coefficients (Condon-Shortley convention), which build the
+hyperfine matrix elements from the F-level energies and the dipole
+amplitudes of the 87Sr cooling model.
 
 Quantum numbers are carried as :class:`HalfInt` (twice-value integers), so
 half-integer arithmetic is exact; floating point appears only in returned
@@ -20,7 +20,6 @@ from ._record import FrozenRecord
 __all__ = [
     "HalfInt",
     "clebsch_gordan",
-    "dressing_amplitude",
 ]
 
 
@@ -160,17 +159,3 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
         raise ValueError(f"negative total angular momentum J={J}")
     table = _coupled_basis(j1.twice, j2.twice)
     return table.get((J.twice, M.twice), {}).get((m1.twice, m2.twice), 0.0)
-
-
-def dressing_amplitude(F, mF, mJ, mI) -> float:
-    """Un-normalized sigma-minus dipole amplitude <F mF | d_{-} | mJ mI> in 87Sr.
-
-    Photon removes one unit of z-projection from the J=1 electron state; the
-    electron lands in the J'=2 manifold which is then coupled to the nuclear
-    spin I=9/2 to form F.  An mJ outside J=1 raises ValueError.
-    """
-    F, mF = HalfInt.coerce(F), HalfInt.coerce(mF)
-    mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
-    I, J = HalfInt(9), HalfInt(4)
-    mJp = mJ - HalfInt(2)  # mJ - 1
-    return clebsch_gordan(1, mJ, 1, -1, J, mJp) * clebsch_gordan(J, mJp, I, mI, F, mF)

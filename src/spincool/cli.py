@@ -42,7 +42,8 @@ import time
 from . import __version__
 from .angmom import HalfInt
 from .config import ConfigError, RunConfig, atomic_write_text, config_hash, load_run_config
-from .hyperfine import HyperfineConstants, f_level_energy
+from .hyperfine import f_level_energy
+from .srmodel import _D2_HYPERFINE, _D2_SPACE
 
 # at most 169-wide matrices gain nothing from more BLAS threads but CPU time;
 # the pool is sized when numpy loads, so default it to one before, unless set
@@ -239,10 +240,9 @@ def cmd_dressed(cfg: RunConfig) -> int:
 
 
 def cmd_levels(out: _Outputs) -> int:
-    c = HyperfineConstants(-194.0, -75.0)
-    I, J = HalfInt(9), HalfInt(4)
-    rows = [(str(twice_f), f_level_energy(c, I, J, HalfInt(twice_f)))
-            for twice_f in (13, 11, 9, 7, 5)]
+    I, J = _D2_SPACE.I, _D2_SPACE.J
+    rows = [(str(twice_f), f_level_energy(_D2_HYPERFINE, I, J, HalfInt(twice_f)))
+            for twice_f in range(I.twice + J.twice, abs(I.twice - J.twice) - 1, -2)]
     text = _csv("levels", ("twice_F", "energy_mhz"), map(_csv_line, rows))
     out.write("levels.csv", text)
     out.print(text)

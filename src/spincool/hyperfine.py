@@ -11,20 +11,15 @@ throughout; the 1P1 Zeeman shift is added by the model (srmodel).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
 from .angmom import HalfInt, clebsch_gordan
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "HyperfineConstants",
     "SpinSpace",
     "hf_element",
     "hf_block",
-    "hf_matrix",
     "f_level_energy",
 ]
 
@@ -50,14 +45,6 @@ class SpinSpace(FrozenRecord):
         self._assign(locals())
         if I.twice < 0 or J.twice < 0:
             raise ValueError("I and J must be non-negative")
-
-    def basis(self) -> list[tuple[HalfInt, HalfInt]]:
-        """(mJ, mI) pairs in lexicographic order: mJ ascending, mI ascending within."""
-        return [
-            (HalfInt(tmj), HalfInt(tmi))
-            for tmj in range(-self.J.twice, self.J.twice + 1, 2)
-            for tmi in range(-self.I.twice, self.I.twice + 1, 2)
-        ]
 
 
 def hf_element(c: HyperfineConstants, s: SpinSpace, mJp, mIp, mJ, mI) -> float:
@@ -105,16 +92,6 @@ def hf_block(c: HyperfineConstants, s: SpinSpace,
                     val += e * (a * b)
                 out[i][k] = out[k][i] = val
     return out
-
-
-def hf_matrix(c: HyperfineConstants, s: SpinSpace) -> np.ndarray:
-    """Hyperfine matrix over the lexicographic |mJ, mI> basis, in MHz.
-
-    Hermitian (real symmetric) and block diagonal in mJ + mI.
-    """
-    import numpy as np
-
-    return np.array(hf_block(c, s, s.basis()))
 
 
 def f_level_energy(c: HyperfineConstants, I, J, F) -> float:

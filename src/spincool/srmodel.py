@@ -19,7 +19,7 @@ from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import FrozenRecord
-from .angmom import HalfInt, clebsch_gordan, dressing_amplitude
+from .angmom import HalfInt, clebsch_gordan
 from .constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT, SR87_TWICE_I
 from .hyperfine import HyperfineConstants, SpinSpace, hf_block
 
@@ -41,6 +41,9 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 P1_SPACE = SpinSpace(HalfInt(SR87_TWICE_I), HalfInt(2))  # I = 9/2, J = 1
+# the 5s15d 1D2 manifold that the dressing laser addresses: J = 2, and its A and Q in MHz
+_D2_SPACE = SpinSpace(HalfInt(SR87_TWICE_I), HalfInt(4))
+_D2_HYPERFINE = HyperfineConstants(-194.0, -75.0)
 
 
 class Level(NamedTuple):
@@ -91,6 +94,20 @@ P1_STATES = _in("1P1")
 _P1_MJ_MI = [tuple(map(HalfInt, STATES[s].twice)) for s in P1_STATES]
 
 
+def _dressing_amplitude(F, mF, mJ, mI) -> float:
+    """Un-normalized sigma-minus dipole amplitude <1D2 F mF | d_- | 1P1 mJ mI>.
+
+    The photon removes one unit of z-projection from the J=1 electron state;
+    the electron lands in the 1D2 manifold, which is then coupled to the
+    nuclear spin to form F.  An mJ outside J=1 raises ValueError.
+    """
+    F, mF = HalfInt.coerce(F), HalfInt.coerce(mF)
+    mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
+    I, J = _D2_SPACE.I, _D2_SPACE.J
+    mJp = mJ - HalfInt(2)  # mJ - 1
+    return clebsch_gordan(1, mJ, 1, -1, J, mJp) * clebsch_gordan(J, mJp, I, mI, F, mF)
+
+
 def _couplings() -> list[tuple[BasisState, BasisState, str, float]]:
     """(state, state, Rabi-frequency field, relative amplitude) of each laser coupling.
 
@@ -99,7 +116,7 @@ def _couplings() -> list[tuple[BasisState, BasisState, str, float]]:
     6s to 1P1 mJ = 0, and omega_eff the clock to 1P1 mJ = -1, at equal mI.
     """
     def dressing(d2: BasisState, p1: BasisState) -> float:
-        return dressing_amplitude(*map(HalfInt, STATES[d2].twice + STATES[p1].twice))
+        return _dressing_amplitude(*map(HalfInt, STATES[d2].twice + STATES[p1].twice))
 
     stretched = next(s for s in D2_STATES if STATES[s].twice[1] == -STATES[s].twice[0])
     ref = next(a for s in P1_STATES if (a := dressing(stretched, s)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["line_plot"]
 
@@ -25,9 +26,10 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 def _widen(lo: float, hi: float) -> tuple[float, float]:
     """A flat axis widened by at least its value (adding 1.0 leaves |v| >= 2^53 unchanged).
 
-    Upward, or downward where upward would overflow.
+    Upward, or downward where upward would overflow.  An axis narrower than the
+    smallest normal float counts as flat: its tick step would underflow.
     """
-    if hi != lo:
+    if hi - lo >= sys.float_info.min:
         return lo, hi
     width = max(1.0, abs(lo))
     return (lo, lo + width) if lo + width < math.inf else (lo - width, lo)
@@ -39,7 +41,9 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
     """Render named (x, y) series as a 640x420 SVG string.
 
     With log_y, values at or below 1e-12 are clamped to that floor before
-    taking log10.  Lists of Python floats plot fastest.
+    taking log10.  Lists of Python floats plot fastest.  A ValueError names the
+    axis whose values (after log10) are not finite, or whose range is too wide
+    to map to finite coordinates.
     """
     width, height = 640, 420
     ml, mr, mt, mb = 62, 16, 28, 46
@@ -52,6 +56,10 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
     xs_nonempty = [xs for _, xs, _ in series if len(xs)]
     if not xs_nonempty:
         raise ValueError("no data")
+    for name, lists in (("x", {id(xs): xs for xs in xs_nonempty}.values()),
+                        ("y", [ys for _, _, ys in series])):
+        if not all(all(map(math.isfinite, values)) for values in lists):
+            raise ValueError(f"{name} values must be finite")
     x_lo, x_hi = min(map(min, xs_nonempty)), max(map(max, xs_nonempty))
     y_lo = min(min(ys) for _, _, ys in series if ys)
     y_hi = max(max(ys) for _, _, ys in series if ys)
@@ -61,6 +69,10 @@ def line_plot(series: list[tuple[str, list[float], list[float]]], *,
     y_lo, y_hi = y_lo - pad, y_hi + pad
     # a point maps to ml + pw (x - x_lo) / x_span and mt + ph (1 - (y - y_lo) / y_span)
     x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    # the largest intermediate of each map, for a tick up to 1e-12 of the span past its end
+    for name, reach in (("x", pw * x_span), ("y", y_span)):
+        if not reach * (1 + 1e-12) < math.inf:
+            raise ValueError(f"{name} range too wide to plot")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -11,7 +11,12 @@ the master equation to rho by matrix products, the two propagation
 oracles exponentiate the full column-major Liouvillian once per sample
 time or integrate it with adaptive Runge-Kutta (DOP853), and the real-basis
 oracle writes the engine's coordinate maps as dense matrices, entry by
-entry, from the index set alone.
+entry, from the index set alone.  The isotope-estimate oracle keeps the whole
+J = 1 (x) I manifold that the package reduces to one mF sector.
+
+spin_basis and hf_matrix are the one exception: not oracles, they lay the
+package's own hf_block over the whole lexicographic |mJ, mI> basis, so that
+the tests can compare it with operator_hf_matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from spincool.angmom import HalfInt
 from spincool.constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT
+from spincool.hyperfine import HyperfineConstants, SpinSpace, hf_block
 
 
 def _fact(n: int) -> int:
@@ -96,6 +103,34 @@ def operator_hf_matrix(A: float, Q: float, I: float, J: float) -> np.ndarray:
                      - I * J * (I + 1) * (J + 1) * np.eye(dim)) \
             / (2 * I * J * (2 * I - 1) * (2 * J - 1))
     return H
+
+
+def spin_basis(s: SpinSpace) -> list[tuple[HalfInt, HalfInt]]:
+    """(mJ, mI) pairs of s in lexicographic order: mJ ascending, mI ascending within."""
+    return [(HalfInt(tmj), HalfInt(tmi))
+            for tmj in range(-s.J.twice, s.J.twice + 1, 2)
+            for tmi in range(-s.I.twice, s.I.twice + 1, 2)]
+
+
+def hf_matrix(c: HyperfineConstants, s: SpinSpace) -> np.ndarray:
+    """The package's hf_block over spin_basis(s), in MHz."""
+    return np.array(hf_block(c, s, spin_basis(s)))
+
+
+def full_manifold_overlap(A: float, Q: float, I: float, omega_ps: float) -> float:
+    """The isotope estimate's spin-mixing overlap, on the whole J = 1 (x) I manifold.
+
+    The operator-built hyperfine matrix over |mJ, mI> (lexicographic) and one
+    auxiliary level coupled to |mJ=0, mI=-I> at omega_ps/2; the largest
+    |component| of |mJ=-1, mI=1-I> over the eigenvectors.
+    """
+    n_i = round(2 * I) + 1
+    n = 3 * n_i
+    up, target = 1, n_i  # |mJ=-1, mI=1-I> and |mJ=0, mI=-I>
+    H = np.zeros((n + 1, n + 1))
+    H[:n, :n] = operator_hf_matrix(A, Q, I, 1.0).real
+    H[n, target] = H[target, n] = omega_ps / 2
+    return float(np.abs(np.linalg.eigh(H)[1][up]).max())
 
 
 # The 13 states of the 87Sr model, in its basis order, as product-space labels:

@@ -23,7 +23,6 @@ from spincool.hyperfine import (
     SpinSpace,
     f_level_energy,
     hf_element,
-    hf_matrix,
 )
 from spincool.lasercalc import (
     angular_frequency,
@@ -41,7 +40,7 @@ from spincool.srmodel import (
     qubit_vectors,
 )
 
-from .oracles import full_states, half_values, operator_hf_matrix, racah_cg
+from .oracles import full_states, half_values, hf_matrix, operator_hf_matrix, racah_cg
 
 RESULTS: list[tuple[str, bool]] = []
 

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincool import analysis, lindblad
 from spincool.analysis import (
     BALANCE_TOL_MHZ,
+    ISOTOPE_CASES,
     TABLE1_RATIOS,
     AmbiguousOverlapError,
     BracketError,
     SaturationError,
+    _reduced_overlap,
     balance_omega_pd,
     cool,
     dressed_pair,
@@ -17,10 +21,20 @@ from spincool.analysis import (
     nu_or_imbalance,
     sensitivity_suite,
 )
+from spincool.angmom import HalfInt
+from spincool.constants import SR87_TWICE_I
 from spincool.lindblad import pure_density
-from spincool.srmodel import TWO_PI, BasisState, collapse_ops, hamiltonian, qubit_vectors
+from spincool.srmodel import (
+    TWO_PI,
+    BasisState,
+    ModelParams,
+    collapse_ops,
+    hamiltonian,
+    hamiltonian_mhz,
+    qubit_vectors,
+)
 
-from .oracles import one_shot_lindblad
+from .oracles import full_manifold_overlap, one_shot_lindblad
 
 
 class TestDressedPair:
@@ -286,14 +300,66 @@ class TestMinOmegaPs:
         with pytest.raises(ValueError, match=f"nuclear spin I >= 1/2, got I = {shown}$"):
             min_omega_ps(I, -213.0, 0.0)
 
+    @pytest.mark.parametrize("cap", [-5.0, 0.0, math.nan, math.inf],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_cap_must_be_finite_and_positive(self, cap):
+        with pytest.raises(ValueError, match="cap_mhz must be finite and > 0"):
+            min_omega_ps(0.5, 0.1, 0.0, cap_mhz=cap)
+
     def test_saturation_reported(self):
         with pytest.raises(SaturationError) as err:
             min_omega_ps(0.5, -213.0, 0.0, threshold=0.99, cap_mhz=500.0)
         assert err.value.best_overlap < 0.99
 
     def test_monotone_in_strength(self):
-        from spincool.analysis import _reduced_overlap
-        from spincool.angmom import HalfInt
         overlap = _reduced_overlap(HalfInt(1), -213.0, 0.0)
         values = [overlap(om) for om in (500.0, 1000.0, 2000.0, 4000.0)]
         assert values == sorted(values)
+
+
+REDUCED = settings(max_examples=40, deadline=None, derandomize=True)
+OMEGA_PS_GRID = (0.0, 1.0, 300.0, 2150.0, 20000.0)
+
+
+class TestReducedModel:
+    """The isotope estimate's three levels: the 87Sr model's sector, and the whole manifold."""
+
+    SECTOR = (BasisState.P1_M1_UP, BasisState.P1_0_DOWN, BasisState.S6_DOWN)
+
+    def check_sector_of_the_model(self, a_1p1: float, q_1p1: float) -> None:
+        # with the dressing, the clock drive, delta and the field off, the model's
+        # |1P1 -1, up>, |1P1 0, down> and 6s are the reduced model at I = 9/2, bit for bit
+        overlap = _reduced_overlap(HalfInt(SR87_TWICE_I), a_1p1, q_1p1)
+        others = [s for s in BasisState if s not in self.SECTOR]
+        for omega_ps in OMEGA_PS_GRID:
+            H = hamiltonian_mhz(ModelParams(omega_pd=0.0, omega_eff=0.0, delta=0.0, b_field=0.0,
+                                            omega_ps=omega_ps, a_1p1=a_1p1, q_1p1=q_1p1))
+            assert all(H[i][k] == 0.0 and H[k][i] == 0.0 for i in self.SECTOR for k in others)
+            sector = np.array([[H[i][k] for k in self.SECTOR] for i in self.SECTOR])
+            want = float(np.abs(np.linalg.eigh(sector)[1][0]).max())
+            assert overlap(omega_ps).hex() == want.hex()
+
+    def test_sector_of_the_model_at_the_reference_constants(self):
+        self.check_sector_of_the_model(-3.4, 39.0)
+
+    @REDUCED
+    @given(a_1p1=st.floats(-300.0, 300.0), q_1p1=st.floats(-300.0, 300.0))
+    def test_sector_of_the_model_on_draws(self, a_1p1, q_1p1):
+        self.check_sector_of_the_model(a_1p1, q_1p1)
+
+    # near omega_ps = 0 (or A = 0) the other mF sectors hold levels degenerate with the
+    # reduced ones, among which the full diagonalization may rotate: no unique overlap
+    @pytest.mark.parametrize("name, I, A, Q", ISOTOPE_CASES, ids=[c[0] for c in ISOTOPE_CASES])
+    def test_full_manifold_oracle_on_isotopes(self, name, I, A, Q):
+        overlap = _reduced_overlap(I, A, Q)
+        for omega_ps in (*OMEGA_PS_GRID[1:], min_omega_ps(I, A, Q)):
+            assert overlap(omega_ps) == pytest.approx(
+                full_manifold_overlap(A, Q, I.value, omega_ps), abs=1e-12)
+
+    @REDUCED
+    @given(twice_i=st.integers(1, 15),
+           A=st.floats(1.0, 300.0) | st.floats(-300.0, -1.0), Q=st.floats(-300.0, 300.0),
+           omega_ps=st.floats(1.0, 20000.0))
+    def test_full_manifold_oracle_on_draws(self, twice_i, A, Q, omega_ps):
+        assert _reduced_overlap(HalfInt(twice_i), A, Q)(omega_ps) == pytest.approx(
+            full_manifold_overlap(A, Q, twice_i / 2, omega_ps), abs=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spincool.angmom import HalfInt, clebsch_gordan, dressing_amplitude
+from spincool.angmom import HalfInt, clebsch_gordan
 
 from .oracles import half_values, racah_cg
 
@@ -143,10 +143,6 @@ class TestClebschGordan:
 
 
 class TestXiFactors:
-    def test_dressing_amplitude_rejects_mj_outside_j1(self):
-        with pytest.raises(ValueError):
-            dressing_amplitude(HalfInt(13), HalfInt(-13), -2, HalfInt(-9))
-
     def test_completeness_over_f(self):
         # the F-coupling amplitudes squared sum to 1 for every reachable
         # (mJ', mI) pair -- CG completeness of the J' (x) I decomposition

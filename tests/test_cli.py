@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -801,6 +802,23 @@ class TestSvgPlot:
         from spincool.svgplot import line_plot
         doc = line_plot([("a", xs, ys)])
         assert doc.count("<polyline") == 1 and "inf" not in doc
+
+    # each case either plots with finite coordinates (axis None) or is a ValueError
+    # that names the axis, never an OverflowError or a math domain error
+    @pytest.mark.parametrize("xs, ys, axis", [
+        ([0, math.nan], [0, 1], "x"), ([1e308, 1e308], [0, 1], "x"),
+        ([-1e308, 1e308], [0, 1], "x"), ([0, 1], [0, math.inf], "y"),
+        ([0, 1], [0, 1.7e308], "y"), ([0, 1], [-1e308, 1e308], "y"),
+        ([0, 1], [0, 5e-324], None),
+    ], ids=["nan_x", "flat_x_1e308", "wide_x", "inf_y", "y_to_1.7e308", "wide_y", "subnormal_y"])
+    def test_extreme_values_plot_finite_or_name_the_axis(self, xs, ys, axis):
+        from spincool.svgplot import line_plot
+        if axis is None:
+            doc = line_plot([("a", xs, ys)])
+            assert doc.count("<polyline") == 1 and "inf" not in doc and "nan" not in doc
+        else:
+            with pytest.raises(ValueError, match=f"^{axis} "):
+                line_plot([("a", xs, ys)])
 
     def test_rejects_empty(self):
         from spincool.svgplot import line_plot

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
+from spincool.angmom import HalfInt
 from spincool.config import RunConfig, load_run_config
 from spincool.srmodel import (
     TWO_PI,
     BasisState,
     CollapseOp,
     ModelParams,
+    _dressing_amplitude,
     collapse_ops,
     hamiltonian,
     qubit_vectors,
@@ -130,6 +132,10 @@ class TestHamiltonian:
         # everything outside the 1P1 block vanishes
         others = [s for s in range(13) if s not in embedding]
         assert np.all(H[others][:, others] == 0.0)
+
+    def test_dressing_amplitude_rejects_mj_outside_j1(self):
+        with pytest.raises(ValueError):
+            _dressing_amplitude(HalfInt(13), HalfInt(-13), -2, HalfInt(-9))
 
     def test_e_hf_moves_only_the_f11_diagonal(self):
         base = hamiltonian(ModelParams(e_hf=1300.0))
