@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt
-from .hyperfine import HyperfineConstants, SpinSpace, hf_block
+from .angmom import _twice
+from .hyperfine import HyperfineConstants, hf_block
 from .srmodel import (
     TWO_PI,
     BasisState,
@@ -65,14 +65,12 @@ class BracketError(ValueError):
 
 
 class SaturationError(RuntimeError):
-    """Overlap threshold not reachable below the Rabi-frequency cap."""
+    """Overlap MIN_OVERLAP not reachable below the Rabi-frequency cap OMEGA_PS_CAP_MHZ."""
 
-    def __init__(self, threshold: float, cap_mhz: float, best: float):
-        self.threshold = threshold
-        self.cap_mhz = cap_mhz
+    def __init__(self, best: float):
         self.best_overlap = best
-        super().__init__(
-            f"overlap {best:.5f} below threshold {threshold} even at {cap_mhz:.0f} MHz")
+        super().__init__(f"overlap {best:.5f} below threshold {MIN_OVERLAP} "
+                         f"even at {OMEGA_PS_CAP_MHZ:.0f} MHz")
 
 
 class DressedPair(NamedTuple):
@@ -283,13 +281,13 @@ def _row(name: str, overrides: dict[str, float], res: CoolingResult, i: int = -1
 TABLE1_RATIOS = (0.1, 1 / 3, 0.5, 2.0, 3.0, 10.0, 100.0)
 
 
-def table1_sweep(p: ModelParams, ratios=TABLE1_RATIOS,
-                 t_final: float = 20.0) -> list[SweepRow]:
+def table1_sweep(p: ModelParams, ratios=TABLE1_RATIOS, t_final: float = 20.0,
+                 samples: int = 401) -> list[SweepRow]:
     """Cooling fidelity versus the qubit amplitude ratio alpha/beta.
 
     All ratios share one Liouvillian and are propagated as one stack.
     """
-    results = _cool_many([(r, 1.0) for r in ratios], p, t_final, 401)
+    results = _cool_many([(r, 1.0) for r in ratios], p, t_final, samples)
     return [_row(f"alpha/beta={r:g}", {"alpha_over_beta": r}, res)
             for r, res in zip(ratios, results)]
 
@@ -328,14 +326,15 @@ def sensitivity_suite(p: ModelParams) -> list[SweepRow]:
 _IMPURITY_CHIS = (0.0, 0.01, 0.1)
 
 
-def impurity_sweep(p: ModelParams, t_final: float = 20.0) -> list[SweepRow]:
+def impurity_sweep(p: ModelParams, t_final: float = 20.0,
+                   samples: int = 401) -> list[SweepRow]:
     """Cooling fidelity under dressing-laser polarization impurity."""
     return [_row(f"chi={chi:g}", {"chi": chi},
-                 cool(1.0, 1.0, with_polarization_impurity(p, chi), t_final=t_final))
+                 cool(1.0, 1.0, with_polarization_impurity(p, chi), t_final, samples))
             for chi in _IMPURITY_CHIS]
 
 
-def _reduced_overlap(I: HalfInt, A: float, Q: float) -> Callable[[float], float]:
+def _reduced_overlap(I, A: float, Q: float) -> Callable[[float], float]:
     """Overlap of the |mJ=-1, mI=1-I> dressed eigenstate in the reduced model, per omega_ps.
 
     The reduced model is the 1P1 pair |mJ=-1, mI=1-I>, |mJ=0, mI=-I> plus one
@@ -346,9 +345,9 @@ def _reduced_overlap(I: HalfInt, A: float, Q: float) -> Callable[[float], float]
     J=1 manifold mixes in.  The hyperfine block is built once; each call of
     the returned function sets the coupling.
     """
-    pair = [(HalfInt(-2), HalfInt(2 - I.twice)), (HalfInt(0), HalfInt(-I.twice))]
+    i = _twice(I) / 2  # a float before any arithmetic: 1 - np.uint8(2) would wrap
     H = np.zeros((3, 3))
-    H[:2, :2] = hf_block(HyperfineConstants(A, Q), SpinSpace(I, HalfInt(2)), pair)
+    H[:2, :2] = hf_block(HyperfineConstants(A, Q), i, 1, [(-1, 1 - i), (0, -i)])
 
     def overlap(omega_ps: float) -> float:
         H[2, 1] = H[1, 2] = omega_ps / 2
@@ -357,46 +356,44 @@ def _reduced_overlap(I: HalfInt, A: float, Q: float) -> Callable[[float], float]
     return overlap
 
 
-def min_omega_ps(I, A: float, Q: float, threshold: float = 0.99,
-                 cap_mhz: float = 20000.0) -> float:
-    """Smallest omega_ps (MHz), to 0.5 MHz, keeping the spin-mixing overlap above threshold.
+# the spin-mixing overlap min_omega_ps asks for, and the largest omega_ps it tries (MHz)
+MIN_OVERLAP = 0.99
+OMEGA_PS_CAP_MHZ = 20000.0
+
+
+def min_omega_ps(I, A: float, Q: float) -> float:
+    """Smallest omega_ps (MHz), to 0.5 MHz, keeping the spin-mixing overlap >= MIN_OVERLAP.
 
     Bisects the reduced-model overlap, which grows monotonically with the
-    dressing strength.  Raises SaturationError when even cap_mhz is not
-    enough, and ValueError for I < 1/2, which has no |mI=1-I> state, or for a
-    cap_mhz that is not finite and > 0.
+    dressing strength.  Raises SaturationError when even OMEGA_PS_CAP_MHZ is
+    not enough, and ValueError for I < 1/2, which has no |mI=1-I> state.
     """
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must be in (0, 1)")
-    if not 0 < cap_mhz < np.inf:  # also nan
-        raise ValueError(f"cap_mhz must be finite and > 0, got {cap_mhz}")
-    I = HalfInt.coerce(I)
-    if I.twice < 1:
+    if _twice(I) < 1:
         raise ValueError(f"the reduced model needs nuclear spin I >= 1/2, got I = {I}")
     overlap = _reduced_overlap(I, A, Q)
-    best = overlap(cap_mhz)
-    if best < threshold:
-        raise SaturationError(threshold, cap_mhz, best)
-    return _bisect(lambda x: overlap(x) >= threshold, 0.0, cap_mhz, 0.5)[1]
+    best = overlap(OMEGA_PS_CAP_MHZ)
+    if best < MIN_OVERLAP:
+        raise SaturationError(best)
+    return _bisect(lambda x: overlap(x) >= MIN_OVERLAP, 0.0, OMEGA_PS_CAP_MHZ, 0.5)[1]
 
 
 # (label, I, A/MHz, Q/MHz) for the species with a compatible level scheme
-ISOTOPE_CASES: tuple[tuple[str, HalfInt, float, float], ...] = (
-    ("171Yb", HalfInt(1), -213.0, 0.0),
-    ("173Yb", HalfInt(5), 60.0, 600.0),
-    ("43Ca", HalfInt(7), -15.46, -9.7),
-    ("41Ca", HalfInt(7), -18.84, -9.2),
-    ("67Zn", HalfInt(5), 17.7, 20.0),
+ISOTOPE_CASES: tuple[tuple[str, float, float, float], ...] = (
+    ("171Yb", 0.5, -213.0, 0.0),
+    ("173Yb", 2.5, 60.0, 600.0),
+    ("43Ca", 3.5, -15.46, -9.7),
+    ("41Ca", 3.5, -18.84, -9.2),
+    ("67Zn", 2.5, 17.7, 20.0),
 )
 
 
 def isotope_table() -> list[dict]:
-    """Minimal spin-mixing-suppression Rabi frequency (overlap 0.99) for each candidate species."""
+    """Minimal spin-mixing-suppression Rabi frequency (MIN_OVERLAP) for each candidate species."""
     out = []
     for name, I, A, Q in ISOTOPE_CASES:
         out.append({
             "isotope": name,
-            "twice_I": I.twice,
+            "twice_I": _twice(I),
             "A_mhz": A,
             "Q_mhz": Q,
             "min_omega_ps_mhz": min_omega_ps(I, A, Q),

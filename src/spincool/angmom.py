@@ -4,9 +4,10 @@ Clebsch-Gordan coefficients (Condon-Shortley convention), which build the
 hyperfine matrix elements from the F-level energies and the dipole
 amplitudes of the 87Sr cooling model.
 
-Quantum numbers are carried as :class:`HalfInt` (twice-value integers), so
-half-integer arithmetic is exact; floating point appears only in returned
-coefficients.
+Quantum numbers are plain numbers: ints, or floats that are exactly n/2.
+Each public entry turns them into twice their value (_twice), so that
+half-integer arithmetic is exact integer arithmetic inside; floating point
+appears only in returned coefficients.
 """
 
 from __future__ import annotations
@@ -15,74 +16,37 @@ import math
 import operator
 from functools import lru_cache
 
-from ._record import FrozenRecord
-
 __all__ = [
-    "HalfInt",
     "clebsch_gordan",
 ]
 
 
-class HalfInt(FrozenRecord):
-    """An exact integer or half-integer quantum number, stored as twice its value."""
+def _twice(x) -> int:
+    """Twice the quantum number x: an int, or a float that is exactly n/2.
 
-    __slots__ = _fields = ("twice",)
-
-    def __init__(self, twice: int):
-        if not isinstance(twice, int):
-            raise TypeError(f"HalfInt stores twice the value as int, got {twice!r}")
-        object.__setattr__(self, "twice", twice)
-
-    @classmethod
-    def coerce(cls, x) -> "HalfInt":
-        """Accept a HalfInt, an int, or a float that is exactly n/2."""
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, float):
-            twice = 2 * x
-            if not twice.is_integer():  # also inf and nan
-                raise ValueError(f"{x} is not an integer or half-integer")
-            return cls(int(twice))
-        # operator.index takes what numbers.Integral registers (bool and numpy
-        # integers too) without importing the numbers module
-        try:
-            return cls(2 * operator.index(x))
-        except TypeError:
-            raise TypeError(f"cannot interpret {x!r} as a half-integer") from None
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __eq__(self, other) -> bool:
-        try:
-            return self.twice == HalfInt.coerce(other).twice
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        # equal to an int or float of the same value, so it hashes as that value does
-        half, odd = divmod(self.twice, 2)
-        return hash(self.twice / 2 if odd else half)
-
-    def __repr__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+    A float that is not n/2 (nan and inf too) is a ValueError, any other
+    non-integer a TypeError; bool and numpy integers count as integers.
+    """
+    if isinstance(x, float):
+        twice = 2 * x
+        if not twice.is_integer():  # also inf and nan
+            raise ValueError(f"{x} is not an integer or half-integer")
+        return int(twice)
+    # operator.index takes what numbers.Integral registers (bool and numpy
+    # integers too) without importing the numbers module
+    try:
+        return 2 * operator.index(x)
+    except TypeError:
+        raise TypeError(f"cannot interpret {x!r} as a half-integer") from None
 
 
-def _check_jm(j: HalfInt, m: HalfInt, what: str = "") -> None:
-    if j.twice < 0:
+def _check_jm(tj: int, tm: int, j, m, what: str) -> None:
+    """Checks the twice-values tj, tm; the messages show j and m as given."""
+    if tj < 0:
         raise ValueError(f"negative angular momentum {what}j={j}")
-    if (j.twice - m.twice) % 2 != 0:
+    if (tj - tm) % 2 != 0:
         raise ValueError(f"{what}m={m} is not integer-spaced from j={j}")
-    if abs(m.twice) > j.twice:
+    if abs(tm) > tj:
         raise ValueError(f"|{what}m|={m} exceeds j={j}")
 
 
@@ -148,14 +112,16 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
 
     Returns 0 for M != m1 + m2, |M| > J, or couplings outside the triangle
     rule: the coupled basis holds no such entry.
-    Arguments may be HalfInt, int, or exact-half floats.
+    Arguments are ints or exact-half floats.
     """
-    j1, m1 = HalfInt.coerce(j1), HalfInt.coerce(m1)
-    j2, m2 = HalfInt.coerce(j2), HalfInt.coerce(m2)
-    J, M = HalfInt.coerce(J), HalfInt.coerce(M)
-    _check_jm(j1, m1, "j1: ")
-    _check_jm(j2, m2, "j2: ")
-    if J.twice < 0:
+    tj1, tm1, tj2, tm2, tJ, tM = map(_twice, (j1, m1, j2, m2, J, M))
+    _check_jm(tj1, tm1, j1, m1, "j1: ")
+    _check_jm(tj2, tm2, j2, m2, "j2: ")
+    if tJ < 0:
         raise ValueError(f"negative total angular momentum J={J}")
-    table = _coupled_basis(j1.twice, j2.twice)
-    return table.get((J.twice, M.twice), {}).get((m1.twice, m2.twice), 0.0)
+    return _cg(tj1, tm1, tj2, tm2, tJ, tM)
+
+
+def _cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    """clebsch_gordan over twice-values, with j1 and j2 >= 0 and unchecked."""
+    return _coupled_basis(tj1, tj2).get((tJ, tM), {}).get((tm1, tm2), 0.0)

@@ -40,10 +40,9 @@ import sys
 import time
 
 from . import __version__
-from .angmom import HalfInt
 from .config import ConfigError, RunConfig, atomic_write_text, config_hash, load_run_config
 from .hyperfine import f_level_energy
-from .srmodel import _D2_HYPERFINE, _D2_SPACE
+from .srmodel import _D2_HYPERFINE, _D2_J, _I
 
 # at most 169-wide matrices gain nothing from more BLAS threads but CPU time;
 # the pool is sized when numpy loads, so default it to one before, unless set
@@ -240,9 +239,9 @@ def cmd_dressed(cfg: RunConfig) -> int:
 
 
 def cmd_levels(out: _Outputs) -> int:
-    I, J = _D2_SPACE.I, _D2_SPACE.J
-    rows = [(str(twice_f), f_level_energy(_D2_HYPERFINE, I, J, HalfInt(twice_f)))
-            for twice_f in range(I.twice + J.twice, abs(I.twice - J.twice) - 1, -2)]
+    top, bottom = round(2 * (_I + _D2_J)), round(2 * abs(_I - _D2_J))
+    rows = [(str(twice_f), f_level_energy(_D2_HYPERFINE, _I, _D2_J, twice_f / 2))
+            for twice_f in range(top, bottom - 1, -2)]
     text = _csv("levels", ("twice_F", "energy_mhz"), map(_csv_line, rows))
     out.write("levels.csv", text)
     out.print(text)
@@ -271,7 +270,7 @@ def cmd_reproduce(which: str, cfg: RunConfig, out: _Outputs) -> int:
                   f"reservoir {result.pop_reservoir:.2e}\n")
     elif which == "table1":
         _write_points(out, "table1", "alpha_over_beta",
-                      analysis.table1_sweep(p, t_final=cfg.t_final))
+                      analysis.table1_sweep(p, t_final=cfg.t_final, samples=cfg.samples))
     elif which == "sensitivity":
         rows = analysis.sensitivity_suite(p)
         notes = ("fidelity_30us", "pop_perp_30us", "imbalance_mhz")
@@ -282,7 +281,7 @@ def cmd_reproduce(which: str, cfg: RunConfig, out: _Outputs) -> int:
                      [r._asdict() for r in rows])
     elif which == "impurity":
         _write_points(out, "impurity", "chi",
-                      analysis.impurity_sweep(p, t_final=cfg.t_final))
+                      analysis.impurity_sweep(p, t_final=cfg.t_final, samples=cfg.samples))
     elif which == "isotopes":
         table = analysis.isotope_table()
         text = _json(table)

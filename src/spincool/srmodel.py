@@ -19,9 +19,9 @@ from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import FrozenRecord
-from .angmom import HalfInt, clebsch_gordan
+from .angmom import clebsch_gordan
 from .constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT, SR87_TWICE_I
-from .hyperfine import HyperfineConstants, SpinSpace, hf_block
+from .hyperfine import HyperfineConstants, hf_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,9 +40,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-P1_SPACE = SpinSpace(HalfInt(SR87_TWICE_I), HalfInt(2))  # I = 9/2, J = 1
-# the 5s15d 1D2 manifold that the dressing laser addresses: J = 2, and its A and Q in MHz
-_D2_SPACE = SpinSpace(HalfInt(SR87_TWICE_I), HalfInt(4))
+# I = 9/2, the 1P1 J = 1, and the 5s15d 1D2 manifold that the dressing laser
+# addresses: J = 2, and its A and Q in MHz
+_I, _P1_J, _D2_J = SR87_TWICE_I / 2, 1, 2
 _D2_HYPERFINE = HyperfineConstants(-194.0, -75.0)
 
 
@@ -91,7 +91,7 @@ def _p1_at(twice_mj: int, s: BasisState) -> list[BasisState]:
 D2_STATES = _in("1D2")
 P1_STATES = _in("1P1")
 # (mJ, mI) of each 1P1 state, for its hyperfine block and Zeeman diagonal
-_P1_MJ_MI = [tuple(map(HalfInt, STATES[s].twice)) for s in P1_STATES]
+_P1_MJ_MI = [tuple(t / 2 for t in STATES[s].twice) for s in P1_STATES]
 
 
 def _dressing_amplitude(F, mF, mJ, mI) -> float:
@@ -101,11 +101,8 @@ def _dressing_amplitude(F, mF, mJ, mI) -> float:
     the electron lands in the 1D2 manifold, which is then coupled to the
     nuclear spin to form F.  An mJ outside J=1 raises ValueError.
     """
-    F, mF = HalfInt.coerce(F), HalfInt.coerce(mF)
-    mJ, mI = HalfInt.coerce(mJ), HalfInt.coerce(mI)
-    I, J = _D2_SPACE.I, _D2_SPACE.J
-    mJp = mJ - HalfInt(2)  # mJ - 1
-    return clebsch_gordan(1, mJ, 1, -1, J, mJp) * clebsch_gordan(J, mJp, I, mI, F, mF)
+    return (clebsch_gordan(1, mJ, 1, -1, _D2_J, mJ - 1)
+            * clebsch_gordan(_D2_J, mJ - 1, _I, mI, F, mF))
 
 
 def _couplings() -> list[tuple[BasisState, BasisState, str, float]]:
@@ -116,7 +113,7 @@ def _couplings() -> list[tuple[BasisState, BasisState, str, float]]:
     6s to 1P1 mJ = 0, and omega_eff the clock to 1P1 mJ = -1, at equal mI.
     """
     def dressing(d2: BasisState, p1: BasisState) -> float:
-        return _dressing_amplitude(*map(HalfInt, STATES[d2].twice + STATES[p1].twice))
+        return _dressing_amplitude(*(t / 2 for t in STATES[d2].twice + STATES[p1].twice))
 
     stretched = next(s for s in D2_STATES if STATES[s].twice[1] == -STATES[s].twice[0])
     ref = next(a for s in P1_STATES if (a := dressing(stretched, s)))
@@ -137,7 +134,7 @@ def _jumps() -> list[tuple[str, int, tuple[tuple[float, BasisState, BasisState],
     """
     out = []
     for twice_mj in (-2, 0, 2):
-        cg = clebsch_gordan(1, HalfInt(twice_mj), 1, HalfInt(-twice_mj), 0, 0)
+        cg = clebsch_gordan(1, twice_mj / 2, 1, -twice_mj / 2, 0, 0)
         out.append(("gamma_p", round(cg ** -2), tuple(
             (math.copysign(1.0, cg), g, p1) for g in _in("ground") for p1 in _p1_at(twice_mj, g))))
     out += [("gamma_s", 1, ((1.0, p1, s6),))
@@ -234,12 +231,12 @@ def hamiltonian_mhz(p: ModelParams) -> list[list[float]]:
         w = amplitude * getattr(p, field) / 2
         H[i][j] += w
         H[j][i] += w
-    block = hf_block(p.hyperfine_1p1, P1_SPACE, _P1_MJ_MI)
+    block = hf_block(p.hyperfine_1p1, _I, _P1_J, _P1_MJ_MI)
     for n, (mJ, mI) in enumerate(_P1_MJ_MI):
         # Zeeman: gJ = 1 for the pure singlet L = 1, S = 0, and the nuclear moment
         # spread over mI in steps of moment/I
-        block[n][n] += MU_B_MHZ_PER_G * p.b_field * mJ.value \
-            - SR87_NUCLEAR_MOMENT / P1_SPACE.I.value * MU_N_MHZ_PER_G * p.b_field * mI.value
+        block[n][n] += MU_B_MHZ_PER_G * p.b_field * mJ \
+            - SR87_NUCLEAR_MOMENT / _I * MU_N_MHZ_PER_G * p.b_field * mI
     for i, row in zip(P1_STATES, block):
         for j, value in zip(P1_STATES, row):
             H[i][j] += value

@@ -10,11 +10,11 @@ __all__ = ["line_plot"]
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / n))
+    step = 10 ** math.floor(math.log10(span / 5))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= 5:
             step *= mult
             break
     # by integer index: on a span of a few ulps, adding step to a tick can leave it

@@ -26,9 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from spincool.angmom import HalfInt
 from spincool.constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT
-from spincool.hyperfine import HyperfineConstants, SpinSpace, hf_block
+from spincool.hyperfine import HyperfineConstants, hf_block
 
 
 def _fact(n: int) -> int:
@@ -105,16 +104,15 @@ def operator_hf_matrix(A: float, Q: float, I: float, J: float) -> np.ndarray:
     return H
 
 
-def spin_basis(s: SpinSpace) -> list[tuple[HalfInt, HalfInt]]:
-    """(mJ, mI) pairs of s in lexicographic order: mJ ascending, mI ascending within."""
-    return [(HalfInt(tmj), HalfInt(tmi))
-            for tmj in range(-s.J.twice, s.J.twice + 1, 2)
-            for tmi in range(-s.I.twice, s.I.twice + 1, 2)]
+def spin_basis(I: float, J: float) -> list[tuple[float, float]]:
+    """(mJ, mI) pairs of I (x) J in lexicographic order: mJ ascending, mI ascending within."""
+    tI, tJ = round(2 * I), round(2 * J)
+    return [(tmj / 2, tmi / 2) for tmj in range(-tJ, tJ + 1, 2) for tmi in range(-tI, tI + 1, 2)]
 
 
-def hf_matrix(c: HyperfineConstants, s: SpinSpace) -> np.ndarray:
-    """The package's hf_block over spin_basis(s), in MHz."""
-    return np.array(hf_block(c, s, spin_basis(s)))
+def hf_matrix(c: HyperfineConstants, I: float, J: float) -> np.ndarray:
+    """The package's hf_block over spin_basis(I, J), in MHz."""
+    return np.array(hf_block(c, I, J, spin_basis(I, J)))
 
 
 def full_manifold_overlap(A: float, Q: float, I: float, omega_ps: float) -> float:

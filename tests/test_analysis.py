@@ -21,7 +21,6 @@ from spincool.analysis import (
     nu_or_imbalance,
     sensitivity_suite,
 )
-from spincool.angmom import HalfInt
 from spincool.constants import SR87_TWICE_I
 from spincool.lindblad import pure_density
 from spincool.srmodel import (
@@ -291,28 +290,20 @@ class TestBisect:
 
 
 class TestMinOmegaPs:
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            min_omega_ps(0.5, -213.0, 0.0, threshold=1.5)
-
-    @pytest.mark.parametrize("I, shown", [(0, "0"), (-0.5, "-1/2")])
+    @pytest.mark.parametrize("I, shown", [(0, "0"), (-0.5, "-0.5")])
     def test_spin_below_one_half_rejected(self, I, shown):
         with pytest.raises(ValueError, match=f"nuclear spin I >= 1/2, got I = {shown}$"):
             min_omega_ps(I, -213.0, 0.0)
 
-    @pytest.mark.parametrize("cap", [-5.0, 0.0, math.nan, math.inf],
-                             ids=["negative", "zero", "nan", "inf"])
-    def test_cap_must_be_finite_and_positive(self, cap):
-        with pytest.raises(ValueError, match="cap_mhz must be finite and > 0"):
-            min_omega_ps(0.5, 0.1, 0.0, cap_mhz=cap)
-
     def test_saturation_reported(self):
+        # a hyperfine constant this large keeps the overlap at 0.82155 even at the cap
         with pytest.raises(SaturationError) as err:
-            min_omega_ps(0.5, -213.0, 0.0, threshold=0.99, cap_mhz=500.0)
-        assert err.value.best_overlap < 0.99
+            min_omega_ps(0.5, -8520.0, 0.0)
+        assert err.value.best_overlap == pytest.approx(0.82155, abs=1e-5)
+        assert str(err.value) == "overlap 0.82155 below threshold 0.99 even at 20000 MHz"
 
     def test_monotone_in_strength(self):
-        overlap = _reduced_overlap(HalfInt(1), -213.0, 0.0)
+        overlap = _reduced_overlap(0.5, -213.0, 0.0)
         values = [overlap(om) for om in (500.0, 1000.0, 2000.0, 4000.0)]
         assert values == sorted(values)
 
@@ -329,7 +320,7 @@ class TestReducedModel:
     def check_sector_of_the_model(self, a_1p1: float, q_1p1: float) -> None:
         # with the dressing, the clock drive, delta and the field off, the model's
         # |1P1 -1, up>, |1P1 0, down> and 6s are the reduced model at I = 9/2, bit for bit
-        overlap = _reduced_overlap(HalfInt(SR87_TWICE_I), a_1p1, q_1p1)
+        overlap = _reduced_overlap(SR87_TWICE_I / 2, a_1p1, q_1p1)
         others = [s for s in BasisState if s not in self.SECTOR]
         for omega_ps in OMEGA_PS_GRID:
             H = hamiltonian_mhz(ModelParams(omega_pd=0.0, omega_eff=0.0, delta=0.0, b_field=0.0,
@@ -354,12 +345,12 @@ class TestReducedModel:
         overlap = _reduced_overlap(I, A, Q)
         for omega_ps in (*OMEGA_PS_GRID[1:], min_omega_ps(I, A, Q)):
             assert overlap(omega_ps) == pytest.approx(
-                full_manifold_overlap(A, Q, I.value, omega_ps), abs=1e-12)
+                full_manifold_overlap(A, Q, I, omega_ps), abs=1e-12)
 
     @REDUCED
     @given(twice_i=st.integers(1, 15),
            A=st.floats(1.0, 300.0) | st.floats(-300.0, -1.0), Q=st.floats(-300.0, 300.0),
            omega_ps=st.floats(1.0, 20000.0))
     def test_full_manifold_oracle_on_draws(self, twice_i, A, Q, omega_ps):
-        assert _reduced_overlap(HalfInt(twice_i), A, Q)(omega_ps) == pytest.approx(
+        assert _reduced_overlap(twice_i / 2, A, Q)(omega_ps) == pytest.approx(
             full_manifold_overlap(A, Q, twice_i / 2, omega_ps), abs=1e-12)

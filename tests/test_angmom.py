@@ -3,53 +3,57 @@ import math
 import numpy as np
 import pytest
 
-from spincool.angmom import HalfInt, clebsch_gordan
+from spincool.analysis import min_omega_ps
+from spincool.angmom import _twice, clebsch_gordan
+from spincool.hyperfine import HyperfineConstants, f_level_energy, hf_block, hf_element
 
 from .oracles import half_values, racah_cg
 
 
-class TestHalfInt:
-    def test_coerce_and_value(self):
-        assert HalfInt.coerce(2).value == 2.0
-        assert HalfInt.coerce(0.5).twice == 1
-        assert HalfInt.coerce(HalfInt(-9)).value == -4.5
+C = HyperfineConstants(-3.4, 39.0)
+# each public entry that takes quantum numbers, with x in one place where 1 and 2 are valid
+ENTRIES = {
+    "clebsch_gordan": lambda x: clebsch_gordan(x, 0, 1, 0, 2, 0),
+    "f_level_energy": lambda x: f_level_energy(C, 4.5, x, 4.5),
+    "hf_block": lambda x: hf_block(C, 4.5, x, [(0, -4.5)]),
+    "hf_element": lambda x: hf_element(C, 4.5, 2, x, -4.5, x, -4.5),
+    "min_omega_ps": lambda x: min_omega_ps(x, -213.0, 0.0),
+}
+# (x, the error it raises, or None for an integer that is taken as its value)
+QUANTUM_NUMBERS = {
+    "0.3": (0.3, ValueError),
+    "float64(0.3)": (np.float64(0.3), ValueError),
+    "nan": (math.nan, ValueError),
+    "inf": (math.inf, ValueError),
+    "-inf": (-math.inf, ValueError),
+    "str": ("1", TypeError),
+    "None": (None, TypeError),
+    "numpy-bool": (np.bool_(True), TypeError),
+    "complex": (1 + 0j, TypeError),
+    "True": (True, None),
+    "int64(2)": (np.int64(2), None),
+    "uint8(2)": (np.uint8(2), None),
+}
+
+
+class TestQuantumNumbers:
+    """Plain numbers as quantum numbers: ints, or floats that are exactly n/2."""
+
+    def test_twice_values(self):
         # integers come in through operator.index: bool and numpy integers too
-        for x, twice in ((True, 2), (np.int64(-3), -6), (np.uint8(2), 4), (np.float64(1.5), 3)):
-            assert HalfInt.coerce(x).twice == twice
-            assert type(HalfInt.coerce(x).twice) is int
+        for x, twice in ((2, 4), (0.5, 1), (-4.5, -9), (True, 2), (np.int64(-3), -6),
+                         (np.uint8(2), 4), (np.float64(1.5), 3)):
+            assert _twice(x) == twice
+            assert type(_twice(x)) is int
 
-    def test_rejects_non_half_values(self):
-        with pytest.raises(ValueError):
-            HalfInt.coerce(0.3)
-        with pytest.raises(ValueError):
-            HalfInt.coerce(np.float64(0.3))
-        for x in ("1/2", "3", None, np.bool_(True), 1 + 0j):
-            with pytest.raises(TypeError):
-                HalfInt.coerce(x)
-        with pytest.raises(TypeError):
-            HalfInt(1.5)
-        for x in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="is not an integer or half-integer"):
-                HalfInt.coerce(x)
-
-    def test_hash_agrees_with_eq(self):
-        # equal values hash equally, so a set or dict key treats them as one
-        for half, x in ((HalfInt(2), 1), (HalfInt(2), 1.0), (HalfInt(-3), -1.5),
-                        (HalfInt(0), 0), (HalfInt(2 * 10**20), 10**20)):
-            assert half == x and hash(half) == hash(x)
-            assert len({half, x}) == 1
-        assert HalfInt(1) != math.inf
-
-    def test_exact_arithmetic(self):
-        a = HalfInt(9)   # 9/2
-        b = HalfInt(-7)  # -7/2
-        assert (a + b).twice == 2
-        assert (a - b).twice == 16
-        assert HalfInt(4) == 2
-
-    def test_repr(self):
-        assert repr(HalfInt(9)) == "9/2"
-        assert repr(HalfInt(4)) == "2"
+    @pytest.mark.parametrize("x, error", QUANTUM_NUMBERS.values(), ids=QUANTUM_NUMBERS)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_checked_at_each_entry(self, entry, x, error):
+        if error is None:
+            assert ENTRIES[entry](x) == ENTRIES[entry](int(x))
+        else:
+            with pytest.raises(error):
+                ENTRIES[entry](x)
 
 
 class TestClebschGordan:
@@ -102,8 +106,7 @@ class TestClebschGordan:
 
     @pytest.mark.parametrize("tj1,tm1,tj2,tm2,tJ,tM,expected", FROZEN)
     def test_frozen_grid(self, tj1, tm1, tj2, tm2, tJ, tM, expected):
-        got = clebsch_gordan(HalfInt(tj1), HalfInt(tm1), HalfInt(tj2), HalfInt(tm2),
-                             HalfInt(tJ), HalfInt(tM))
+        got = clebsch_gordan(tj1 / 2, tm1 / 2, tj2 / 2, tm2 / 2, tJ / 2, tM / 2)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_matches_oracle_everywhere(self):
@@ -150,7 +153,6 @@ class TestXiFactors:
             for tmi in range(-9, 10, 2):
                 tmf = tmjp + tmi
                 total = sum(
-                    clebsch_gordan(HalfInt(4), HalfInt(tmjp), HalfInt(9),
-                                   HalfInt(tmi), HalfInt(tF), HalfInt(tmf)) ** 2
+                    clebsch_gordan(2, tmjp / 2, 4.5, tmi / 2, tF / 2, tmf / 2) ** 2
                     for tF in range(5, 14, 2) if abs(tmf) <= tF)
                 assert total == pytest.approx(1.0, abs=1e-12)

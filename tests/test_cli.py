@@ -536,6 +536,17 @@ class TestReproduce:
         assert csv_lines[1] == f"{key},fidelity,pop_perp,pop_total"
         assert len(csv_lines) == 2 + len(values)
 
+    @pytest.mark.parametrize("target, sweep", [("table1", analysis.table1_sweep),
+                                               ("impurity", analysis.impurity_sweep)])
+    def test_sweep_reads_samples(self, tmp_path, target, sweep):
+        # the grid moves the last digits: the records are the sweep's on the configured grid
+        assert main(["--out", str(tmp_path), "--set", "samples=41", "reproduce", target]) == 0
+        got = [(r["fidelity"], r["pop_perp"], r["pop_total"])
+               for r in json.loads((tmp_path / f"{target}.json").read_text())]
+        want = {n: [(r.fidelity, r.pop_perp, r.notes["pop_total"])
+                    for r in sweep(ModelParams(), samples=n)] for n in (41, 401)}
+        assert got == want[41] != want[401]
+
     def test_jobs_option_and_key_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path), "--jobs", "2", "reproduce", "table1"])

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from spincool.analysis import ISOTOPE_CASES
-from spincool.angmom import HalfInt
 from spincool.constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT
 from spincool.hyperfine import (
     HyperfineConstants,
-    SpinSpace,
     f_level_energy,
     hf_block,
     hf_element,
@@ -19,31 +17,31 @@ from .oracles import half_values, hf_matrix, operator_hf_matrix, spin_basis
 
 P1_CONSTANTS = HyperfineConstants(A=-3.4, Q=39.0)
 D2_CONSTANTS = HyperfineConstants(A=-194.0, Q=-75.0)
-P1_SPACE = SpinSpace(I=HalfInt(9), J=HalfInt(2))
-D2_SPACE = SpinSpace(I=HalfInt(9), J=HalfInt(4))
+P1_IJ = (4.5, 1)  # the 1P1 nuclear spin I and J
+D2_IJ = (4.5, 2)
 
 
 class TestHfElement:
     def test_diagonal_golden_values(self):
-        up = hf_element(P1_CONSTANTS, P1_SPACE, -1, -3.5, -1, -3.5)
-        down = hf_element(P1_CONSTANTS, P1_SPACE, -1, -4.5, -1, -4.5)
+        up = hf_element(P1_CONSTANTS, *P1_IJ, -1, -3.5, -1, -3.5)
+        down = hf_element(P1_CONSTANTS, *P1_IJ, -1, -4.5, -1, -4.5)
         assert up == pytest.approx(-8.65, abs=0.01)
         assert down == pytest.approx(-5.55, abs=0.01)
 
     def test_spin_mixing_element(self):
         # expected value read from the operator-construction oracle
-        got = hf_element(P1_CONSTANTS, P1_SPACE, 0, -4.5, -1, -3.5)
+        got = hf_element(P1_CONSTANTS, *P1_IJ, 0, -4.5, -1, -3.5)
         oracle = operator_hf_matrix(-3.4, 39.0, 4.5, 1.0)
-        basis = spin_basis(P1_SPACE)
-        i = basis.index((HalfInt(0), HalfInt(-9)))
-        k = basis.index((HalfInt(-2), HalfInt(-7)))
+        basis = spin_basis(*P1_IJ)
+        i = basis.index((0, -4.5))
+        k = basis.index((-1, -3.5))
         assert got == pytest.approx(oracle[i, k].real, abs=1e-12)
         assert got == pytest.approx(0.5 * -3.4 * 3 * math.sqrt(2)
                                     + 39.0 * 6 * 3 * math.sqrt(2) / 72, abs=1e-9)
 
     def test_projection_conservation_is_structural(self):
-        assert hf_element(P1_CONSTANTS, P1_SPACE, 1, -4.5, -1, -3.5) == 0.0
-        assert hf_element(P1_CONSTANTS, P1_SPACE, 0, -3.5, -1, -3.5) == 0.0
+        assert hf_element(P1_CONSTANTS, *P1_IJ, 1, -4.5, -1, -3.5) == 0.0
+        assert hf_element(P1_CONSTANTS, *P1_IJ, 0, -3.5, -1, -3.5) == 0.0
 
     def test_out_of_range_raises(self):
         # each of mJ', mI', mJ, mI in turn, once beyond its j and once off its ladder,
@@ -55,42 +53,39 @@ class TestHfElement:
                 args = list(stretched)
                 args[k] = bad
                 with pytest.raises(ValueError, match="out of range"):
-                    hf_element(P1_CONSTANTS, P1_SPACE, *args)
+                    hf_element(P1_CONSTANTS, *P1_IJ, *args)
 
     def test_step_function_boundaries(self):
         # the stretched states |J, I> and |-J, -I> are F = I + J eigenstates:
         # with A = 0 each diagonal is that level's quadrupole energy
         c = HyperfineConstants(A=0.0, Q=1.0)
-        s = SpinSpace(I=HalfInt(3), J=HalfInt(2))
-        stretched = hf_element(c, s, 1, 1.5, 1, 1.5)
+        stretched = hf_element(c, 1.5, 1, 1, 1.5, 1, 1.5)
         assert stretched == pytest.approx(f_level_energy(c, 1.5, 1.0, 2.5), abs=1e-12)
-        bottom = hf_element(c, s, -1, -1.5, -1, -1.5)
+        bottom = hf_element(c, 1.5, 1, -1, -1.5, -1, -1.5)
         assert bottom == pytest.approx(f_level_energy(c, 1.5, 1.0, 2.5), abs=1e-12)
 
 
 # the model's four 1P1 states (mJ, mI)
-MODEL_P1_STATES = [(HalfInt.coerce(mJ), HalfInt.coerce(mI))
-                   for mJ, mI in ((0, -4.5), (-1, -3.5), (-1, -4.5), (1, -4.5))]
+MODEL_P1_STATES = [(0, -4.5), (-1, -3.5), (-1, -4.5), (1, -4.5)]
 
 
 class TestHfBlock:
-    @pytest.mark.parametrize("c, s, states", [
-        (P1_CONSTANTS, P1_SPACE, MODEL_P1_STATES),
-        *((HyperfineConstants(A, Q), SpinSpace(I, HalfInt(2)), spin_basis(SpinSpace(I, HalfInt(2))))
-          for _, I, A, Q in ISOTOPE_CASES),
+    @pytest.mark.parametrize("c, I, states", [
+        (P1_CONSTANTS, 4.5, MODEL_P1_STATES),
+        *((HyperfineConstants(A, Q), I, spin_basis(I, 1)) for _, I, A, Q in ISOTOPE_CASES),
     ], ids=["1P1_model", *(name for name, *_ in ISOTOPE_CASES)])
-    def test_symmetric_to_the_bit_and_zero_between_unequal_mf(self, c, s, states):
-        block = hf_block(c, s, states)
+    def test_symmetric_to_the_bit_and_zero_between_unequal_mf(self, c, I, states):
+        block = hf_block(c, I, 1, states)
         for i, (mJp, mIp) in enumerate(states):
             for k, (mJ, mI) in enumerate(states):
                 assert block[i][k].hex() == block[k][i].hex()
-                if mJp.twice + mIp.twice != mJ.twice + mI.twice:
+                if mJp + mIp != mJ + mI:
                     assert block[i][k].hex() == (0.0).hex()
 
 
 class TestHfMatrix:
     def test_zero_constants_give_zero_matrix(self):
-        z = hf_matrix(HyperfineConstants(0.0, 0.0), P1_SPACE)
+        z = hf_matrix(HyperfineConstants(0.0, 0.0), *P1_IJ)
         assert np.all(z == 0)
 
     # H is linear in (A, Q): the two unit pairs check every pair of constants
@@ -99,67 +94,65 @@ class TestHfMatrix:
         worst = 0.0
         for I in half_values(4.5):
             for J in half_values(2.0):
-                s = SpinSpace(I=HalfInt.coerce(I), J=HalfInt.coerce(J))
-                got = hf_matrix(HyperfineConstants(A, Q), s)
+                got = hf_matrix(HyperfineConstants(A, Q), I, J)
                 want = operator_hf_matrix(A, Q, I, J)
                 assert np.abs(want.imag).max() < 1e-12
                 worst = max(worst, np.abs(got - want.real).max())
         assert worst < 1e-12
 
     def test_hermitian_and_block_structure(self):
-        m = hf_matrix(P1_CONSTANTS, P1_SPACE)
+        m = hf_matrix(P1_CONSTANTS, *P1_IJ)
         assert np.array_equal(m, m.T)
-        basis = spin_basis(P1_SPACE)
+        basis = spin_basis(*P1_IJ)
         for i, (mJp, mIp) in enumerate(basis):
             for k, (mJ, mI) in enumerate(basis):
-                if mJp.twice + mIp.twice != mJ.twice + mI.twice:
+                if mJp + mIp != mJ + mI:
                     assert m[i, k] == 0.0
 
     def test_matches_elementwise_assembly(self):
-        m = hf_matrix(P1_CONSTANTS, P1_SPACE)
-        basis = spin_basis(P1_SPACE)
+        m = hf_matrix(P1_CONSTANTS, *P1_IJ)
+        basis = spin_basis(*P1_IJ)
         for i, (mJp, mIp) in enumerate(basis):
             for k, (mJ, mI) in enumerate(basis):
-                element = hf_element(P1_CONSTANTS, P1_SPACE, mJp, mIp, mJ, mI)
+                element = hf_element(P1_CONSTANTS, *P1_IJ, mJp, mIp, mJ, mI)
                 assert m[i, k] == pytest.approx(element, abs=1e-9)
 
     def test_eigenvalues_group_into_f_multiplets(self):
-        eigs = np.sort(np.linalg.eigvalsh(hf_matrix(D2_CONSTANTS, D2_SPACE)))
+        eigs = np.sort(np.linalg.eigvalsh(hf_matrix(D2_CONSTANTS, *D2_IJ)))
         expected = []
         for twice_f in (13, 11, 9, 7, 5):
-            e = f_level_energy(D2_CONSTANTS, HalfInt(9), HalfInt(4), HalfInt(twice_f))
+            e = f_level_energy(D2_CONSTANTS, *D2_IJ, twice_f / 2)
             expected.extend([e] * (twice_f + 1))
         assert np.allclose(eigs, np.sort(expected), atol=1e-8)
 
     def test_stretched_diagonal_equals_top_f_level(self):
-        basis = spin_basis(D2_SPACE)
-        i = basis.index((HalfInt(4), HalfInt(9)))
-        m = hf_matrix(D2_CONSTANTS, D2_SPACE)
-        top = f_level_energy(D2_CONSTANTS, HalfInt(9), HalfInt(4), HalfInt(13))
+        basis = spin_basis(*D2_IJ)
+        i = basis.index((2, 4.5))
+        m = hf_matrix(D2_CONSTANTS, *D2_IJ)
+        top = f_level_energy(D2_CONSTANTS, *D2_IJ, 6.5)
         assert m[i, i] == pytest.approx(top, abs=1e-9)
 
     def test_trace_equals_multiplet_sum(self):
-        m = hf_matrix(D2_CONSTANTS, D2_SPACE)
-        total = sum((tf + 1) * f_level_energy(D2_CONSTANTS, HalfInt(9), HalfInt(4),
-                                              HalfInt(tf))
+        m = hf_matrix(D2_CONSTANTS, *D2_IJ)
+        total = sum((tf + 1) * f_level_energy(D2_CONSTANTS, *D2_IJ, tf / 2)
                     for tf in (13, 11, 9, 7, 5))
         assert np.trace(m) == pytest.approx(total, abs=1e-6)
 
 
 class TestFLevels:
     def test_d2_level_energies(self):
-        I, J = HalfInt(9), HalfInt(4)
-        assert f_level_energy(D2_CONSTANTS, I, J, HalfInt(13)) == pytest.approx(-1764.75, abs=1e-9)
-        assert f_level_energy(D2_CONSTANTS, I, J, HalfInt(11)) == pytest.approx(-463.125, abs=1e-9)
-        assert f_level_energy(D2_CONSTANTS, I, J, HalfInt(9)) == pytest.approx(603.875, abs=1e-9)
-        assert f_level_energy(D2_CONSTANTS, I, J, HalfInt(7)) == pytest.approx(1453.4375, abs=1e-9)
-        assert f_level_energy(D2_CONSTANTS, I, J, HalfInt(5)) == pytest.approx(2099.625, abs=1e-9)
+        I, J = D2_IJ
+        assert f_level_energy(D2_CONSTANTS, I, J, 6.5) == pytest.approx(-1764.75, abs=1e-9)
+        assert f_level_energy(D2_CONSTANTS, I, J, 5.5) == pytest.approx(-463.125, abs=1e-9)
+        assert f_level_energy(D2_CONSTANTS, I, J, 4.5) == pytest.approx(603.875, abs=1e-9)
+        assert f_level_energy(D2_CONSTANTS, I, J, 3.5) == pytest.approx(1453.4375, abs=1e-9)
+        assert f_level_energy(D2_CONSTANTS, I, J, 2.5) == pytest.approx(2099.625, abs=1e-9)
 
     def test_out_of_range_f_raises(self):
         with pytest.raises(ValueError):
-            f_level_energy(D2_CONSTANTS, HalfInt(9), HalfInt(4), HalfInt(15))
+            f_level_energy(D2_CONSTANTS, *D2_IJ, 7.5)
         with pytest.raises(ValueError):
-            f_level_energy(D2_CONSTANTS, HalfInt(9), HalfInt(4), HalfInt(3))
+            f_level_energy(D2_CONSTANTS, *D2_IJ, 1.5)
 
 
 class TestZeeman:

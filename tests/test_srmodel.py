@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from spincool.angmom import HalfInt
 from spincool.config import RunConfig, load_run_config
 from spincool.srmodel import (
     TWO_PI,
@@ -135,7 +134,7 @@ class TestHamiltonian:
 
     def test_dressing_amplitude_rejects_mj_outside_j1(self):
         with pytest.raises(ValueError):
-            _dressing_amplitude(HalfInt(13), HalfInt(-13), -2, HalfInt(-9))
+            _dressing_amplitude(6.5, -6.5, -2, -4.5)
 
     def test_e_hf_moves_only_the_f11_diagonal(self):
         base = hamiltonian(ModelParams(e_hf=1300.0))
