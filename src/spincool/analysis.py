@@ -7,33 +7,36 @@ that balances them, runs the master-equation cooling dynamics, and carries
 the parameter-sensitivity and cross-isotope estimates.
 
 Only the cooling runs (cool and the sweeps built on it) propagate, and
-they import the master-equation engine, lindblad, when they run.  The
-dressed-state functions need eigendecompositions alone, so a process that
-only diagonalizes never compiles or executes lindblad.
+they import numpy and the master-equation engine, lindblad, when they run.
+The dressed-state functions and the isotope estimate diagonalize real
+symmetric blocks of at most a few levels, by a pure-Python Jacobi solver
+(_eigh), so a process that only diagonalizes never loads numpy or lindblad.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
 
 from .angmom import _twice
 from .hyperfine import HyperfineConstants, hf_block
 from .srmodel import (
-    TWO_PI,
+    DIM,
     BasisState,
     D2_STATES,
     P1_STATES,
     ModelParams,
     collapse_ops,
     hamiltonian,
+    hamiltonian_mhz,
     qubit_vectors,
     with_polarization_impurity,
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .lindblad import Trajectory
 
 __all__ = [
@@ -76,12 +79,13 @@ class SaturationError(RuntimeError):
 class DressedPair(NamedTuple):
     """The two eigenstates dominated by the operative 1P1 spin states.
 
-    Energies are in MHz; overlaps are |<target|eigenvector>| against
-    |1P1 -1, up> and |1P1 -1, down>.
+    e_up and e_down are the eigenvectors as 13 floats over the basis, zero
+    outside the state's sector; energies are in MHz; overlaps are
+    |<target|eigenvector>| against |1P1 -1, up> and |1P1 -1, down>.
     """
 
-    e_up: np.ndarray
-    e_down: np.ndarray
+    e_up: list[float]
+    e_down: list[float]
     energy_up: float
     energy_down: float
     overlap_up: float
@@ -103,27 +107,87 @@ def dressed_pair(p: ModelParams) -> DressedPair:
     """Diagonalize the laser-dressed manifold and pick the two qubit-carrying states.
 
     The clock coupling is switched off (it only probes the manifold), so the
-    clock and ground states decouple exactly.  For each of the two spin
-    targets the eigenvector with maximal overlap is returned; a tie at the
-    1e-9 level is reported as an error rather than resolved arbitrarily.
+    clock and ground states decouple exactly.  Each spin target is
+    diagonalized within its sector, the levels that the nonzero couplings
+    join to it: every eigenvector outside weighs exactly 0 on the target.
+    For each target the eigenvector with maximal overlap is returned; a tie
+    at the 1e-9 level is reported as an error rather than resolved
+    arbitrarily.
     """
-    H = hamiltonian(p.replace(omega_eff=0.0)) / TWO_PI
-    energies, vectors = np.linalg.eigh(H)
+    H = hamiltonian_mhz(p.replace(omega_eff=0.0))
 
-    def select(target: BasisState) -> tuple[np.ndarray, float, float]:
-        weights = np.abs(vectors[target, :])
-        order = np.argsort(weights)
-        best, runner_up = order[-1], order[-2]
-        if weights[best] - weights[runner_up] < 1e-9:
+    def select(target: BasisState) -> tuple[list[float], float, float]:
+        sector = _sector(H, target)
+        energies, vectors = _eigh([[H[i][k] for k in sector] for i in sector])
+        weights = [abs(w) for w in vectors[sector.index(target)]]
+        order = sorted(range(len(sector)), key=weights.__getitem__)
+        best = order[-1]
+        runner_up = weights[order[-2]] if len(order) > 1 else 0.0
+        if weights[best] - runner_up < 1e-9:
             raise AmbiguousOverlapError(
                 f"overlap tie for state {target.name}: "
-                f"{weights[best]:.12f} vs {weights[runner_up]:.12f}")
-        return vectors[:, best], float(energies[best]), float(weights[best])
+                f"{weights[best]:.12f} vs {runner_up:.12f}")
+        vector = [0.0] * DIM
+        for i, row in zip(sector, vectors):
+            vector[i] = row[best]
+        return vector, energies[best], weights[best]
 
     vec_up, e_up, ov_up = select(BasisState.P1_M1_UP)
     vec_down, e_down, ov_down = select(BasisState.P1_M1_DOWN)
     return DressedPair(e_up=vec_up, e_down=vec_down, energy_up=e_up,
                        energy_down=e_down, overlap_up=ov_up, overlap_down=ov_down)
+
+
+def _sector(H: list[list[float]], target: int) -> list[int]:
+    """The levels joined to target by nonzero entries of H, in basis order."""
+    sector = [target]
+    for i in sector:  # the loop reaches the levels appended while it runs
+        sector += [k for k, x in enumerate(H[i]) if x and k not in sector]
+    return sorted(sector)
+
+
+_JACOBI_SWEEPS = 50
+
+
+def _eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """(values, vectors) of the real symmetric matrix a; vectors[i][k] belongs to values[k].
+
+    Unsorted.  Cyclic Jacobi with Rutishauser's rotation (Golub & Van Loan,
+    Matrix Computations, section 8.5); an entry negligible next to both its
+    diagonal entries is set to zero.  Plain float arithmetic, the same bits on
+    every Python.  An entry not finite or beyond 2^1000, or no diagonal form
+    after _JACOBI_SWEEPS sweeps, raises FloatingPointError.
+    """
+    n = len(a)
+    a = [list(map(float, row)) for row in a]
+    # below 2^1000 no rotation overflows; NaN fails the test too
+    if not all(abs(x) <= 2.0 ** 1000 for row in a for x in row):
+        raise FloatingPointError("eigendecomposition of a matrix with an entry that is "
+                                 "not finite or beyond 2^1000")
+    v = [[float(i == k) for k in range(n)] for i in range(n)]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for _ in range(_JACOBI_SWEEPS):
+        if not any(a[p][q] for p, q in pairs):
+            return [a[k][k] for k in range(n)], v
+        for p, q in pairs:
+            apq, app, aqq = a[p][q], a[p][p], a[q][q]
+            if abs(app) + 100 * abs(apq) == abs(app) and abs(aqq) + 100 * abs(apq) == abs(aqq):
+                a[p][q] = a[q][p] = 0.0
+                continue
+            theta = (aqq - app) / (2 * apq)
+            t = math.copysign(1 / (abs(theta) + math.sqrt(1 + theta * theta)), theta)
+            c = 1 / math.sqrt(1 + t * t)
+            s, tau = t * c, t * c / (1 + c)
+            a[p][p], a[q][q], a[p][q], a[q][p] = app - t * apq, aqq + t * apq, 0.0, 0.0
+            for r in range(n):
+                if r != p and r != q:
+                    g, h = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = g - s * (h + g * tau)
+                    a[r][q] = a[q][r] = h + s * (g - h * tau)
+                g, h = v[r][p], v[r][q]
+                v[r][p], v[r][q] = g - s * (h + g * tau), h + s * (g - h * tau)
+    raise FloatingPointError(f"Jacobi eigendecomposition: not diagonal "
+                             f"within {_JACOBI_SWEEPS} sweeps")
 
 
 BALANCE_TOL_MHZ = 1e-4
@@ -154,7 +218,7 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
     result differ by more than BALANCE_TOL_MHZ.
     """
     lo, hi = bracket
-    if not (np.isfinite(bracket).all() and lo < hi):
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BracketError(f"bracket [{lo}, {hi}] is not finite with lo < hi")
     for end in bracket:
         try:
@@ -167,7 +231,7 @@ def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0
         return pair.energy_up - pair.energy_down
 
     f_lo, f_hi = imbalance(lo), imbalance(hi)
-    if not np.isfinite(f_lo) or not np.isfinite(f_hi) or f_lo * f_hi > 0:
+    if not math.isfinite(f_lo) or not math.isfinite(f_hi) or f_lo * f_hi > 0:
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f({lo})={f_lo:.4f}, f({hi})={f_hi:.4f}")
     lo, hi = _bisect(lambda x: imbalance(x) * f_lo <= 0, lo, hi, 1e-6)
@@ -206,6 +270,8 @@ _SERIES_TOL = 1e-8
 def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
                t_final: float, samples: int) -> list[CoolingResult]:
     """One cooling run per (alpha, beta), all propagated in one evolve call."""
+    import numpy as np
+
     from .lindblad import DensityMatrixError, Trajectory, evolve, population, pure_density
 
     psi0, psi_f, psi_perp = (np.array(v) for v in
@@ -346,12 +412,12 @@ def _reduced_overlap(I, A: float, Q: float) -> Callable[[float], float]:
     the returned function sets the coupling.
     """
     i = _twice(I) / 2  # a float before any arithmetic: 1 - np.uint8(2) would wrap
-    H = np.zeros((3, 3))
-    H[:2, :2] = hf_block(HyperfineConstants(A, Q), i, 1, [(-1, 1 - i), (0, -i)])
+    H = [row + [0.0] for row in hf_block(HyperfineConstants(A, Q), i, 1,
+                                         [(-1, 1 - i), (0, -i)])] + [[0.0] * 3]
 
     def overlap(omega_ps: float) -> float:
-        H[2, 1] = H[1, 2] = omega_ps / 2
-        return float(np.abs(np.linalg.eigh(H)[1][0]).max())
+        H[2][1] = H[1][2] = omega_ps / 2
+        return max(abs(w) for w in _eigh(H)[1][0])
 
     return overlap
 

@@ -14,13 +14,14 @@ Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
 
 Importing this module loads only the stdlib and the pure-Python model
 modules (config, srmodel, hyperfine, angmom, constants); lasercalc loads in
-lasercalc and reproduce appendixA, and svgplot only with --svg.  numpy and
-analysis load in the commands that compute (simulate, balance, dressed,
-reproduce fig3/table1/sensitivity/impurity/isotopes), so levels, lasercalc,
-reproduce appendixA/levels, --help and every configuration error run without
-numpy.  Of the commands that compute, only those that evolve the master
-equation (simulate, reproduce fig3/table1/sensitivity/impurity) load its
-engine, lindblad; balance, dressed and reproduce isotopes diagonalize only.
+lasercalc and reproduce appendixA, and svgplot only with --svg.  analysis
+loads in the commands that compute (simulate, balance, dressed, reproduce
+fig3/table1/sensitivity/impurity/isotopes).  numpy and the engine, lindblad,
+load only in those that evolve the master equation (simulate, reproduce
+fig3/table1/sensitivity/impurity): balance, dressed and reproduce isotopes
+diagonalize a few levels in pure Python, and they, levels, lasercalc,
+reproduce appendixA/levels, --help and every configuration error run
+without numpy.
 
 Three settings hold for the CLI's own process, not for the library: BLAS
 threads default to one, the cyclic garbage collector is paused while a
@@ -52,7 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# the commands that evolve the master equation, the only ones that load lindblad
+# the commands that evolve the master equation, the only ones that load numpy and lindblad
 _EVOLVING = ("simulate", "fig3", "table1", "sensitivity", "impurity")
 
 
@@ -396,7 +397,7 @@ def _freeze_imports() -> None:
 
 def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
     """The command's exit code; a numerical failure is reported here as EXIT_NUMERICAL."""
-    # scalar arithmetic only: these run without numpy
+    # scalar arithmetic only: these load no analysis
     name = args.target if args.command == "reproduce" else args.command
     if name == "levels":
         _freeze_imports()
@@ -405,12 +406,14 @@ def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
         from . import lasercalc  # noqa: F401  (loaded before the freeze)
         _freeze_imports()
         return cmd_lasercalc(out)
-    import numpy as np
+    # the dressed-state commands diagonalize in pure Python, without numpy
     from .analysis import AmbiguousOverlapError
-    failures = (np.linalg.LinAlgError, AmbiguousOverlapError)
+    failures = (FloatingPointError, AmbiguousOverlapError)
     if name in _EVOLVING:
+        import numpy as np
+
         from .lindblad import DensityMatrixError, IntegrationError
-        failures += (IntegrationError, DensityMatrixError)
+        failures += (np.linalg.LinAlgError, IntegrationError, DensityMatrixError)
     _freeze_imports()
     try:
         if args.command == "simulate":

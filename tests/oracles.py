@@ -12,7 +12,10 @@ oracles exponentiate the full column-major Liouvillian once per sample
 time or integrate it with adaptive Runge-Kutta (DOP853), and the real-basis
 oracle writes the engine's coordinate maps as dense matrices, entry by
 entry, from the index set alone.  The isotope-estimate oracle keeps the whole
-J = 1 (x) I manifold that the package reduces to one mF sector.
+J = 1 (x) I manifold that the package reduces to one mF sector, and the
+dressed-pair oracle, which takes the package's Hamiltonian, diagonalizes all
+13 levels with numpy where the package diagonalizes each target's sector by
+Jacobi rotations.
 
 spin_basis and hf_matrix are the one exception: not oracles, they lay the
 package's own hf_block over the whole lexicographic |mJ, mI> basis, so that
@@ -26,8 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from spincool.analysis import AmbiguousOverlapError, DressedPair
 from spincool.constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT
 from spincool.hyperfine import HyperfineConstants, hf_block
+from spincool.srmodel import TWO_PI, BasisState, hamiltonian
 
 
 def _fact(n: int) -> int:
@@ -129,6 +134,32 @@ def full_manifold_overlap(A: float, Q: float, I: float, omega_ps: float) -> floa
     H[:n, :n] = operator_hf_matrix(A, Q, I, 1.0).real
     H[n, target] = H[target, n] = omega_ps / 2
     return float(np.abs(np.linalg.eigh(H)[1][up]).max())
+
+
+def full_dressed_pair(p) -> DressedPair:
+    """dressed_pair on the whole 13x13 Hamiltonian, by np.linalg.eigh.
+
+    The same selection as the package: for each spin target the eigenvector of
+    largest |overlap|, and an AmbiguousOverlapError when the runner-up is
+    within 1e-9 of it.  Vectors are 13-float lists.
+    """
+    H = hamiltonian(p.replace(omega_eff=0.0)) / TWO_PI
+    energies, vectors = np.linalg.eigh(H)
+
+    def select(target: BasisState) -> tuple[list[float], float, float]:
+        weights = np.abs(vectors[target, :])
+        order = np.argsort(weights)
+        best, runner_up = order[-1], order[-2]
+        if weights[best] - weights[runner_up] < 1e-9:
+            raise AmbiguousOverlapError(
+                f"overlap tie for state {target.name}: "
+                f"{weights[best]:.12f} vs {weights[runner_up]:.12f}")
+        return vectors[:, best].tolist(), float(energies[best]), float(weights[best])
+
+    vec_up, e_up, ov_up = select(BasisState.P1_M1_UP)
+    vec_down, e_down, ov_down = select(BasisState.P1_M1_DOWN)
+    return DressedPair(e_up=vec_up, e_down=vec_down, energy_up=e_up,
+                       energy_down=e_down, overlap_up=ov_up, overlap_down=ov_down)
 
 
 # The 13 states of the 87Sr model, in its basis order, as product-space labels:

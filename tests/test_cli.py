@@ -46,8 +46,9 @@ ARTIFACT_COMMANDS = {
     "--set samples=10 simulate": RUN_FILES,
     "--set omega_eff=0 --set samples=41 simulate": RUN_FILES,
 }
-# scalar arithmetic only: these run without numpy
-LIGHT_COMMANDS = ["levels", "lasercalc", "reproduce appendixA", "reproduce levels"]
+# scalar arithmetic and pure-Python diagonalization only: these run without numpy
+LIGHT_COMMANDS = ["levels", "lasercalc", "reproduce appendixA", "reproduce levels",
+                  "balance", "dressed", "reproduce isotopes"]
 ENGINE_COMMANDS = [cmd for cmd in ARTIFACT_COMMANDS if cmd not in LIGHT_COMMANDS]
 
 
@@ -277,14 +278,15 @@ class TestSimulate:
         assert summary["dressed_overlaps"] is None
         assert summary["nu_mhz"] is None and summary["imbalance_mhz"] is None
 
-    @pytest.mark.parametrize("command", ["dressed", "balance"])
-    @pytest.mark.parametrize("error", [analysis.AmbiguousOverlapError, np.linalg.LinAlgError])
+    @pytest.mark.parametrize("command", ["dressed", "balance", "reproduce isotopes"])
+    @pytest.mark.parametrize("error", [analysis.AmbiguousOverlapError, FloatingPointError])
     def test_diagonalization_failure_exit_3(self, tmp_path, capsys, monkeypatch, command, error):
-        # the dressed-state commands load no lindblad: these two are their numerical failures
-        def dressed_pair(p):
+        # the dressed-state commands load no lindblad: these two are their numerical
+        # failures, the overlap tie and the Jacobi solver's
+        def eigh(a):
             raise error("eigh failed")
 
-        monkeypatch.setattr(analysis, "dressed_pair", dressed_pair)
+        monkeypatch.setattr(analysis, "_eigh", eigh)
         self._assert_fails(tmp_path, capsys, [], 3, "numerical failure: eigh failed", command)
 
     @pytest.mark.filterwarnings("error")
@@ -601,7 +603,7 @@ class TestImports:
         assert out.strip() == "[]"
 
     def test_light_commands_leave_numpy_unloaded(self, tmp_path):
-        # scalar commands and config errors, the overflow check included, never load numpy
+        # light commands and config errors, the overflow check included, never load numpy
         commands = [*(cmd.split() for cmd in LIGHT_COMMANDS), ["--set", "bogus=1", "simulate"],
                     ["--set", "delta_pd=-2e307", "--set", "e_hf=-2e307", "levels"]]
         code = ("import sys\n"
@@ -612,8 +614,9 @@ class TestImports:
                 "print(codes, sorted({'numpy', 'dataclasses'} & set(sys.modules)))\n")
         out = _run_python(code).splitlines()
         assert out[0] == "False"
-        assert out[-1] == "[0, 0, 0, 0, 2, 2] []"
-        assert (tmp_path / "laser_budget.json").exists()
+        assert out[-1] == f"{[0] * len(LIGHT_COMMANDS) + [2, 2]} []"
+        assert all((tmp_path / name).exists()
+                   for name in ("laser_budget.json", "balance.json", "isotopes.json"))
 
     # each light command once more in a fresh interpreter with numpy unimportable and
     # warnings as errors writes the files and prints the text of the in-process run;
@@ -645,18 +648,19 @@ class TestImports:
 
     def test_commands_load_the_engine_and_plotter_only_to_use_them(self, tmp_path):
         # one interpreter, in this order: the dressed-state commands diagonalize without
-        # lindblad, and simulate loads svgplot only with --svg
+        # numpy or lindblad, and simulate loads svgplot only with --svg
         commands = [["dressed"], ["balance"], ["reproduce", "isotopes"],
                     [*FAST, "simulate"], [*FAST, "--svg", "simulate"]]
         code = ("import sys\n"
                 "from spincool.cli import main\n"
                 f"for cmd in {commands!r}:\n"
                 f"    assert main(['--out', {str(tmp_path)!r}, *cmd]) == 0, cmd\n"
-                "    print('loaded', sorted({'spincool.lindblad', 'spincool.svgplot'} "
+                "    print('loaded', sorted({'numpy', 'spincool.lindblad', 'spincool.svgplot'} "
                 "& set(sys.modules)))\n")
         loaded = [line for line in _run_python(code).splitlines() if line.startswith("loaded")]
-        assert loaded == ["loaded []"] * 3 + ["loaded ['spincool.lindblad']",
-                                              "loaded ['spincool.lindblad', 'spincool.svgplot']"]
+        engine = ["numpy", "spincool.lindblad"]
+        assert loaded == ["loaded []"] * 3 + [f"loaded {engine}",
+                                              f"loaded {[*engine, 'spincool.svgplot']}"]
 
     def test_engine_run_leaves_numpy_ma_unloaded(self):
         code = ("import sys\n"
