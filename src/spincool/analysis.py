@@ -260,6 +260,7 @@ def _bisect(passed: Callable[[float], bool], lo: float, hi: float,
 
 
 _GROUP_SERIES = {
+    "pop_reservoir": [BasisState.RESERVOIR],
     "pop_1P1_total": list(P1_STATES),
     "pop_1D2_total": list(D2_STATES),
     "pop_6s": [BasisState.S6_DOWN],
@@ -269,7 +270,9 @@ _SERIES_TOL = 1e-8
 
 def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
                t_final: float, samples: int) -> list[CoolingResult]:
-    """One cooling run per (alpha, beta), all propagated in one evolve call."""
+    """One cooling run per (alpha, beta), all propagated in one evolve call; no runs for none."""
+    if not amplitudes:
+        return []
     import numpy as np
 
     from .lindblad import DensityMatrixError, Trajectory, evolve, population, pure_density
@@ -283,7 +286,6 @@ def _cool_many(amplitudes: list[tuple[complex, complex]], p: ModelParams,
     # every series has shape (runs, samples)
     series = dict(zip(("pop_psi0", "pop_psif", "pop_perp"),
                       population(run, np.stack([psi0, psi_f, psi_perp]))))
-    series["pop_reservoir"] = run.level_sum([BasisState.RESERVOIR])
     for name, group in _GROUP_SERIES.items():
         series[name] = run.level_sum(group)
     for name, values in series.items():
@@ -335,9 +337,7 @@ def _row(name: str, overrides: dict[str, float], res: CoolingResult, i: int = -1
     """
     series, run = res.series, res.trajectory
     named = sum(values[i] for values in series.values())
-    # summed over the one-sample trajectory of sample i, not over every sample
-    clock = run._replace(times=run.times[[i]], coords=run.coords[[i]]).level_sum(
-        [BasisState.CLOCK_UP, BasisState.CLOCK_DOWN])[0]
+    clock = run.level_sum([BasisState.CLOCK_UP, BasisState.CLOCK_DOWN])[i]
     return SweepRow(name=name, overrides=overrides, t_us=float(run.times[i]),
                     fidelity=float(series["pop_psif"][i]), pop_perp=float(series["pop_perp"][i]),
                     notes={**notes,

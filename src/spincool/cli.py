@@ -1,27 +1,19 @@
 """Command-line front end.
 
-Subcommands:
-
-    simulate    run the cooling dynamics, write trajectory CSV + summary JSON
-    balance     find the dressing Rabi frequency that balances the dressed pair
-    dressed     print the dressed-pair overlaps and energies
-    reproduce   regenerate a reference artifact (fig3, table1, sensitivity,
-                impurity, appendixA, levels, isotopes)
-    lasercalc   print the laser-budget conversion table
-    levels      print the 5s15d 1D2 F-level energies
-
-Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
+build_parser holds each command's one-line help and the exit codes, which
+`spincool --help` lists; main parses, loads the run configuration and runs the
+command through _run.
 
 Importing this module loads only the stdlib and the pure-Python model
-modules (config, srmodel, hyperfine, angmom, constants); lasercalc loads in
-lasercalc and reproduce appendixA, and svgplot only with --svg.  analysis
-loads in the commands that compute (simulate, balance, dressed, reproduce
-fig3/table1/sensitivity/impurity/isotopes).  numpy and the engine, lindblad,
-load only in those that evolve the master equation (simulate, reproduce
-fig3/table1/sensitivity/impurity): balance, dressed and reproduce isotopes
-diagonalize a few levels in pure Python, and they, levels, lasercalc,
-reproduce appendixA/levels, --help and every configuration error run
-without numpy.
+modules (config, srmodel, hyperfine, angmom, constants).  _run imports by the
+command's kind: nothing more for levels and reproduce levels, lasercalc for
+lasercalc and reproduce appendixA, analysis for the rest, and numpy and the
+engine, lindblad, only for those that evolve the master equation (simulate,
+reproduce fig3/table1/sensitivity/impurity).  balance, dressed and reproduce
+isotopes diagonalize a few levels in pure Python; they, the laser-budget and
+levels commands, --help and every configuration error run without numpy.
+svgplot loads only with --svg, which every command accepts and only simulate
+reads.
 
 Three settings hold for the CLI's own process, not for the library: BLAS
 threads default to one, the cyclic garbage collector is paused while a
@@ -80,7 +72,7 @@ def _trajectory_csv(times, series: dict) -> str:
 
 
 class _Outputs:
-    """A command's files and printed text, delivered together.
+    """A command's files and printed text, delivered together; every command prints here.
 
     write stages each file through atomic_write_text as it is rendered, in a private
     directory under out_dir; commit moves them all into place and then prints, and
@@ -93,9 +85,12 @@ class _Outputs:
         self._names: list[str] = []
         self._stdout: list[str] = []
 
-    def write(self, name: str, text: str) -> None:
+    def write(self, name: str, text: str, echo: bool = False) -> None:
+        """Stage text as file name; with echo, also print the same text."""
         atomic_write_text(f"{self._stage}/{name}", text)
         self._names.append(name)
+        if echo:
+            self.print(text)
 
     def print(self, text: str) -> None:
         self._stdout.append(text)
@@ -150,7 +145,7 @@ def _dressed_summary(cfg: RunConfig) -> tuple[tuple[float, float] | None,
     return (pair.overlap_up, pair.overlap_down), *analysis.nu_or_imbalance(cfg.params)
 
 
-def cmd_simulate(cfg: RunConfig, out: _Outputs, svg: bool) -> int:
+def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
     from . import analysis
 
     start = time.perf_counter()
@@ -176,7 +171,7 @@ def cmd_simulate(cfg: RunConfig, out: _Outputs, svg: bool) -> int:
     }
     out.write("trajectory.csv", _trajectory_csv(times, series))
     out.write("summary.json", _json(payload))
-    if svg:
+    if args.svg:
         from .svgplot import line_plot
 
         # one list of Python floats for the shared times, one per curve as it is plotted
@@ -199,18 +194,15 @@ def cmd_simulate(cfg: RunConfig, out: _Outputs, svg: bool) -> int:
     return 0
 
 
-def cmd_balance(cfg: RunConfig, out: _Outputs, bracket: tuple[float, float]) -> int:
+def cmd_balance(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
+    """A bracket with no valid root is an analysis.BracketError, which _run reports."""
     from . import analysis
 
     p = cfg.params
-    try:
-        nu_input, imbalance_input = analysis.nu_or_imbalance(p)
-        balanced = analysis.balance_omega_pd(p, bracket=bracket)
-        # the root is balanced to BALANCE_TOL_MHZ, so nu is a number here
-        nu = analysis.nu_or_imbalance(p.replace(omega_pd=balanced))[0]
-    except analysis.BracketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    nu_input, imbalance_input = analysis.nu_or_imbalance(p)
+    balanced = analysis.balance_omega_pd(p, bracket=tuple(args.bracket))
+    # the root is balanced to BALANCE_TOL_MHZ, so nu is a number here
+    nu = analysis.nu_or_imbalance(p.replace(omega_pd=balanced))[0]
     payload = {
         "omega_pd_input_mhz": p.omega_pd,
         "imbalance_at_input_mhz": imbalance_input,
@@ -219,13 +211,11 @@ def cmd_balance(cfg: RunConfig, out: _Outputs, bracket: tuple[float, float]) -> 
         "nu_mhz": nu,
         "delta_recommendation_mhz": -nu,
     }
-    text = _json(payload)
-    out.write("balance.json", text)
-    out.print(text)
+    out.write("balance.json", _json(payload), echo=True)
     return 0
 
 
-def cmd_dressed(cfg: RunConfig) -> int:
+def cmd_dressed(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
     from . import analysis
 
     pair = analysis.dressed_pair(cfg.params)
@@ -235,35 +225,31 @@ def cmd_dressed(cfg: RunConfig) -> int:
         "energy_up_mhz": pair.energy_up,
         "energy_down_mhz": pair.energy_down,
     }
-    print(_json(payload), end="")
+    out.print(_json(payload))
     return 0
 
 
-def cmd_levels(out: _Outputs) -> int:
+def cmd_levels(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
     top, bottom = round(2 * (_I + _D2_J)), round(2 * abs(_I - _D2_J))
     rows = [(str(twice_f), f_level_energy(_D2_HYPERFINE, _I, _D2_J, twice_f / 2))
             for twice_f in range(top, bottom - 1, -2)]
-    text = _csv("levels", ("twice_F", "energy_mhz"), map(_csv_line, rows))
-    out.write("levels.csv", text)
-    out.print(text)
+    out.write("levels.csv", _csv("levels", ("twice_F", "energy_mhz"), map(_csv_line, rows)),
+              echo=True)
     return 0
 
 
-def cmd_lasercalc(out: _Outputs) -> int:
+def cmd_lasercalc(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
     from .lasercalc import sr_laser_budget
 
-    records = sr_laser_budget()
-    text = _json(records)
-    out.write("laser_budget.json", text)
-    out.print(text)
+    out.write("laser_budget.json", _json(sr_laser_budget()), echo=True)
     return 0
 
 
-def cmd_reproduce(which: str, cfg: RunConfig, out: _Outputs) -> int:
-    """The targets that compute; main runs appendixA and levels as lasercalc and levels."""
+def cmd_reproduce(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
+    """The targets that compute; _run runs appendixA and levels as lasercalc and levels."""
     from . import analysis
 
-    p = cfg.params
+    p, which = cfg.params, args.target
     if which == "fig3":
         result = analysis.cool(1.0, 1.0, p, t_final=cfg.t_final, samples=cfg.samples)
         out.write("fig3.csv", _trajectory_csv(result.trajectory.times, result.series))
@@ -284,10 +270,7 @@ def cmd_reproduce(which: str, cfg: RunConfig, out: _Outputs) -> int:
         _write_points(out, "impurity", "chi",
                       analysis.impurity_sweep(p, t_final=cfg.t_final, samples=cfg.samples))
     elif which == "isotopes":
-        table = analysis.isotope_table()
-        text = _json(table)
-        out.write("isotopes.json", text)
-        out.print(text)
+        out.write("isotopes.json", _json(analysis.isotope_table()), echo=True)
     return 0
 
 
@@ -304,32 +287,36 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="output directory (not empty)")
     parser.add_argument("--svg", action="store_true",
                         default=d if suppress else False,
-                        help="also emit SVG plots")
+                        help="also write SVG plots (only simulate has any)")
+
+
+# each command's one-line help, which --help lists
+_COMMANDS = {
+    "simulate": "run the cooling dynamics: trajectory.csv, summary.json",
+    "balance": "balance the dressed pair in omega_pd: balance.json",
+    "dressed": "print the dressed-pair overlaps and energies",
+    "reproduce": "regenerate one reference artifact",
+    "lasercalc": "the laser-budget conversion table: laser_budget.json",
+    "levels": "the 5s15d 1D2 F-level energies: levels.csv",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spincool",
-                                     description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(
+        prog="spincool", description="Cooling of 87Sr nuclear spin qubits.",
+        epilog=f"exit codes: 0 success, {EXIT_CONFIG} configuration or output error, "
+               f"{EXIT_NUMERICAL} numerical failure")
     _common_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name)
-        _common_flags(cmd, suppress=True)
-        return cmd
-
-    add_command("simulate")
-    balance = add_command("balance")
-    balance.add_argument("--bracket", nargs=2, type=float, default=(50.0, 300.0),
-                         metavar=("LO", "HI"))
-    add_command("dressed")
-    repro = add_command("reproduce")
-    repro.add_argument("target", choices=("fig3", "table1", "sensitivity",
-                                          "impurity", "appendixA", "levels",
-                                          "isotopes"))
-    add_command("lasercalc")
-    add_command("levels")
+    commands = {}
+    for name, text in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, help=text, description=text)
+        _common_flags(commands[name], suppress=True)
+    commands["balance"].add_argument("--bracket", nargs=2, type=float, default=(50.0, 300.0),
+                                     metavar=("LO", "HI"))
+    commands["reproduce"].add_argument("target", choices=("fig3", "table1", "sensitivity",
+                                                          "impurity", "appendixA", "levels",
+                                                          "isotopes"))
     return parser
 
 
@@ -396,36 +383,38 @@ def _freeze_imports() -> None:
 
 
 def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
-    """The command's exit code; a numerical failure is reported here as EXIT_NUMERICAL."""
-    # scalar arithmetic only: these load no analysis
-    name = args.target if args.command == "reproduce" else args.command
-    if name == "levels":
-        _freeze_imports()
-        return cmd_levels(out)
-    if name in ("lasercalc", "appendixA"):
-        from . import lasercalc  # noqa: F401  (loaded before the freeze)
-        _freeze_imports()
-        return cmd_lasercalc(out)
-    # the dressed-state commands diagonalize in pure Python, without numpy
-    from .analysis import AmbiguousOverlapError
-    failures = (FloatingPointError, AmbiguousOverlapError)
-    if name in _EVOLVING:
-        import numpy as np
+    """Import what the command uses, freeze the imports and run the command; its exit code.
 
-        from .lindblad import DensityMatrixError, IntegrationError
-        failures += (np.linalg.LinAlgError, IntegrationError, DensityMatrixError)
+    A numerical failure is reported here as EXIT_NUMERICAL, and a balance bracket
+    with no valid root as EXIT_CONFIG.
+    """
+    name = args.target if args.command == "reproduce" else args.command
+    # reproduce appendixA and levels are the laser-budget and levels commands
+    command = {"appendixA": "lasercalc", "levels": "levels"}.get(name, args.command)
+    failures, bad_input = (FloatingPointError,), ()
+    # levels is scalar arithmetic only, and the laser budget loads no analysis
+    if command == "lasercalc":
+        from . import lasercalc  # noqa: F401  (loaded before the freeze)
+    elif command != "levels":
+        # the dressed-state commands diagonalize in pure Python, without numpy
+        from . import analysis
+        failures += (analysis.AmbiguousOverlapError,)
+        bad_input = (analysis.BracketError,)
+        if name in _EVOLVING:
+            import numpy as np
+
+            from .lindblad import DensityMatrixError, IntegrationError
+            failures += (np.linalg.LinAlgError, IntegrationError, DensityMatrixError)
     _freeze_imports()
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.svg)
-        if args.command == "balance":
-            return cmd_balance(cfg, out, tuple(args.bracket))
-        if args.command == "dressed":
-            return cmd_dressed(cfg)
-        return cmd_reproduce(args.target, cfg, out)
+        # looked up when called, so that a replaced cmd_* runs
+        return globals()[f"cmd_{command}"](args, cfg, out)
     except failures as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except bad_input as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -77,11 +77,19 @@ class IntegrationError(RuntimeError):
 
 
 def pure_density(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a normalized state vector."""
+    """|psi><psi| for a normalized state vector.
+
+    A vector that is zero, or whose entries or norm are not finite, is a
+    DensityMatrixError.
+    """
     psi = np.asarray(psi, dtype=complex)
-    n = np.linalg.norm(psi)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(psi)
     if n == 0:
         raise DensityMatrixError("zero state vector")
+    # a finite norm has finite entries, but NaN entries give a NaN norm
+    if not np.isfinite(n):
+        raise DensityMatrixError(f"state vector norm is not finite: {n}")
     psi = psi / n
     return np.outer(psi, psi.conj())
 
@@ -525,6 +533,10 @@ def _start(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], dt: float,
     where = " (initial state)"
     _check_hermitian(rho0, where)
     n = rho0.shape[-1]
+    for name, op in (("H", H), *((f"collapse matrix {j}", c) for j, c in enumerate(cs))):
+        if np.shape(op) != (n, n):
+            raise ValueError(f"{name} has shape {np.shape(op)}; rho0 of shape "
+                             f"{rho0.shape} needs ({n}, {n})")
     support = np.any(rho0.reshape(-1, n * n) != 0, axis=0)
     # a non-finite or overflowing generator is an IntegrationError below; mute numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -555,9 +567,10 @@ def evolve(rho0: np.ndarray, H: np.ndarray, cs: list[np.ndarray], t_final: float
     structure (the reachable entries, the parts, the real basis and its block plans)
     depends only on the nonzero patterns of H's and the collapse matrices' terms and of
     rho0, and is analysed once per pattern (_generator_plan); a call gathers only the
-    values.  rho0 must be Hermitian to HERMITICITY_TOL, and its coordinates in that
-    basis finite, of unit trace and positive to TRACE_TOL and POSITIVITY_TOL; a failure
-    is a DensityMatrixError that names the initial state.
+    values.  H and each collapse matrix must be (n, n) for rho0's n, or a ValueError
+    names the shapes.  rho0 must be Hermitian to HERMITICITY_TOL, and its coordinates
+    in that basis finite, of unit trace and positive to TRACE_TOL and POSITIVITY_TOL;
+    a failure is a DensityMatrixError that names the initial state.
     A generator with |Im| > HERMITICITY_TOL / t_final in real form is an IntegrationError;
     so is a sample that is not finite, or off unit trace or positivity by 10x tolerance,
     named by its time and stack index, and so is a time grid or coordinate array too

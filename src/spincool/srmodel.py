@@ -277,14 +277,18 @@ def qubit_vectors(alpha: complex, beta: complex) -> tuple[np.ndarray, np.ndarray
     """Initial clock-manifold state, ground-manifold target, and its qubit-plane complement.
 
     Amplitudes are normalized internally; psi_perp carries (beta*, -alpha*)
-    on the ground manifold so that <psi_f|psi_perp> = 0.
+    on the ground manifold so that <psi_f|psi_perp> = 0.  An amplitude that is
+    not finite, or two that are both zero, is a ValueError.
     """
     import numpy as np
 
+    parts = [part for z in (complex(alpha), complex(beta)) for part in (z.real, z.imag)]
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"qubit amplitudes must be finite, got {alpha!r}, {beta!r}")
     # hypot overflows near the largest floats and loses bits among the subnormals, so
     # both amplitudes are first divided by the power of two just above their largest part;
     # in two halves (2^1074 is no float) this is exact, and ordinary values keep their bits
-    top = max(abs(part) for z in (complex(alpha), complex(beta)) for part in (z.real, z.imag))
+    top = max(map(abs, parts))
     shift = math.frexp(top)[1]
     for half in (shift // 2, shift - shift // 2):
         alpha, beta = alpha / 2.0 ** half, beta / 2.0 ** half

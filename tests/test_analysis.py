@@ -21,6 +21,7 @@ from spincool.analysis import (
     min_omega_ps,
     nu_or_imbalance,
     sensitivity_suite,
+    table1_sweep,
 )
 from spincool.constants import SR87_TWICE_I
 from spincool.lindblad import pure_density
@@ -234,6 +235,12 @@ class TestCool:
         assert fig3_run.fidelity == pytest.approx(0.9996, abs=3e-4)
         assert fig3_run.pop_residual_clock == pytest.approx(7e-6, rel=0.5)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_amplitude_rejected(self, reference_params, alpha):
+        # named before anything is evolved, with no numpy warning (an error in this suite)
+        with pytest.raises(ValueError, match="qubit amplitudes must be finite"):
+            cool(alpha, 1.0, reference_params, 1.0, 3)
+
     def test_global_phase_invariance(self, reference_params):
         phase = np.exp(1j * 0.7)
         a = cool(phase * 1.0, phase * 1.0, reference_params, t_final=2.0, samples=5)
@@ -273,6 +280,9 @@ class TestCool:
 
 
 class TestSweeps:
+    def test_no_ratios_no_rows(self, reference_params):
+        assert table1_sweep(reference_params, ratios=()) == []
+
     def test_sensitivity_has_reference_row(self, sensitivity_rows, fig3_run):
         ref = next(r for r in sensitivity_rows if r.name == "reference")
         assert ref.fidelity == pytest.approx(fig3_run.fidelity, abs=1e-9)

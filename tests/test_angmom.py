@@ -79,6 +79,8 @@ class TestClebschGordan:
             clebsch_gordan(1, 2, 1, 0, 2, 2)  # |m1| > j1
         with pytest.raises(ValueError):
             clebsch_gordan(1, 0.5, 1, 0, 1, 0.5)  # m not integer-spaced from j
+        with pytest.raises(ValueError, match="negative total angular momentum J=-1"):
+            clebsch_gordan(1, 0, 1, 0, -1, 0)
 
     # values frozen from the exact Racah-sum oracle (twice-value arguments)
     FROZEN = [

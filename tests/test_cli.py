@@ -511,6 +511,31 @@ class TestOutNotDirectory:
         assert f"{taken} is not a directory" in capsys.readouterr().err
 
 
+class TestHelp:
+    @staticmethod
+    def _help(capsys, *argv: str) -> str:
+        """What --help prints after argv, with argparse's line wrapping undone."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_lists_each_command_and_the_exit_codes(self, capsys):
+        # from the parser alone, not the module docstring's import and gc notes
+        text = self._help(capsys)
+        assert len(cli._COMMANDS) == 6
+        for name, line in cli._COMMANDS.items():
+            assert f" {name} {line} " in text
+        assert text.endswith(" exit codes: 0 success, 2 configuration or output error, "
+                             "3 numerical failure")
+        assert "gc.freeze" not in text
+
+    def test_reproduce_lists_its_targets(self, capsys):
+        targets = [cmd.split()[1] for cmd in ARTIFACT_COMMANDS if cmd.startswith("reproduce")]
+        assert len(targets) == 7
+        assert "{" + ",".join(targets) + "}" in self._help(capsys, "reproduce")
+
+
 class TestReproduce:
     def test_unknown_target_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

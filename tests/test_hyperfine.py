@@ -70,6 +70,16 @@ MODEL_P1_STATES = [(0, -4.5), (-1, -3.5), (-1, -4.5), (1, -4.5)]
 
 
 class TestHfBlock:
+    @pytest.mark.parametrize("I, J", [(-4.5, 1), (4.5, -1)])
+    def test_negative_spin_raises(self, I, J):
+        with pytest.raises(ValueError, match="I and J must be non-negative"):
+            hf_block(P1_CONSTANTS, I, J, [])
+
+    @pytest.mark.parametrize("A, Q", [(math.inf, 39.0), (-3.4, math.nan)])
+    def test_non_finite_constants_raise(self, A, Q):
+        with pytest.raises(ValueError, match="hyperfine constants must be finite"):
+            HyperfineConstants(A, Q)
+
     @pytest.mark.parametrize("c, I, states", [
         (P1_CONSTANTS, 4.5, MODEL_P1_STATES),
         *((HyperfineConstants(A, Q), I, spin_basis(I, 1)) for _, I, A, Q in ISOTOPE_CASES),

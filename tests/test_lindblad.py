@@ -66,6 +66,13 @@ class TestDensityMatrixChecks:
         with pytest.raises(DensityMatrixError):
             pure_density(np.zeros(3))
 
+    # numpy's warnings are errors in this suite: each of these raises the named error alone
+    @pytest.mark.parametrize("psi", [[np.inf, 1.0], [np.nan, 0.0], [1.0, complex(0, -np.inf)],
+                                     [1e308, 1e308]])
+    def test_pure_density_rejects_a_non_finite_vector_or_norm(self, psi):
+        with pytest.raises(DensityMatrixError, match="state vector norm is not finite"):
+            pure_density(np.array(psi))
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3)])
     def test_not_square_in_both_checks(self, shape):
         # check_density_matrix and evolve's initial-state check share the shape check
@@ -390,6 +397,18 @@ class TestEvolve:
         rho0 = np.array([pure_density(qubit_vectors(r, 1.0)[0]) for r in (0.5, 2.0)])
         evolve(rho0, hamiltonian(p), collapse_matrices(p), 20.0, 401)
         assert [A.shape for A in calls] == [(49, 49), (38, 38)]
+
+    @pytest.mark.parametrize("H, cs, message", [
+        (np.zeros((3, 3)), [], r"H has shape \(3, 3\); rho0 of shape \(2, 2\) needs \(2, 2\)"),
+        (np.zeros(2), [], r"H has shape \(2,\)"),
+        (np.zeros((2, 2)), [np.zeros((2, 2)), np.zeros((2, 3))],
+         r"collapse matrix 1 has shape \(2, 3\)"),
+        # four 2x2 matrices' worth of entries, which reshaping alone would accept
+        (np.zeros((2, 2)), [np.eye(4)], r"collapse matrix 0 has shape \(4, 4\)"),
+    ], ids=["H-3x3", "H-vector", "collapse-2x3", "collapse-4x4"])
+    def test_operator_of_the_wrong_shape_rejected(self, H, cs, message):
+        with pytest.raises(ValueError, match=message):
+            evolve(np.eye(2) / 2, H, cs, 1.0, 3)
 
     def test_bad_initial_state_rejected(self):
         with pytest.raises(DensityMatrixError):

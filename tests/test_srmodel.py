@@ -68,6 +68,15 @@ class TestModelParams:
         p = ModelParams(omega_pd=140.0)
         with pytest.raises(AttributeError, match="cannot assign to field 'omega_pd'"):
             p.omega_pd = 150.0
+        with pytest.raises(AttributeError, match="cannot delete field 'omega_pd'"):
+            del p.omega_pd
+        # another type, even a record of the same values, is never equal
+
+        class Subclass(ModelParams):
+            __slots__ = ()
+
+        assert p.__eq__(p._values()) is NotImplemented and p != p._values()
+        assert Subclass(omega_pd=140.0) != p
         assert p == ModelParams(1.0, 300.0, 140.0) and hash(p) == hash(ModelParams(omega_pd=140.0))
         assert p.replace(omega_pd=144.27) == ModelParams() != p
         with pytest.raises(ValueError, match="gamma_p must be >= 0"):
@@ -265,6 +274,12 @@ class TestQubitVectors:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             qubit_vectors(0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, complex(0.0, math.nan)),
+                                             (math.nan, 1e308), (-math.inf, math.inf)])
+    def test_non_finite_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="qubit amplitudes must be finite"):
+            qubit_vectors(alpha, beta)
 
     # amplitudes whose norm overflows, or that are subnormal, still give unit vectors
     @pytest.mark.parametrize("alpha, beta", [(1.5e308, 1.5e308), (1e-320, 1e-320),
