@@ -207,17 +207,17 @@ def nu_or_imbalance(p: ModelParams) -> tuple[float | None, float | None]:
     return 0.5 * (pair.energy_up + pair.energy_down), None
 
 
-def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] = (50.0, 300.0)) -> float:
+def balance_omega_pd(p: ModelParams, bracket: tuple[float, float] | None = None) -> float:
     """Dressing Rabi frequency (MHz) that makes the two dressed levels degenerate.
 
-    Bisection of the level difference to 1e-6 MHz; the result depends on
-    delta_pd (a different detuning balances at a different Rabi frequency).
-    A bracket that is not finite with lo < hi is a BracketError, and so is one
-    with an end that is not a valid omega_pd, or whose sign change is a jump
-    (the dressed pair changes states) rather than a root: the levels at the
-    result differ by more than BALANCE_TOL_MHZ.
+    Bisection of the level difference to 1e-6 MHz on bracket, (50, 300) MHz by
+    default; the result depends on delta_pd (a different detuning balances at
+    a different Rabi frequency).  A bracket that is not finite with lo < hi is
+    a BracketError, and so is one with an end that is not a valid omega_pd, or
+    whose sign change is a jump (the dressed pair changes states) rather than
+    a root: the levels at the result differ by more than BALANCE_TOL_MHZ.
     """
-    lo, hi = bracket
+    lo, hi = bracket = (50.0, 300.0) if bracket is None else bracket
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BracketError(f"bracket [{lo}, {hi}] is not finite with lo < hi")
     for end in bracket:

@@ -34,8 +34,7 @@ import time
 
 from . import __version__
 from .config import ConfigError, RunConfig, atomic_write_text, config_hash, load_run_config
-from .hyperfine import f_level_energy
-from .srmodel import _D2_HYPERFINE, _D2_J, _I
+from .srmodel import d2_f_levels
 
 # at most 169-wide matrices gain nothing from more BLAS threads but CPU time;
 # the pool is sized when numpy loads, so default it to one before, unless set
@@ -56,8 +55,8 @@ def _csv(kind: str, cols, lines) -> str:
 
 
 def _csv_line(cells) -> str:
-    """One CSV line.  A str cell is written as is; any other cell is a Python float,
-    written as its repr so that it reads back bit for bit."""
+    """One CSV line.  A str cell is written as is; any other cell is a Python int or
+    float, written as its repr so that it reads back bit for bit."""
     return ",".join(v if isinstance(v, str) else repr(v) for v in cells)
 
 
@@ -145,7 +144,7 @@ def _dressed_summary(cfg: RunConfig) -> tuple[tuple[float, float] | None,
     return (pair.overlap_up, pair.overlap_down), *analysis.nu_or_imbalance(cfg.params)
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
+def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> None:
     from . import analysis
 
     start = time.perf_counter()
@@ -191,16 +190,15 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int
         out.write("transfer.svg", svg_doc)
     out.print(f"fidelity at {cfg.t_final:g} us: {fidelity:.6f}  (outputs in {out.out_dir}, "
               f"wall clock {time.perf_counter() - start:.3f} s)\n")
-    return 0
 
 
-def cmd_balance(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
+def cmd_balance(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> None:
     """A bracket with no valid root is an analysis.BracketError, which _run reports."""
     from . import analysis
 
     p = cfg.params
     nu_input, imbalance_input = analysis.nu_or_imbalance(p)
-    balanced = analysis.balance_omega_pd(p, bracket=tuple(args.bracket))
+    balanced = analysis.balance_omega_pd(p, bracket=args.bracket)
     # the root is balanced to BALANCE_TOL_MHZ, so nu is a number here
     nu = analysis.nu_or_imbalance(p.replace(omega_pd=balanced))[0]
     payload = {
@@ -212,10 +210,9 @@ def cmd_balance(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
         "delta_recommendation_mhz": -nu,
     }
     out.write("balance.json", _json(payload), echo=True)
-    return 0
 
 
-def cmd_dressed(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
+def cmd_dressed(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> None:
     from . import analysis
 
     pair = analysis.dressed_pair(cfg.params)
@@ -226,26 +223,20 @@ def cmd_dressed(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
         "energy_down_mhz": pair.energy_down,
     }
     out.print(_json(payload))
-    return 0
 
 
-def cmd_levels(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
-    top, bottom = round(2 * (_I + _D2_J)), round(2 * abs(_I - _D2_J))
-    rows = [(str(twice_f), f_level_energy(_D2_HYPERFINE, _I, _D2_J, twice_f / 2))
-            for twice_f in range(top, bottom - 1, -2)]
-    out.write("levels.csv", _csv("levels", ("twice_F", "energy_mhz"), map(_csv_line, rows)),
-              echo=True)
-    return 0
+def cmd_levels(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> None:
+    out.write("levels.csv", _csv("levels", ("twice_F", "energy_mhz"),
+                                 map(_csv_line, d2_f_levels())), echo=True)
 
 
-def cmd_lasercalc(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
+def cmd_lasercalc(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> None:
     from .lasercalc import sr_laser_budget
 
-    out.write("laser_budget.json", _json(sr_laser_budget()), echo=True)
-    return 0
+    out.write("laser_budget.json", _json(sr_laser_budget(cfg.params)), echo=True)
 
 
-def cmd_reproduce(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
+def cmd_reproduce(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> None:
     """The targets that compute; _run runs appendixA and levels as lasercalc and levels."""
     from . import analysis
 
@@ -271,7 +262,6 @@ def cmd_reproduce(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> in
                       analysis.impurity_sweep(p, t_final=cfg.t_final, samples=cfg.samples))
     elif which == "isotopes":
         out.write("isotopes.json", _json(analysis.isotope_table()), echo=True)
-    return 0
 
 
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -312,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in _COMMANDS.items():
         commands[name] = sub.add_parser(name, help=text, description=text)
         _common_flags(commands[name], suppress=True)
-    commands["balance"].add_argument("--bracket", nargs=2, type=float, default=(50.0, 300.0),
-                                     metavar=("LO", "HI"))
+    commands["balance"].add_argument("--bracket", nargs=2, type=float, metavar=("LO", "HI"))
     commands["reproduce"].add_argument("target", choices=("fig3", "table1", "sensitivity",
                                                           "impurity", "appendixA", "levels",
                                                           "isotopes"))
@@ -383,7 +372,7 @@ def _freeze_imports() -> None:
 
 
 def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
-    """Import what the command uses, freeze the imports and run the command; its exit code.
+    """Import what the command uses, freeze the imports and run the command; 0 on success.
 
     A numerical failure is reported here as EXIT_NUMERICAL, and a balance bracket
     with no valid root as EXIT_CONFIG.
@@ -408,13 +397,14 @@ def _run(args: argparse.Namespace, cfg: RunConfig, out: _Outputs) -> int:
     _freeze_imports()
     try:
         # looked up when called, so that a replaced cmd_* runs
-        return globals()[f"cmd_{command}"](args, cfg, out)
+        globals()[f"cmd_{command}"](args, cfg, out)
     except failures as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except bad_input as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return 0
 
 
 if __name__ == "__main__":

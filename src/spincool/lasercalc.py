@@ -1,8 +1,8 @@
 """Laser-budget conversion chain.
 
 Linewidth -> reduced dipole matrix element -> field amplitude ->
-intensity -> beam power, for estimating the laser requirements of the
-dressing transitions.  The linewidth formula
+intensity -> beam power, for estimating the laser power that drives each
+dressing transition at a model's Rabi frequency.  The linewidth formula
 
     Gamma = omega0^3 |d|^2 / (mult * pi * eps0 * hbar * c^3)
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 from .constants import BOHR_RADIUS, DIPOLE_EA0, ELEMENTARY_CHARGE, EPSILON_0, HBAR, SPEED_OF_LIGHT
+from .srmodel import ModelParams
 
 __all__ = [
     "angular_frequency",
@@ -53,8 +54,8 @@ def field_for_rabi(omega_rabi_mhz: float, d_ea0: float) -> float:
 
 
 def intensity_from_field(field_v_per_m: float) -> float:
-    """Beam intensity I = eps0 c E^2 / 2, in W/m^2."""
-    return 0.5 * EPSILON_0 * SPEED_OF_LIGHT * field_v_per_m ** 2
+    """Beam intensity I = eps0 c E^2 / 2, in W/m^2; inf where E^2 overflows."""
+    return 0.5 * EPSILON_0 * SPEED_OF_LIGHT * (field_v_per_m * field_v_per_m)
 
 
 def power_from_intensity(intensity_w_m2: float, spot_radius_um: float) -> float:
@@ -65,37 +66,32 @@ def power_from_intensity(intensity_w_m2: float, spot_radius_um: float) -> float:
     return intensity_w_m2 * math.pi * radius_m ** 2
 
 
-def sr_laser_budget() -> list[dict]:
-    """Worked laser budget for the two 87Sr dressing transitions.
+def _drive(line: str, rabi_mhz: float, d_ea0: float) -> dict:
+    """The field, intensity and power that drive line at rabi_mhz on a 20 um spot."""
+    field = field_for_rabi(rabi_mhz, d_ea0)
+    intensity = intensity_from_field(field)
+    power = power_from_intensity(intensity, 20.0)
+    # each step scales by a finite factor: a field or intensity that is not finite
+    # leaves the power infinite
+    if not math.isfinite(power):
+        raise FloatingPointError(f"{line}: the power to drive {rabi_mhz:g} MHz is not finite")
+    return {"transition": line, "rdme_ea0": d_ea0, "rabi_mhz": rabi_mhz,
+            "field_v_per_m": field, "intensity_w_cm2": intensity / 1e4,
+            "power_mw": power * 1e3}
+
+
+def sr_laser_budget(p: ModelParams) -> list[dict]:
+    """Worked laser budget for the two 87Sr dressing transitions at p's Rabi frequencies.
 
     Returns records for: the main 1P1 decay line (rate to matrix element,
-    multiplicity 9), the 1124 nm 1P1 <-> 6s line with the field, intensity
-    and power for a 300 MHz coupling on a 20 um spot, and the 424 nm
-    dressing line using the literature 0.092 e*a0 estimate at 144.27 MHz.
+    multiplicity 9), the 1124 nm 1P1 <-> 6s line driven at p.omega_ps, and the
+    424 nm dressing line, using the literature 0.092 e*a0 estimate, driven at
+    p.omega_pd.  A driven line whose power is not finite is a FloatingPointError.
     """
-    spot_um = 20.0
-    records = []
-
-    d_main = rdme_from_linewidth(2.0e8, 2 * math.pi * 6.51e14, mult=9)
-    records.append({"transition": "1P1 -> ground (461 nm)",
-                    "linewidth_per_s": 2.0e8, "rdme_ea0": d_main})
-
-    linewidth_ir = 1.86e7
-    d_ir = rdme_from_linewidth(linewidth_ir, angular_frequency(1124.232), mult=1)
-    field_ir = field_for_rabi(300.0, d_ir)
-    intensity_ir = intensity_from_field(field_ir)
-    records.append({"transition": "1P1 <-> 6s 1S0 (1124 nm)",
-                    "linewidth_per_s": linewidth_ir, "rdme_ea0": d_ir,
-                    "rabi_mhz": 300.0, "field_v_per_m": field_ir,
-                    "intensity_w_cm2": intensity_ir / 1e4,
-                    "power_mw": power_from_intensity(intensity_ir, spot_um) * 1e3})
-
-    d_uv = 0.092  # e*a0, literature radial-integral estimate for the 424 nm line
-    field_uv = field_for_rabi(144.27, d_uv)
-    intensity_uv = intensity_from_field(field_uv)
-    records.append({"transition": "1P1 <-> 5s15d 1D2 (424 nm)",
-                    "rdme_ea0": d_uv, "rabi_mhz": 144.27,
-                    "field_v_per_m": field_uv,
-                    "intensity_w_cm2": intensity_uv / 1e4,
-                    "power_mw": power_from_intensity(intensity_uv, spot_um) * 1e3})
-    return records
+    d_ir = rdme_from_linewidth(1.86e7, angular_frequency(1124.232), mult=1)
+    return [
+        {"transition": "1P1 -> ground (461 nm)", "linewidth_per_s": 2.0e8,
+         "rdme_ea0": rdme_from_linewidth(2.0e8, 2 * math.pi * 6.51e14, mult=9)},
+        {"linewidth_per_s": 1.86e7, **_drive("1P1 <-> 6s 1S0 (1124 nm)", p.omega_ps, d_ir)},
+        _drive("1P1 <-> 5s15d 1D2 (424 nm)", p.omega_pd, 0.092),
+    ]

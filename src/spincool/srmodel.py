@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from ._record import FrozenRecord
 from .angmom import clebsch_gordan
 from .constants import MU_B_MHZ_PER_G, MU_N_MHZ_PER_G, SR87_NUCLEAR_MOMENT, SR87_TWICE_I
-from .hyperfine import HyperfineConstants, hf_block
+from .hyperfine import HyperfineConstants, f_level_energy, hf_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,6 +34,7 @@ __all__ = [
     "hamiltonian_mhz",
     "hamiltonian",
     "collapse_ops",
+    "d2_f_levels",
     "with_polarization_impurity",
     "qubit_vectors",
 ]
@@ -92,6 +93,12 @@ D2_STATES = _in("1D2")
 P1_STATES = _in("1P1")
 # (mJ, mI) of each 1P1 state, for its hyperfine block and Zeeman diagonal
 _P1_MJ_MI = [tuple(t / 2 for t in STATES[s].twice) for s in P1_STATES]
+
+
+def d2_f_levels() -> list[tuple[int, float]]:
+    """(2F, E_F in MHz) of each 5s15d 1D2 hyperfine level, F from I + J down to |I - J|."""
+    return [(tf, f_level_energy(_D2_HYPERFINE, _I, _D2_J, tf / 2))
+            for tf in range(SR87_TWICE_I + 2 * _D2_J, abs(SR87_TWICE_I - 2 * _D2_J) - 1, -2)]
 
 
 def _dressing_amplitude(F, mF, mJ, mI) -> float:

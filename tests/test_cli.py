@@ -428,6 +428,13 @@ class TestBalance:
         assert payload["imbalance_at_input_mhz"] == pytest.approx(0.42, abs=0.02)
         assert payload["omega_pd_balanced_mhz"] != pytest.approx(144.27, abs=0.05)
 
+    def test_default_bracket_is_50_to_300(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "default"), "balance"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["--out", str(tmp_path / "given"), "balance", "--bracket", "50", "300"]) == 0
+        assert capsys.readouterr().out == printed
+        assert assert_same_files(tmp_path / "default", tmp_path / "given") == ["balance.json"]
+
     def test_bad_bracket_exit_2(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "balance", "--bracket", "140", "141"])
         assert rc == 2
@@ -481,6 +488,32 @@ class TestLevelsAndLasercalc:
         assert main(["--out", str(tmp_path), "lasercalc"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 3
+
+    def test_laser_budget_reads_the_configured_lasers(self, tmp_path, capsys):
+        # both laser-budget commands write the budget at omega_ps = 250 MHz, not the default's
+        commands = ["lasercalc", "--set omega_ps=250 lasercalc",
+                    "--set omega_ps=250 reproduce appendixA"]
+        for k, cmd in enumerate(commands):
+            assert main(["--out", str(tmp_path / str(k)), *cmd.split()]) == 0
+        default, lasercalc, appendix_a = (tmp_path / str(k) / "laser_budget.json"
+                                          for k in range(3))
+        assert lasercalc.read_bytes() == appendix_a.read_bytes() != default.read_bytes()
+        infrared = json.loads(lasercalc.read_text())[1]
+        assert (infrared["rabi_mhz"], round(infrared["power_mw"], 3)) == (250.0, 0.146)
+
+    @pytest.mark.parametrize("command", ["lasercalc", "reproduce appendixA"])
+    @pytest.mark.parametrize("key, line", [("omega_ps", "1P1 <-> 6s 1S0 (1124 nm)"),
+                                           ("omega_pd", "1P1 <-> 5s15d 1D2 (424 nm)")],
+                             ids=["omega_ps", "omega_pd"])
+    def test_non_finite_power_exit_3(self, tmp_path, capsys, command, key, line):
+        # a field whose square overflows: one line naming the laser, and no files
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--set", f"{key}=1e300", *command.split()]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"numerical failure: {line}: the power to drive 1e+300 MHz "
+                                "is not finite\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestEmptyOut:

@@ -11,6 +11,13 @@ from spincool.lasercalc import (
     rdme_from_linewidth,
     sr_laser_budget,
 )
+from spincool.srmodel import ModelParams
+
+IR, UV = "1P1 <-> 6s 1S0 (1124 nm)", "1P1 <-> 5s15d 1D2 (424 nm)"
+
+
+def _budget(**overrides) -> dict[str, dict]:
+    return {r["transition"]: r for r in sr_laser_budget(ModelParams(**overrides))}
 
 
 class TestDipoleConversions:
@@ -85,14 +92,36 @@ class TestFieldIntensityPower:
 
 class TestBudgetTable:
     def test_reference_records(self):
-        records = {r["transition"]: r for r in sr_laser_budget()}
+        records = _budget()
         assert len(records) == 3
-        ir = records["1P1 <-> 6s 1S0 (1124 nm)"]
+        ir = records[IR]
         assert ir["rdme_ea0"] == pytest.approx(2.09, rel=0.02)
         assert ir["intensity_w_cm2"] == pytest.approx(16.7, rel=0.02)
         assert ir["power_mw"] == pytest.approx(0.21, rel=0.02)
-        uv = records["1P1 <-> 5s15d 1D2 (424 nm)"]
+        uv = records[UV]
         assert uv["field_v_per_m"] == pytest.approx(1.23e5, rel=0.02)
         assert uv["power_mw"] == pytest.approx(25.1, rel=0.02)
         main = records["1P1 -> ground (461 nm)"]
         assert main["rdme_ea0"] == pytest.approx(5.38, rel=0.02)
+
+    # each laser moves its own line's record, by the square of its Rabi frequency
+    @pytest.mark.parametrize("key, rabi_mhz, line", [("omega_ps", 250.0, IR),
+                                                     ("omega_pd", 100.0, UV)],
+                             ids=["omega_ps", "omega_pd"])
+    def test_each_laser_drives_only_its_line(self, key, rabi_mhz, line):
+        ref, moved = _budget(), _budget(**{key: rabi_mhz})
+        scale = (rabi_mhz / ref[line]["rabi_mhz"]) ** 2
+        assert moved[line]["rabi_mhz"] == rabi_mhz
+        assert moved[line]["power_mw"] == pytest.approx(ref[line]["power_mw"] * scale,
+                                                        rel=1e-12, abs=0)
+        del ref[line], moved[line]
+        assert moved == ref
+
+    # 1e300 MHz overflows E^2 from a finite field; 1e307 MHz overflows the field itself
+    @pytest.mark.parametrize("key, line", [("omega_ps", IR), ("omega_pd", UV)],
+                             ids=["omega_ps", "omega_pd"])
+    @pytest.mark.parametrize("rabi_mhz", [1e300, 1e307, -1e300])
+    def test_non_finite_power_names_the_line(self, key, line, rabi_mhz):
+        with pytest.raises(FloatingPointError) as exc:
+            _budget(**{key: rabi_mhz})
+        assert str(exc.value) == f"{line}: the power to drive {rabi_mhz:g} MHz is not finite"
